@@ -182,6 +182,8 @@ fn main() {
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"t14_sparse_init\",");
     let _ = writeln!(json, "  \"quick\": {quick},");
+    let _ = writeln!(json, "  \"cores\": {},", dg_bench::cores());
+    let _ = writeln!(json, "  \"commit\": \"{}\",", dg_bench::commit());
     let _ = writeln!(
         json,
         "  \"description\": \"trial setup cost of the O(n^2) stationary pair scan vs the O(#on) geometric-skip initializer (p = 1/n), plus the delta-native section-5 thinned wrapper\","

@@ -21,7 +21,9 @@
 //!   where the optimization does and does not pay.
 //! * **engine batch, exact-scan MEG** — `reuse_models(true)` vs
 //!   `(false)` on the `O(n²)`-allocation exact-scan construction
-//!   (32 MB occupancy + event calendar per trial when fresh).
+//!   (32 MB occupancy plus the first 64 rounds' events per trial when
+//!   fresh; the rest of the scan is replayed only by trials that run
+//!   past round 64).
 //!
 //! Emits machine-readable `BENCH_trial_reuse.json` at the repository
 //! root (in quick mode: `target/BENCH_trial_reuse_quick.json`, for the
@@ -224,7 +226,8 @@ fn main() {
     );
 
     // 3. Engine batch over the exact-scan construction (32 MB of
-    // occupancy + calendar per fresh trial at full scale).
+    // occupancy plus the first window's events per fresh trial at full
+    // scale).
     let n3 = if quick { 512 } else { 4096 };
     let (w3_fresh, w3_reuse, w3_trials) = {
         let trials = if quick { 4 } else { 10 };
@@ -268,6 +271,8 @@ fn main() {
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"t16_trial_reuse\",");
     let _ = writeln!(json, "  \"quick\": {quick},");
+    let _ = writeln!(json, "  \"cores\": {},", dg_bench::cores());
+    let _ = writeln!(json, "  \"commit\": \"{}\",", dg_bench::commit());
     let _ = writeln!(
         json,
         "  \"description\": \"zero-rebuild trials: per-worker model reuse (reset instead of reconstruction) + reusable TrialScratch across the engine and sweep layers, plus the full-emission bulk load and the lazy sparse-MEG dynamics that this PR added to the shared trial path. fresh = stateless pre-PR-shaped path (new model + new buffers every trial); zero_rebuild = cached model reset in place + retained buffers. Reports are asserted byte-identical on every workload.\","

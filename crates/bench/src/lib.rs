@@ -60,6 +60,27 @@ pub fn quick_mode() -> bool {
     std::env::var("DG_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
+/// Cores available to the bench process — recorded in every
+/// `BENCH_*.json` so a reader knows which machine shape produced it.
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |c| c.get())
+}
+
+/// The source revision a bench ran on, as `git describe --always
+/// --dirty` reports it for this checkout (`-dirty` marks uncommitted
+/// changes); `"unknown"` outside a git checkout. Recorded in
+/// `BENCH_*.json` next to [`cores`].
+pub fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+}
+
 /// Minimal bench runner: filters by substring, times adaptively.
 #[derive(Debug)]
 pub struct Harness {

@@ -20,7 +20,7 @@
 //! lane order with the same per-lane streams).
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use dg_markov::{MarkovError, TwoStateChain};
 use dynagraph::shard::{ShardAccess, ShardLane};
@@ -28,6 +28,7 @@ use dynagraph::{mix_seed, EdgeDelta, EvolvingGraph, Snapshot};
 
 use crate::pairmap::PairMap;
 use crate::pairs::edge_pair;
+use crate::sparse::geometric;
 
 /// Number of logical lanes — fixed, so realizations are independent of
 /// how many threads step them. 64 comfortably exceeds any core count
@@ -44,18 +45,6 @@ const LANE_SEED_TAG: u64 = 0x5AA2_DED0;
 #[inline]
 fn tri(v: u64) -> u64 {
     v * (v - 1) / 2
-}
-
-/// Samples `Geometric(prob)` on `{1, 2, ...}` — identical draw to
-/// `SparseTwoStateEdgeMeg`'s sampler.
-#[inline]
-fn geometric(rng: &mut SmallRng, prob: f64, log1m: f64) -> u64 {
-    if prob >= 1.0 {
-        return 1;
-    }
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let k = (u.ln() / log1m).ceil();
-    (k as u64).max(1)
 }
 
 /// Alive-list position sentinel (mirrors the sparse model's `OFF`).

@@ -18,10 +18,18 @@
 //! # Trial setup: exact scan vs sparse initialization
 //!
 //! [`SparseTwoStateEdgeMeg::stationary`] initializes by scanning all
-//! `n(n-1)/2` pairs — one Bernoulli(`α`) draw plus one scheduled toggle
-//! per pair — which keeps its realizations byte-pinned across refactors
-//! but makes *trial setup* the `O(n²)` bottleneck of short Monte-Carlo
-//! runs at large `n`. The opt-in
+//! `n(n-1)/2` pairs — one Bernoulli(`α`) draw plus the uniform behind
+//! each pair's first toggle time — which keeps its realizations
+//! byte-pinned across refactors but makes *trial setup* `O(n²)` RNG
+//! draws. The logarithm and the calendar push, the bulk of an eager
+//! scan's cost, are paid only for the few first toggles that can fall due
+//! within the first 64 rounds: in the paper's sparse regime almost
+//! every first birth is `~1/p` rounds away, and a short flooding trial
+//! never reaches it. The scan checkpoints its RNG every 4096 pairs, and
+//! a run that does reach the end of the window replays the scan once
+//! from those checkpoints to schedule the rest — the same draws, so the
+//! same events and the same realization. Setup memory is the pair-slot
+//! table plus the window's events. The opt-in
 //! [`SparseTwoStateEdgeMeg::stationary_sparse_init`] constructor samples
 //! the stationary on-set directly with geometric skips over the pair
 //! index (`O(#on)` work and memory: one draw plus one occupancy-map
@@ -44,6 +52,16 @@ use dynagraph::{mix_seed, EdgeDelta, EvolvingGraph, Snapshot};
 
 use crate::pairmap::PairMap;
 use crate::pairs::{edge_pair, pair_count};
+
+/// Rounds covered by the exact-scan reset's first window: only first
+/// toggles that can fall due before this round are scheduled by the
+/// scan itself; the rest are scheduled by one replay of the scan when
+/// the run reaches this round.
+const FIRST_WINDOW: u64 = 64;
+
+/// Pairs between the exact-scan reset's RNG checkpoints (~64 KB of
+/// checkpoints at `n = 4096`).
+const CHECKPOINT_PAIRS: u64 = 4096;
 
 /// Ring width of the event calendar: toggles scheduled within this many
 /// rounds go straight to their round's bucket; later ones wait in the
@@ -137,12 +155,61 @@ impl EventCalendar {
 /// Sentinel for an edge that is tracked but currently off.
 const OFF: u32 = u32::MAX;
 
+/// Samples `Geometric(prob)` on `{1, 2, ...}` — the waiting time until
+/// the next success of a Bernoulli(`prob`) sequence. `log1m` is the
+/// precomputed `ln(1 - prob)` (hoisting it out of the hot loop
+/// changes no draw: same expression, same inputs, same bits).
+#[inline]
+pub(crate) fn geometric(rng: &mut SmallRng, prob: f64, log1m: f64) -> u64 {
+    if prob >= 1.0 {
+        return 1;
+    }
+    geometric_at(rng.gen_range(f64::MIN_POSITIVE..1.0), log1m)
+}
+
+/// The value [`geometric`] returns for the uniform `u`.
+#[inline]
+fn geometric_at(u: f64, log1m: f64) -> u64 {
+    let k = (u.ln() / log1m).ceil();
+    (k as u64).max(1)
+}
+
+/// [`geometric`] split at a window: the same draw, but the logarithm is
+/// taken only when the draw can fall below the window. `Ok(k)` carries
+/// the exact value `geometric` returns; `Err(u)` keeps the uniform of a
+/// draw that is certainly at or past the window, for [`geometric_at`]
+/// to finish later. `cut` comes from [`window_cut`].
+#[inline]
+fn geometric_within(rng: &mut SmallRng, prob: f64, log1m: f64, cut: f64) -> Result<u64, f64> {
+    if prob >= 1.0 {
+        return Ok(1);
+    }
+    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    if u >= cut {
+        Ok(geometric_at(u, log1m))
+    } else {
+        Err(u)
+    }
+}
+
+/// The uniform below which a [`geometric`] draw with `ln(1 - prob) =
+/// log1m` is certainly `>= FIRST_WINDOW`: `k < FIRST_WINDOW` needs
+/// `ln u >= (FIRST_WINDOW - 1)·log1m`. The `1 - 1e-6` factor keeps the
+/// cut conservative by far more than the rounding of `exp`, `ln` and
+/// the division, so a draw below it can never be due inside the window;
+/// the few extra draws it lets through are scheduled early, exactly.
+fn window_cut(log1m: f64) -> f64 {
+    ((FIRST_WINDOW - 1) as f64 * log1m).exp() * (1.0 - 1e-6)
+}
+
 /// How [`SparseTwoStateEdgeMeg::reset`] realizes the stationary initial
 /// distribution (and, consequently, how off edges are tracked).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum InitMode {
-    /// Scan every pair: one Bernoulli(`α`) draw plus one scheduled
-    /// toggle per pair. `O(n²)` setup; realizations byte-pinned.
+    /// Scan every pair: one Bernoulli(`α`) draw plus its first toggle's
+    /// draw, scheduling only toggles due within [`FIRST_WINDOW`] until a
+    /// replay schedules the rest. `O(n²)` draws; realizations
+    /// byte-pinned.
     ExactScan,
     /// Skip-sample the on-set (`O(#on)` setup); pairs never yet toggled
     /// carry no event and are born by a lazy per-round skip sweep.
@@ -264,6 +331,16 @@ pub struct SparseTwoStateEdgeMeg {
     /// Precomputed `ln(1 - p)` / `ln(1 - q)` for the geometric sampler.
     log1m_birth: f64,
     log1m_death: f64,
+    /// [`window_cut`]s of the birth and death draws.
+    cut_birth: f64,
+    cut_death: f64,
+    /// Exact-scan mode: the RNG state at every [`CHECKPOINT_PAIRS`]-th
+    /// pair of the last reset's scan, kept until the run reaches
+    /// [`FIRST_WINDOW`] and the scan is replayed; empty afterwards.
+    checkpoints: Vec<SmallRng>,
+    /// Scan replays since construction (at most one per reset).
+    #[cfg(test)]
+    replays: u32,
     rng: SmallRng,
     snapshot: Snapshot,
     edge_buf: Vec<(u32, u32)>,
@@ -277,15 +354,24 @@ impl SparseTwoStateEdgeMeg {
     /// Creates a stationary sparse edge-MEG (each edge on independently
     /// with probability `p/(p+q)` at round 0).
     ///
+    /// Setup scans every pair: `O(n²)` RNG draws, two per pair (its
+    /// state, then its first toggle time), in a fixed order that keeps
+    /// realizations byte-pinned. The logarithm and the event push are
+    /// paid only for the first toggles that can fall due within the
+    /// first 64 rounds; a run that reaches round 64 replays the scan
+    /// once from RNG checkpoints to schedule the rest, which yields
+    /// exactly the events an eager scan would have scheduled. Setup
+    /// memory is the pair-slot table plus the window's events.
+    ///
     /// # Errors
     ///
     /// Returns an error for invalid rates, `p = 0` or `q = 0` (event
     /// scheduling needs both toggles possible), or `n < 2`.
     ///
     /// Pair indices are `u64`, so any `n` up to `2^32` nodes is
-    /// addressable; the exact-scan setup, however, allocates one slot
-    /// per pair (`O(n²)` memory and time), which is the practical limit
-    /// of *this* constructor. Beyond ~10^5 nodes use
+    /// addressable; the exact-scan setup, however, draws for and
+    /// allocates one slot per pair (`O(n²)` memory and time), which is
+    /// the practical limit of *this* constructor. Beyond ~10^5 nodes use
     /// [`SparseTwoStateEdgeMeg::stationary_sparse_init`], whose setup
     /// and memory stay proportional to the on-set.
     pub fn stationary(n: usize, p: f64, q: f64, seed: u64) -> Result<Self, MarkovError> {
@@ -343,10 +429,17 @@ impl SparseTwoStateEdgeMeg {
                 Occupancy::Sparse(PairMap::with_capacity(expected))
             }
         };
+        let log1m_birth = (1.0 - chain.birth()).ln();
+        let log1m_death = (1.0 - chain.death()).ln();
         let mut meg = SparseTwoStateEdgeMeg {
             n,
-            log1m_birth: (1.0 - chain.birth()).ln(),
-            log1m_death: (1.0 - chain.death()).ln(),
+            log1m_birth,
+            log1m_death,
+            cut_birth: window_cut(log1m_birth),
+            cut_death: window_cut(log1m_death),
+            checkpoints: Vec::new(),
+            #[cfg(test)]
+            replays: 0,
             chain,
             round: 0,
             alive: Vec::new(),
@@ -383,27 +476,60 @@ impl SparseTwoStateEdgeMeg {
         self.occupancy.tracked()
     }
 
-    /// Samples `Geometric(prob)` on `{1, 2, ...}` — the waiting time until
-    /// the next success of a Bernoulli(`prob`) sequence. `log1m` is the
-    /// precomputed `ln(1 - prob)` (hoisting it out of the hot loop
-    /// changes no draw: same expression, same inputs, same bits).
-    fn geometric(rng: &mut SmallRng, prob: f64, log1m: f64) -> u64 {
-        if prob >= 1.0 {
-            return 1;
+    /// `(rate, ln(1 - rate), window cut)` of the toggle a pair in state
+    /// `on` waits for next.
+    #[inline]
+    fn toggle_rate(&self, on: bool) -> (f64, f64, f64) {
+        if on {
+            (self.chain.death(), self.log1m_death, self.cut_death)
+        } else {
+            (self.chain.birth(), self.log1m_birth, self.cut_birth)
         }
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let k = (u.ln() / log1m).ceil();
-        (k as u64).max(1)
     }
 
     fn schedule_toggle(&mut self, edge: u64, currently_on: bool) {
-        let (rate, log1m) = if currently_on {
-            (self.chain.death(), self.log1m_death)
-        } else {
-            (self.chain.birth(), self.log1m_birth)
-        };
-        let dt = Self::geometric(&mut self.rng, rate, log1m);
+        let (rate, log1m, _) = self.toggle_rate(currently_on);
+        let dt = geometric(&mut self.rng, rate, log1m);
         self.events.push(self.round, self.round + dt, edge);
+    }
+
+    /// One pair of the exact-scan reset, drawn from `rng` in stream
+    /// order: its round-0 state (on with probability `alpha`), then its
+    /// first toggle time split at [`FIRST_WINDOW`] (see
+    /// [`geometric_within`]).
+    #[inline]
+    fn scan_pair(&self, rng: &mut SmallRng, alpha: f64) -> (bool, Result<u64, f64>) {
+        let on = rng.gen_bool(alpha);
+        let (rate, log1m, cut) = self.toggle_rate(on);
+        (on, geometric_within(rng, rate, log1m, cut))
+    }
+
+    /// Schedules every first toggle the last reset left out: re-draws
+    /// the scan from its checkpoints and pushes each toggle whose draw
+    /// fell below the window cut. Runs once, as the run enters round
+    /// [`FIRST_WINDOW`] — before any of those toggles can be due — so
+    /// the calendar ends up holding exactly the events an eager scan
+    /// would have pushed at round 0.
+    fn replay_scan(&mut self) {
+        #[cfg(test)]
+        {
+            self.replays += 1;
+        }
+        let now = self.round - 1;
+        let alpha = self.chain.stationary_on();
+        let pairs = pair_count(self.n);
+        let mut checkpoints = std::mem::take(&mut self.checkpoints);
+        for (chunk, mut rng) in checkpoints.drain(..).enumerate() {
+            let start = chunk as u64 * CHECKPOINT_PAIRS;
+            for e in start..pairs.min(start + CHECKPOINT_PAIRS) {
+                if let (on, Err(u)) = self.scan_pair(&mut rng, alpha) {
+                    let dt = geometric_at(u, self.toggle_rate(on).1);
+                    debug_assert!(dt >= FIRST_WINDOW, "window cut let a due toggle through");
+                    self.events.push(now, dt, e);
+                }
+            }
+        }
+        self.checkpoints = checkpoints;
     }
 
     fn turn_on(&mut self, edge: u64) {
@@ -458,6 +584,9 @@ impl SparseTwoStateEdgeMeg {
         self.round += 1;
         match self.init {
             InitMode::ExactScan => {
+                if self.round == FIRST_WINDOW {
+                    self.replay_scan();
+                }
                 let due = self.events.begin_round(self.round);
                 for &edge in &due {
                     let on = self.occupancy.position(edge).is_some();
@@ -487,10 +616,10 @@ impl SparseTwoStateEdgeMeg {
                 //    die and be re-born in the same round.
                 debug_assert!(self.retire_buf.is_empty());
                 let death = self.chain.death();
-                let mut pos = Self::geometric(&mut self.rng, death, self.log1m_death) - 1;
+                let mut pos = geometric(&mut self.rng, death, self.log1m_death) - 1;
                 while (pos as usize) < self.alive.len() {
                     self.retire_buf.push(self.alive[pos as usize]);
-                    pos += Self::geometric(&mut self.rng, death, self.log1m_death);
+                    pos += geometric(&mut self.rng, death, self.log1m_death);
                 }
                 // 2. Birth sweep: every untouched pair is an independent
                 //    Bernoulli(p) per round; the pairs firing this round
@@ -503,7 +632,7 @@ impl SparseTwoStateEdgeMeg {
                 //    per pair per round, like the dense model.
                 let pairs = pair_count(self.n);
                 let birth = self.chain.birth();
-                let mut idx = Self::geometric(&mut self.rng, birth, self.log1m_birth) - 1;
+                let mut idx = geometric(&mut self.rng, birth, self.log1m_birth) - 1;
                 while idx < pairs {
                     if !self.occupancy.is_touched(idx) {
                         self.turn_on(idx);
@@ -511,7 +640,7 @@ impl SparseTwoStateEdgeMeg {
                             d.push_added(edge_pair(idx));
                         }
                     }
-                    idx += Self::geometric(&mut self.rng, birth, self.log1m_birth);
+                    idx += geometric(&mut self.rng, birth, self.log1m_birth);
                 }
                 // 3. Retire the dead to untouched: remove them from the
                 //    alive list and the occupancy map, so long-run
@@ -580,18 +709,28 @@ impl EvolvingGraph for SparseTwoStateEdgeMeg {
         let pairs = pair_count(self.n);
         match self.init {
             InitMode::ExactScan => {
-                // Scan every pair: Bernoulli(alpha) membership plus one
-                // scheduled toggle each. O(n²), byte-pinned realizations.
-                let mut e = 0u64;
-                while e < pairs {
-                    if self.rng.gen_bool(alpha) {
-                        self.turn_on(e);
-                        self.schedule_toggle(e, true);
-                    } else {
-                        self.schedule_toggle(e, false);
+                // Scan every pair: Bernoulli(alpha) membership plus the
+                // draw of its first toggle, O(n²) draws that keep the
+                // realizations byte-pinned. Only toggles that can fall
+                // due inside the first window are scheduled now; the
+                // checkpoints let `replay_scan` schedule the rest.
+                self.checkpoints.clear();
+                // A local stream, handed back below: `scan_pair`
+                // borrows `self`.
+                let mut rng = self.rng.clone();
+                for e in 0..pairs {
+                    if e % CHECKPOINT_PAIRS == 0 {
+                        self.checkpoints.push(rng.clone());
                     }
-                    e += 1;
+                    let (on, first) = self.scan_pair(&mut rng, alpha);
+                    if on {
+                        self.turn_on(e);
+                    }
+                    if let Ok(dt) = first {
+                        self.events.push(0, dt, e);
+                    }
                 }
+                self.rng = rng;
             }
             InitMode::SparseStationary => {
                 // Skip-sample the stationary on-set: successive on-pairs
@@ -603,10 +742,10 @@ impl EvolvingGraph for SparseTwoStateEdgeMeg {
                 // the alive list, births from the Geometric(p) sweep
                 // over untouched pairs (see `advance`).
                 let log1m_alpha = (1.0 - alpha).ln();
-                let mut idx = Self::geometric(&mut self.rng, alpha, log1m_alpha) - 1;
+                let mut idx = geometric(&mut self.rng, alpha, log1m_alpha) - 1;
                 while idx < pairs {
                     self.turn_on(idx);
-                    idx += Self::geometric(&mut self.rng, alpha, log1m_alpha);
+                    idx += geometric(&mut self.rng, alpha, log1m_alpha);
                 }
             }
         }
@@ -774,6 +913,54 @@ mod tests {
             realization_fingerprint(128, 1.0 / 128.0, 0.02, 3, 300),
             0x9d96_3269_b099_2de9
         );
+    }
+
+    #[test]
+    fn window_cut_never_drops_a_due_toggle() {
+        // `geometric_at` is non-increasing in `u`, so every uniform below
+        // the cut draws at least the cut's own value — which must be at
+        // or past the window for every rate, tiny to nearly one.
+        let near_one = [0.9, 0.99, 0.999_999, 1.0 - 1e-12, 1.0 - f64::EPSILON];
+        let grid =
+            std::iter::successors(Some(1e-15_f64), |r| Some(r * 1.37)).take_while(|&r| r < 1.0);
+        for rate in grid.chain(near_one) {
+            let log1m = (1.0 - rate).ln();
+            let cut = window_cut(log1m);
+            assert!(
+                geometric_at(cut, log1m) >= FIRST_WINDOW,
+                "rate {rate}: cut {cut} admits a toggle due inside the window"
+            );
+        }
+    }
+
+    #[test]
+    fn scan_replays_at_most_once_per_reset() {
+        // n = 100 spans two checkpoints (4950 pairs).
+        let mut g = SparseTwoStateEdgeMeg::stationary(100, 0.02, 0.1, 1).unwrap();
+        for _ in 0..FIRST_WINDOW - 1 {
+            let _ = g.step();
+        }
+        assert_eq!(g.replays, 0, "no replay before the window closes");
+        let _ = g.step();
+        assert_eq!(g.replays, 1);
+        assert!(g.checkpoints.is_empty());
+        for _ in 0..500 {
+            let _ = g.step();
+        }
+        assert_eq!(g.replays, 1, "one replay per reset, however long the run");
+        // A reset mid-run re-arms exactly one replay; a run that stops
+        // inside the window never pays for one.
+        g.reset(2);
+        assert_eq!(g.checkpoints.len(), 2);
+        for _ in 0..10 {
+            let _ = g.step();
+        }
+        g.reset(3);
+        let mut delta = EdgeDelta::new();
+        for _ in 0..3 * FIRST_WINDOW {
+            g.step_delta(&mut delta);
+        }
+        assert_eq!(g.replays, 2);
     }
 
     #[test]

@@ -1,16 +1,219 @@
 //! Property tests for the edge-MEG crate: pair indexing, density
-//! convergence, dense/sparse distributional agreement, and delta-path
+//! convergence, dense/sparse distributional agreement, delta-path
 //! equivalence (stepping via `step_delta` + `DynAdjacency` reproduces
-//! the rebuild path's snapshot sequence exactly).
+//! the rebuild path's snapshot sequence exactly), and the exact-scan
+//! model's lazy first toggles against the eager scan they replace.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 use dg_edge_meg::{
     bursty_chain, edge_index, edge_pair, pair_count, HiddenChainEdgeMeg, SparseTwoStateEdgeMeg,
     TwoStateEdgeMeg,
 };
 use dynagraph::delta::assert_replays_rebuild;
-use dynagraph::EvolvingGraph;
+use dynagraph::{mix_seed, EdgeDelta, EvolvingGraph};
+
+/// The eager exact-scan edge-MEG — the oracle for
+/// `SparseTwoStateEdgeMeg::stationary`. `reset` scans every pair in
+/// order, drawing its Bernoulli(α) state and then its first toggle time
+/// and scheduling that toggle at once; each round pops the due toggles
+/// in ascending `(round, pair)` order from a binary heap (the original
+/// event queue) and draws each toggled pair's next toggle. The lazy
+/// model consumes its RNG stream in the same order, so the two must
+/// agree bit for bit: the same snapshots, and the same deltas in the
+/// same order.
+struct EagerScan {
+    n: usize,
+    p: f64,
+    q: f64,
+    rng: SmallRng,
+    round: u64,
+    /// Currently-on pairs, in the lazy model's alive-list order.
+    alive: Vec<u64>,
+    /// Position of each pair in `alive`, or `None` while it is off.
+    position: Vec<Option<usize>>,
+    events: BinaryHeap<Reverse<(u64, u64)>>,
+    /// `true` once the previous delta left the consumer in sync.
+    synced: bool,
+}
+
+impl EagerScan {
+    fn new(n: usize, p: f64, q: f64, seed: u64) -> Self {
+        let mut g = EagerScan {
+            n,
+            p,
+            q,
+            rng: SmallRng::seed_from_u64(0),
+            round: 0,
+            alive: Vec::new(),
+            position: Vec::new(),
+            events: BinaryHeap::new(),
+            synced: false,
+        };
+        g.reset(seed);
+        g
+    }
+
+    fn reset(&mut self, seed: u64) {
+        self.rng = SmallRng::seed_from_u64(mix_seed(seed, 0x5BA5));
+        self.round = 0;
+        self.synced = false;
+        self.alive.clear();
+        self.position = vec![None; pair_count(self.n) as usize];
+        self.events.clear();
+        let alpha = self.p / (self.p + self.q);
+        for e in 0..pair_count(self.n) {
+            let on = self.rng.gen_bool(alpha);
+            if on {
+                self.turn_on(e);
+            }
+            self.schedule(e, on);
+        }
+    }
+
+    fn schedule(&mut self, edge: u64, on: bool) {
+        let rate = if on { self.q } else { self.p };
+        let dt = if rate >= 1.0 {
+            1
+        } else {
+            let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
+            ((u.ln() / (1.0 - rate).ln()).ceil() as u64).max(1)
+        };
+        self.events.push(Reverse((self.round + dt, edge)));
+    }
+
+    fn turn_on(&mut self, edge: u64) {
+        self.position[edge as usize] = Some(self.alive.len());
+        self.alive.push(edge);
+    }
+
+    fn turn_off(&mut self, edge: u64) {
+        let pos = self.position[edge as usize].take().expect("edge is alive");
+        self.alive.swap_remove(pos);
+        if let Some(&moved) = self.alive.get(pos) {
+            self.position[moved as usize] = Some(pos);
+        }
+    }
+
+    /// Advances one round, recording its churn in toggle order.
+    fn advance(&mut self, delta: &mut EdgeDelta) {
+        self.round += 1;
+        delta.begin_round();
+        while let Some(&Reverse((when, edge))) = self.events.peek() {
+            if when != self.round {
+                assert!(when > self.round, "a toggle was skipped");
+                break;
+            }
+            self.events.pop();
+            let on = self.position[edge as usize].is_some();
+            if on {
+                self.turn_off(edge);
+                delta.push_removed(edge_pair(edge));
+            } else {
+                self.turn_on(edge);
+                delta.push_added(edge_pair(edge));
+            }
+            self.schedule(edge, !on);
+        }
+    }
+
+    /// The snapshot path: this round's edge set, sorted like
+    /// `Snapshot::edges`.
+    fn step_edges(&mut self) -> Vec<(u32, u32)> {
+        self.advance(&mut EdgeDelta::new());
+        self.synced = false;
+        let mut edges: Vec<_> = self.alive.iter().map(|&e| edge_pair(e)).collect();
+        edges.sort_unstable();
+        edges
+    }
+
+    /// The delta path: this round's churn, or the full alive list (in
+    /// alive order) when the consumer is out of sync.
+    fn step_delta(&mut self, delta: &mut EdgeDelta) {
+        self.advance(delta);
+        if !self.synced {
+            delta.record_full(self.alive.iter().map(|&e| edge_pair(e)));
+            self.synced = true;
+        }
+    }
+}
+
+/// FNV-style fold of a round's edge lists into a running fingerprint.
+fn fold(mut h: u64, lists: [&[(u32, u32)]; 2]) -> u64 {
+    for list in lists {
+        for &(u, v) in list {
+            h ^= ((u as u64) << 32) | v as u64;
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+        h ^= list.len() as u64;
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// Realization fingerprints `(snapshot path, delta path)` of the lazy
+/// exact-scan model over `rounds` rounds, resetting to `reset_seed`
+/// before round `reset_at` (no reset if `reset_at >= rounds`).
+fn lazy_fingerprints(
+    (n, p, q, seed): (usize, f64, f64, u64),
+    rounds: usize,
+    (reset_at, reset_seed): (usize, u64),
+) -> (u64, u64) {
+    let mut snap = SparseTwoStateEdgeMeg::stationary(n, p, q, seed).unwrap();
+    let mut delta_model = SparseTwoStateEdgeMeg::stationary(n, p, q, seed).unwrap();
+    let mut delta = EdgeDelta::new();
+    let (mut hs, mut hd) = (0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325);
+    for round in 0..rounds {
+        if round == reset_at {
+            snap.reset(reset_seed);
+            delta_model.reset(reset_seed);
+        }
+        let edges: Vec<_> = snap.step().edges().collect();
+        hs = fold(hs, [&edges, &[]]);
+        delta_model.step_delta(&mut delta);
+        hd = fold(hd, [delta.added(), delta.removed()]);
+    }
+    (hs, hd)
+}
+
+/// [`lazy_fingerprints`] of the eager oracle.
+fn eager_fingerprints(
+    (n, p, q, seed): (usize, f64, f64, u64),
+    rounds: usize,
+    (reset_at, reset_seed): (usize, u64),
+) -> (u64, u64) {
+    let mut snap = EagerScan::new(n, p, q, seed);
+    let mut delta_model = EagerScan::new(n, p, q, seed);
+    let mut delta = EdgeDelta::new();
+    let (mut hs, mut hd) = (0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325);
+    for round in 0..rounds {
+        if round == reset_at {
+            snap.reset(reset_seed);
+            delta_model.reset(reset_seed);
+        }
+        hs = fold(hs, [&snap.step_edges(), &[]]);
+        delta_model.step_delta(&mut delta);
+        hd = fold(hd, [delta.added(), delta.removed()]);
+    }
+    (hs, hd)
+}
+
+/// A rate from one of four regimes: tiny (past the event calendar's
+/// horizon, through its overflow list), the paper's sparse `Θ(1/n)`,
+/// moderate, and exactly one (no draw at all).
+fn rate(kind: u32, x: f64, n: usize) -> f64 {
+    match kind {
+        0 => 1e-6 + x * 1e-4,
+        1 => (0.5 + 2.5 * x) / n as f64,
+        2 => 0.01 + 0.5 * x,
+        _ => 1.0,
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -277,6 +480,57 @@ proptest! {
             perturb,
             seed,
             20,
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn lazy_scan_matches_eager_scan(
+        n in 2usize..130,
+        p_kind in 0u32..4,
+        p_x in 0.0f64..1.0,
+        q_kind in 0u32..4,
+        q_x in 0.0f64..1.0,
+        seed in any::<u64>(),
+        rounds in 1usize..200,
+        reset_at in 0usize..300,
+    ) {
+        // Runs cross the first window (round 64) in most cases, often
+        // with a reset on either side of it; n above 91 spans two scan
+        // checkpoints, the last one partial.
+        let (p, q) = (rate(p_kind, p_x, n), rate(q_kind, q_x, n));
+        prop_assume!(p < 1.0 || q < 1.0);
+        let model = (n, p, q, seed);
+        let reset = (reset_at, seed ^ 0x9E37);
+        prop_assert_eq!(
+            lazy_fingerprints(model, rounds, reset),
+            eager_fingerprints(model, rounds, reset),
+            "n {} p {} q {} seed {} rounds {} reset at {}", n, p, q, seed, rounds, reset_at
+        );
+    }
+
+    #[test]
+    fn lazy_scan_matches_eager_scan_past_the_calendar_horizon(
+        n in 2usize..12,
+        p_x in 0.0f64..1.0,
+        q_x in 0.0f64..1.0,
+        seed in any::<u64>(),
+        rounds in 9_000usize..20_000,
+        reset_at in 0usize..20_000,
+    ) {
+        // Rates ≤ 1e-4: first toggles land thousands of rounds out,
+        // beyond the calendar's 8192-round ring, so both the replay's
+        // pushes and the rescheduled toggles go through its overflow.
+        let (p, q) = (rate(0, p_x, n), rate(0, q_x, n));
+        let model = (n, p, q, seed);
+        let reset = (reset_at, seed ^ 0x9E37);
+        prop_assert_eq!(
+            lazy_fingerprints(model, rounds, reset),
+            eager_fingerprints(model, rounds, reset),
+            "n {} p {} q {} seed {} rounds {} reset at {}", n, p, q, seed, rounds, reset_at
         );
     }
 }

@@ -42,7 +42,10 @@ const MAX_FLOODING_N: usize = 1_048_576;
 /// the lane-sharded one and run on all cores. The threshold is the old
 /// `floor(sqrt(2^53))` admission cap, so every spec a pre-sharding
 /// daemon could have stored still runs on the exact-scan model and
-/// reproduces its artifact bytes.
+/// reproduces its artifact bytes. The exact scan costs `O(n²)` RNG
+/// draws per trial but schedules only the toggles due in its first 64
+/// rounds up front, so the short floods of the sparse regime never pay
+/// for the rest.
 const SHARDED_FLOODING_N: usize = 92_682;
 
 /// One family of measurements: a named trial function plus the
@@ -112,7 +115,10 @@ impl Workload {
     /// censors the trial. Cells with `n` above 92 682 (the pre-sharding
     /// admission cap) run on the lane-sharded model across all cores;
     /// smaller cells keep the exact-scan model, so artifacts stored by
-    /// older daemons remain byte-reproducible.
+    /// older daemons remain byte-reproducible (pinned by
+    /// `tests/golden_flooding.rs`). Its setup is `O(n²)` RNG draws,
+    /// with the logarithm and the event push paid only for first
+    /// toggles due within the first 64 rounds.
     pub fn flooding() -> Self {
         fn validate(spec: &SweepSpec) -> Result<(), String> {
             let mut has = [false; 2]; // n, q
