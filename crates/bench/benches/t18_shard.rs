@@ -4,9 +4,11 @@
 //!
 //! One workload at two scales: a stationary-sparse edge-MEG
 //! (`p = 1.5/n`, `q = 0.5`) flooded from node 0 through the engine, run
-//! serially (`.shards(1)`) and sharded (`.shards(k)` for several `k`).
-//! Every sharded report is asserted equal to the serial one — records
-//! including message counts — *before* any timing is trusted.
+//! on the serial delta path (`Stepping::Delta`, one shard — the
+//! oracle), on the lane executor on one thread (`.shards(1)`, scan
+//! rounds) and on `k` threads (`.shards(k)` for several `k`). Every
+//! report is asserted equal to the serial delta one — records including
+//! message counts — *before* any timing is trusted.
 //!
 //! The speedup assertion is gated on the machine actually having cores:
 //! on a single-core box the sharded path degenerates to threads = 1
@@ -20,17 +22,22 @@
 
 use std::fmt::Write as _;
 use std::path::Path;
-use std::thread::available_parallelism;
 use std::time::Instant;
 
 use dg_edge_meg::ShardedSparseEdgeMeg;
-use dynagraph::engine::{Simulation, SimulationReport};
+use dynagraph::engine::{Simulation, SimulationReport, Stepping};
 
 /// Shard counts measured against the serial baseline.
 const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
 
 /// Best-of-`reps` wall time for one engine batch at `shards`.
-fn measure(n: usize, trials: usize, reps: usize, shards: usize) -> (SimulationReport, f64) {
+fn measure(
+    n: usize,
+    trials: usize,
+    reps: usize,
+    shards: usize,
+    stepping: Stepping,
+) -> (SimulationReport, f64) {
     let build = || {
         Simulation::builder()
             .model(move |seed| {
@@ -40,6 +47,7 @@ fn measure(n: usize, trials: usize, reps: usize, shards: usize) -> (SimulationRe
             .max_rounds(200_000)
             .parallel(false)
             .base_seed(0x7180)
+            .stepping(stepping)
             .shards(shards)
     };
     let mut best = f64::INFINITY;
@@ -56,7 +64,7 @@ fn measure(n: usize, trials: usize, reps: usize, shards: usize) -> (SimulationRe
 fn main() {
     let quick = dg_bench::quick_mode();
     let reps = if quick { 1 } else { 3 };
-    let cores = available_parallelism().map_or(1, |p| p.get());
+    let cores = dg_bench::cores();
     let scales: &[(usize, usize)] = if quick {
         &[(1 << 14, 2)] // (n, trials)
     } else {
@@ -65,10 +73,20 @@ fn main() {
 
     let mut rows = Vec::new();
     for &(n, trials) in scales {
-        let (serial_report, serial_ms) = measure(n, trials, reps, 1);
+        let (delta_report, delta_ms) = measure(n, trials, reps, 1, Stepping::Delta);
+        let (serial_report, serial_ms) = measure(n, trials, reps, 1, Stepping::Auto);
+        assert_eq!(
+            delta_report, serial_report,
+            "lane executor must be byte-identical to the serial delta path at n={n}"
+        );
+        println!(
+            "n=2^{:<2} trials={trials}: serial delta {delta_ms:>9.1} ms/trial   lane, 1 shard {serial_ms:>9.1} ms/trial   {:.2}x",
+            n.trailing_zeros(),
+            delta_ms / serial_ms
+        );
         let mut sharded_ms = Vec::new();
         for &k in &SHARD_COUNTS {
-            let (report, ms) = measure(n, trials, reps, k);
+            let (report, ms) = measure(n, trials, reps, k, Stepping::Auto);
             assert_eq!(
                 serial_report, report,
                 "sharded run (k={k}) must be byte-identical to serial at n={n}"
@@ -80,14 +98,14 @@ fn main() {
             );
             sharded_ms.push((k, ms));
         }
-        rows.push((n, trials, serial_ms, sharded_ms));
+        rows.push((n, trials, delta_ms, serial_ms, sharded_ms));
     }
 
     // The honest claim: ≥3x at 8 shards is only a promise on hardware
     // with at least 8 cores. Elsewhere (notably 1-core CI runners) the
     // identity assertions above are the whole point of the smoke.
     if !quick && cores >= 8 {
-        for (n, _, serial_ms, sharded) in &rows {
+        for (n, _, _, serial_ms, sharded) in &rows {
             let &(_, ms8) = sharded.iter().find(|(k, _)| *k == 8).unwrap();
             assert!(
                 serial_ms / ms8 >= 3.0,
@@ -102,12 +120,13 @@ fn main() {
     let _ = writeln!(json, "  \"bench\": \"t18_shard\",");
     let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"cores\": {cores},");
+    let _ = writeln!(json, "  \"commit\": \"{}\",", dg_bench::commit());
     let _ = writeln!(
         json,
-        "  \"description\": \"intra-trial sharding: one flood trial on a stationary-sparse edge-MEG (p = 1.5/n, q = 0.5) partitioned across cores — 64 fixed lanes of the u64 pair space stepped in parallel, deltas merged in lane order, flooding frontier swept over disjoint node ranges. serial = .shards(1); every sharded report is asserted equal to the serial one (records including message counts) before timing. On machines with fewer cores than shards the numbers honestly show scheduling overhead, not speedup; the cores field above says which reading applies.\","
+        "  \"description\": \"intra-trial sharding: one flood trial on a stationary-sparse edge-MEG (p = 1.5/n, q = 0.5) on the lane executor — 64 fixed lanes of the u64 pair space advanced in parallel, each scanning its own on-edges against the informed set (scan rounds; at q = 0.5 churn outgrows the graph, so no trial switches to adjacency rounds), candidates committed over disjoint node ranges. delta = the serial delta path (Stepping::Delta, one shard), serial = the lane executor on one thread (.shards(1)), scan_speedup = delta / serial; every report is asserted equal to the delta one (records including message counts) before timing. On machines with fewer cores than shards the sharded numbers show scheduling overhead, not speedup; the cores field above says which reading applies.\","
     );
     let _ = writeln!(json, "  \"workloads\": [");
-    for (i, (n, trials, serial_ms, sharded)) in rows.iter().enumerate() {
+    for (i, (n, trials, delta_ms, serial_ms, sharded)) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let mut per = String::new();
         for (j, (k, ms)) in sharded.iter().enumerate() {
@@ -120,7 +139,8 @@ fn main() {
         }
         let _ = writeln!(
             json,
-            "    {{\"model\": \"lane-sharded sparse edge-MEG\", \"n\": {n}, \"p\": \"1.5/n\", \"q\": 0.5, \"trials\": {trials}, \"serial_ms_per_trial\": {serial_ms:.1}, \"sharded\": [{per}]}}{comma}"
+            "    {{\"model\": \"lane-sharded sparse edge-MEG\", \"n\": {n}, \"p\": \"1.5/n\", \"q\": 0.5, \"trials\": {trials}, \"delta_ms_per_trial\": {delta_ms:.1}, \"serial_ms_per_trial\": {serial_ms:.1}, \"scan_speedup\": {:.3}, \"sharded\": [{per}]}}{comma}",
+            delta_ms / serial_ms
         );
     }
     let _ = writeln!(json, "  ],");

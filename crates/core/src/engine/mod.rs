@@ -75,7 +75,11 @@
 //!
 //! On the delta path, observers see [`RoundCtx::delta`] for free (e.g.
 //! [`ChurnObserver`]); a CSR snapshot is materialized per round only for
-//! observers whose [`Observer::needs_snapshots`] returns `true`.
+//! observers whose [`Observer::needs_snapshots`] returns `true`. Flooding
+//! over a lane model starts with scan rounds that carry neither; an
+//! observer returning `true` from [`Observer::needs_deltas`] or
+//! [`Observer::needs_snapshots`] gets adjacency rounds, and so a delta,
+//! every round.
 //!
 //! # Migrating from the pre-engine API
 //!

@@ -24,11 +24,15 @@ pub struct RoundCtx<'a> {
     /// (lazily, from the incremental adjacency) only when the observer
     /// declares [`Observer::needs_snapshots`], and `None` otherwise.
     pub snapshot: Option<&'a Snapshot>,
-    /// The round's edge churn — always `Some` on the delta path (the
-    /// engine produces it anyway, so reading it is free), `None` on the
-    /// snapshot path. Churn-metric observers (stationarity estimators,
-    /// interval connectivity) consume this instead of forcing snapshot
-    /// materialization via [`Observer::needs_snapshots`].
+    /// The round's edge churn — `Some` on the delta path and on the
+    /// lane executor's adjacency rounds (the engine produces it anyway,
+    /// so reading it is free), `None` on the snapshot path and on the
+    /// lane executor's scan rounds, which record no churn. Churn-metric
+    /// observers (stationarity estimators, interval connectivity)
+    /// consume this instead of forcing snapshot materialization via
+    /// [`Observer::needs_snapshots`], and declare
+    /// [`Observer::needs_deltas`] so flooding over lane models gives them
+    /// a delta every round.
     ///
     /// Per the delta contract, the first round's delta of a trial is a
     /// full emission: it carries all of `E_0` as
@@ -56,6 +60,17 @@ pub trait Observer: Send {
         false
     }
 
+    /// `true` if this observer reads [`RoundCtx::delta`]. Flooding over a
+    /// lane model starts with scan rounds, which record no churn and
+    /// pass `delta: None`; an observer that asks for deltas makes the
+    /// engine run adjacency rounds, with a delta every round, from the
+    /// first round on. Returning `false` (the default) leaves the engine
+    /// free to scan. Observers asking for snapshots get adjacency rounds
+    /// too.
+    fn needs_deltas(&self) -> bool {
+        false
+    }
+
     /// A trial is starting: `n` nodes, `sources` informed at round 0.
     fn on_trial_start(&mut self, trial: usize, n: usize, sources: &[u32]) {
         let _ = (trial, n, sources);
@@ -78,6 +93,9 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
     fn needs_snapshots(&self) -> bool {
         self.0.needs_snapshots() || self.1.needs_snapshots()
     }
+    fn needs_deltas(&self) -> bool {
+        self.0.needs_deltas() || self.1.needs_deltas()
+    }
     fn on_trial_start(&mut self, trial: usize, n: usize, sources: &[u32]) {
         self.0.on_trial_start(trial, n, sources);
         self.1.on_trial_start(trial, n, sources);
@@ -95,6 +113,9 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
 impl<A: Observer, B: Observer, C: Observer> Observer for (A, B, C) {
     fn needs_snapshots(&self) -> bool {
         self.0.needs_snapshots() || self.1.needs_snapshots() || self.2.needs_snapshots()
+    }
+    fn needs_deltas(&self) -> bool {
+        self.0.needs_deltas() || self.1.needs_deltas() || self.2.needs_deltas()
     }
     fn on_trial_start(&mut self, trial: usize, n: usize, sources: &[u32]) {
         self.0.on_trial_start(trial, n, sources);
@@ -383,6 +404,10 @@ impl ChurnObserver {
 }
 
 impl Observer for ChurnObserver {
+    fn needs_deltas(&self) -> bool {
+        true
+    }
+
     fn on_trial_start(&mut self, _trial: usize, _n: usize, _sources: &[u32]) {
         self.fresh_trial = true;
     }

@@ -5,7 +5,7 @@ use crate::engine::instrument::engine_obs;
 use crate::engine::observer::{Observer, RoundCtx};
 use crate::engine::protocol::{Protocol, ProtocolStatus, SpreadView, Transmissions};
 use crate::engine::report::{SimulationReport, TrialRecord};
-use crate::shard::{flood_sharded_core, ShardScratch, Shards};
+use crate::shard::{flood_sharded_core, FirstRounds, ShardScratch, Shards};
 use crate::{mix_seed, EvolvingGraph};
 
 /// Entry point to the engine; see [`Simulation::builder`].
@@ -21,7 +21,8 @@ pub struct Simulation;
 pub enum Stepping {
     /// Delta path for models advertising
     /// [`EvolvingGraph::has_native_deltas`], snapshot path otherwise
-    /// (the default).
+    /// (the default); flooding over a lane model runs on the lane
+    /// executor instead (see [`SimulationBuilder::shards`]).
     #[default]
     Auto,
     /// Always rebuild a CSR [`crate::Snapshot`] per round (the classic
@@ -296,19 +297,21 @@ impl<M, P, F> SimulationBuilder<M, P, F> {
     }
 
     /// Intra-trial sharding: how many threads execute a *single* trial's
-    /// round loop (default `Shards::Fixed(1)` — the serial round loop).
-    /// Accepts a plain count (`.shards(8)`) or [`Shards::Auto`] for one
-    /// thread per core.
+    /// round loop (default `Shards::Fixed(1)`). Accepts a plain count
+    /// (`.shards(8)`) or [`Shards::Auto`] for one thread per core.
     ///
-    /// Takes effect only for trials that run on the delta path with a
-    /// protocol supporting sharded execution
+    /// Applies to trials of a protocol supporting sharded execution
     /// ([`Protocol::supports_sharded_flooding`]) over a model exposing a
-    /// lane decomposition ([`EvolvingGraph::sharding`]); anything else
-    /// silently keeps its serial round loop. When engaged, records and
-    /// observer callbacks are byte-identical to the serial path for
-    /// every shard count — only the wall-clock of a single trial
-    /// changes. Composes with trial-level parallelism: the engine's
-    /// workers each run their trials sharded.
+    /// lane decomposition ([`EvolvingGraph::sharding`]): under
+    /// [`Stepping::Auto`] they run on the lane executor
+    /// ([`crate::shard`]) at every shard count, starting with scan
+    /// rounds; under [`Stepping::Delta`] they run on it, with adjacency
+    /// rounds throughout, from two shards up. Anything else keeps its
+    /// serial round loop. Records are byte-identical to the serial paths
+    /// for every shard count — only the wall-clock of a single trial
+    /// changes — and so are the callbacks of observers that read
+    /// snapshots or deltas. Composes with trial-level parallelism: the
+    /// engine's workers each run their trials sharded.
     pub fn shards(mut self, shards: impl Into<Shards>) -> Self {
         self.shards = shards.into();
         self
@@ -417,12 +420,25 @@ where
             Stepping::Snapshot => false,
             Stepping::Delta => true,
         };
-        let sharded_threads = self.shards.resolve();
+        let threads = self.shards.resolve();
+        // Flooding over a lane model runs on the lane executor: at every
+        // shard count under Auto (scan-first rounds), and at two or more
+        // shards under Delta (adjacency rounds throughout). Delta and
+        // Snapshot at one shard keep the serial loops below — the
+        // oracles the lane executor is pinned against.
         let record = if use_delta
-            && sharded_threads >= 2
+            && (self.stepping == Stepping::Auto || threads >= 2)
             && protocol.supports_sharded_flooding()
             && g.sharding().is_some()
         {
+            let first = if self.stepping == Stepping::Auto
+                && !observer.needs_snapshots()
+                && !observer.needs_deltas()
+            {
+                FirstRounds::Scan
+            } else {
+                FirstRounds::Adjacency
+            };
             execute_trial_sharded(
                 g,
                 &mut observer,
@@ -430,7 +446,8 @@ where
                 seed,
                 &self.sources,
                 self.max_rounds,
-                sharded_threads,
+                threads,
+                first,
                 scratch,
             )
         } else if use_delta {
@@ -781,14 +798,16 @@ where
     record
 }
 
-/// The intra-trial sharded twin of [`execute_trial_delta`] for flooding
-/// semantics: the model's lanes are stepped on `threads` threads and the
-/// frontier sweep runs as a partitioned parallel pass
-/// ([`crate::shard::flood_sharded_core`]). No protocol object is
-/// consulted — the executor *is* the flooding protocol — which is why
-/// the caller gates on [`Protocol::supports_sharded_flooding`].
-/// Produces records and observer callbacks byte-identical to the serial
-/// delta path (pinned by the sharded-engine suite).
+/// The lane-executor twin of [`execute_trial_delta`] for flooding
+/// semantics: the model's lanes advance on `threads` threads and each
+/// round runs as a scan round or an adjacency round
+/// ([`crate::shard::flood_sharded_core`]; `first` picks how the trial
+/// starts). No protocol object is consulted — the executor *is* the
+/// flooding protocol — which is why the caller gates on
+/// [`Protocol::supports_sharded_flooding`]. Produces records
+/// byte-identical to the serial paths, and observer callbacks identical
+/// to the serial delta path's on adjacency rounds (pinned by the
+/// sharded-engine and scan-identity suites).
 #[allow(clippy::too_many_arguments)] // internal twin of execute_trial_delta
 fn execute_trial_sharded<G, O>(
     g: &mut G,
@@ -798,6 +817,7 @@ fn execute_trial_sharded<G, O>(
     sources: &[u32],
     max_rounds: u32,
     threads: usize,
+    first: FirstRounds,
     scratch: &mut TrialScratch,
 ) -> TrialRecord
 where
@@ -807,8 +827,8 @@ where
     let n = g.node_count();
     observer.on_trial_start(trial, n, sources);
     let needs_snapshots = observer.needs_snapshots();
-    // Same baseline contract as the serial delta path: the first round's
-    // merged delta carries the full current edge set.
+    // Same baseline contract as the serial delta path: the first
+    // adjacency round's merged delta carries the full current edge set.
     g.rebase_deltas();
     let access = g
         .sharding()
@@ -819,16 +839,16 @@ where
         sources,
         max_rounds,
         threads,
+        first,
         &mut scratch.shard,
         |ev| {
             observer.on_round(&RoundCtx {
                 round: ev.round,
-                snapshot: if needs_snapshots {
-                    Some(ev.adj.snapshot())
-                } else {
-                    None
+                snapshot: match ev.adj {
+                    Some(adj) if needs_snapshots => Some(adj.snapshot()),
+                    _ => None,
                 },
-                delta: Some(ev.delta),
+                delta: ev.delta,
                 newly_informed: ev.newly_informed,
                 informed_count: ev.informed_count,
                 messages: ev.messages,

@@ -20,7 +20,7 @@
 use dg_stats::{Quantiles, Summary};
 
 use crate::delta::{DynAdjacency, EdgeDelta};
-use crate::shard::{flood_sharded_core, ShardScratch, Shards};
+use crate::shard::{flood_sharded_core, FirstRounds, ShardScratch, Shards};
 use crate::EvolvingGraph;
 
 /// The outcome of one flooding run: who got informed when, and how the
@@ -265,15 +265,14 @@ pub fn flood_multi<G: EvolvingGraph + ?Sized>(
     flood_core(g, sources, max_rounds)
 }
 
-/// Runs flooding from `source` on the intra-trial sharded executor: the
-/// model's lane decomposition is stepped on `shards` threads and the
-/// frontier sweep runs as a partitioned parallel pass (see
-/// [`crate::shard`]). The run is byte-identical to [`flood`] on the same
-/// model and seed, for every shard count — only wall-clock changes.
+/// Runs flooding from `source` on the lane executor: the model's lane
+/// decomposition advances on `shards` threads and each round runs as a
+/// scan round or an adjacency round (see [`crate::shard`]). The run is
+/// byte-identical to [`flood`] on the same model and seed, for every
+/// shard count — only wall-clock changes.
 ///
 /// Falls back to [`flood`] when the model exposes no lane decomposition
-/// ([`EvolvingGraph::sharding`]) or `shards` resolves to a single
-/// thread.
+/// ([`EvolvingGraph::sharding`]).
 ///
 /// # Panics
 ///
@@ -292,12 +291,11 @@ pub fn flood_sharded<G: EvolvingGraph + ?Sized>(
         u32::MAX,
         "max_rounds must leave room for the uninformed sentinel"
     );
-    let threads = shards.resolve();
-    if threads < 2 || g.sharding().is_none() {
+    if g.sharding().is_none() {
         return flood(g, source, max_rounds);
     }
-    // Same baseline contract as the serial delta sweep: the first round
-    // carries the full current edge set.
+    // Same baseline contract as the serial delta sweep: the first
+    // adjacency round carries the full current edge set.
     g.rebase_deltas();
     let mut scratch = ShardScratch::default();
     let mut sizes = vec![1u32];
@@ -307,7 +305,8 @@ pub fn flood_sharded<G: EvolvingGraph + ?Sized>(
         access,
         &[source],
         max_rounds,
-        threads,
+        shards.resolve(),
+        FirstRounds::Scan,
         &mut scratch,
         |ev| sizes.push(ev.informed_count as u32),
     );

@@ -21,11 +21,13 @@
 //!   factory with any [`engine::Protocol`] (flooding, push gossip,
 //!   parsimonious flooding) and streaming [`engine::Observer`]s, with
 //!   deterministic parallel trial execution;
-//! * [`shard`] — **intra-trial sharding**: one trial's round loop
-//!   (lane-stepped dynamics, partitioned adjacency apply, frontier scan,
-//!   commit) partitioned across all cores, byte-identical to the serial
-//!   path and exposed as the engine's `.shards(Auto | N)` axis — a
-//!   single `n = 10^6` flooding trial saturates the machine;
+//! * [`shard`] — **the lane executor**: flooding over a lane model on
+//!   one or more cores inside one trial, with scan rounds (each lane
+//!   scans its on-edges; no adjacency) that switch once, when it pays,
+//!   to adjacency rounds (partitioned apply, frontier scan, commit);
+//!   byte-identical to the serial paths and exposed as the engine's
+//!   `.shards(Auto | N)` axis — a single `n = 10^6` flooding trial
+//!   saturates the machine;
 //! * [`sweep`] — **adaptive parameter-sweep orchestration** over the
 //!   engine: declare a [`sweep::Grid`] of cells, and one work-stealing
 //!   pool runs `(cell × trial)` items with per-cell sequential stopping

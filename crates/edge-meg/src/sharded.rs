@@ -13,17 +13,20 @@
 //! on `(n, p, q, seed)`.
 //!
 //! The payoff: the model exposes its lanes through
-//! [`dynagraph::EvolvingGraph::sharding`], so the engine's intra-trial
-//! sharded executor ([`dynagraph::shard`]) can advance them on all
-//! cores — one `n = 10^6` trial saturates the machine, byte-identical
-//! to the serial path (the serial `step_delta` sweeps the same lanes in
-//! lane order with the same per-lane streams).
+//! [`dynagraph::EvolvingGraph::sharding`], so the engine's lane executor
+//! ([`dynagraph::shard`]) can advance them on all cores — one
+//! `n = 10^6` trial saturates the machine, byte-identical to the serial
+//! path (the serial `step_delta` sweeps the same lanes in lane order
+//! with the same per-lane streams). Each lane keeps its on-pairs as
+//! `(u, v)`, so the executor's scan rounds read every on-edge straight
+//! from the lanes, with no delta and no pair-index inversion.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use dg_markov::{MarkovError, TwoStateChain};
-use dynagraph::shard::{ShardAccess, ShardLane};
+use dynagraph::delta::Edge;
+use dynagraph::shard::{ScanSink, ShardAccess, ShardLane};
 use dynagraph::{mix_seed, EdgeDelta, EvolvingGraph, Snapshot};
 
 use crate::pairmap::PairMap;
@@ -47,6 +50,13 @@ fn tri(v: u64) -> u64 {
     v * (v - 1) / 2
 }
 
+/// The pair index of an on-pair `(u, v)`, `u < v` — the inverse of
+/// [`edge_pair`] by one multiply, for the occupancy map.
+#[inline]
+fn index_of((u, v): Edge) -> u64 {
+    tri(v as u64) + u as u64
+}
+
 /// Alive-list position sentinel (mirrors the sparse model's `OFF`).
 const OFF: u32 = u32::MAX;
 
@@ -61,35 +71,40 @@ struct Lane {
     death: f64,
     log1m_birth: f64,
     log1m_death: f64,
-    /// Currently-on pair indices in this lane.
-    alive: Vec<u64>,
+    /// Currently-on pairs in this lane, as `(u, v)` with `u < v`: stored
+    /// unpacked so scans, full emissions and snapshots read them without
+    /// inverting a pair index.
+    alive: Vec<Edge>,
     /// Pair index -> position in `alive` (only on pairs are tracked).
     occ: PairMap,
     /// Deaths collected by this round's sweep, retired after births.
-    retire_buf: Vec<u64>,
+    retire_buf: Vec<Edge>,
     rng: SmallRng,
 }
 
 impl Lane {
-    fn turn_on(&mut self, edge: u64) {
+    /// Turns on the pair with index `edge`, which is `pair`.
+    fn turn_on(&mut self, edge: u64, pair: Edge) {
         debug_assert!(!self.occ.contains(edge));
+        debug_assert_eq!(index_of(pair), edge);
         assert!(
             self.alive.len() < OFF as usize,
             "on-set exceeds u32 alive-list positions"
         );
         self.occ.insert(edge, self.alive.len() as u32);
-        self.alive.push(edge);
+        self.alive.push(pair);
     }
 
     /// Removes a dying pair from the alive list and the occupancy map —
     /// it returns to the untouched pool and its next birth comes from
     /// the sweep.
-    fn retire(&mut self, edge: u64) {
+    fn retire(&mut self, pair: Edge) {
+        let edge = index_of(pair);
         let pos = self.occ.get(edge).expect("edge is alive");
         let last = *self.alive.last().expect("edge is alive");
         self.alive.swap_remove(pos as usize);
-        if last != edge {
-            self.occ.insert(last, pos);
+        if last != pair {
+            self.occ.insert(index_of(last), pos);
         }
         self.occ.remove(edge);
     }
@@ -97,7 +112,11 @@ impl Lane {
     /// One round of the lazy dynamics over this lane's range — the same
     /// death-sweep / birth-sweep / retire order (hence the same
     /// per-lane draw sequence) as the single-stream sparse-init model.
-    fn advance(&mut self, mut delta: Option<&mut EdgeDelta>) {
+    /// Returns the round's churn (births plus deaths); with `delta`, the
+    /// churn is also recorded there.
+    #[inline]
+    fn advance(&mut self, mut delta: Option<&mut EdgeDelta>) -> u64 {
+        let mut births = 0u64;
         debug_assert!(self.retire_buf.is_empty());
         let mut pos = geometric(&mut self.rng, self.death, self.log1m_death) - 1;
         while (pos as usize) < self.alive.len() {
@@ -107,21 +126,25 @@ impl Lane {
         let mut idx = self.start + geometric(&mut self.rng, self.birth, self.log1m_birth) - 1;
         while idx < self.end {
             if !self.occ.contains(idx) {
-                self.turn_on(idx);
+                let pair = edge_pair(idx);
+                self.turn_on(idx, pair);
+                births += 1;
                 if let Some(d) = delta.as_deref_mut() {
-                    d.push_added(edge_pair(idx));
+                    d.push_added(pair);
                 }
             }
             idx += geometric(&mut self.rng, self.birth, self.log1m_birth);
         }
         for i in 0..self.retire_buf.len() {
-            let edge = self.retire_buf[i];
-            self.retire(edge);
+            let pair = self.retire_buf[i];
+            self.retire(pair);
             if let Some(d) = delta.as_deref_mut() {
-                d.push_removed(edge_pair(edge));
+                d.push_removed(pair);
             }
         }
+        let deaths = self.retire_buf.len() as u64;
         self.retire_buf.clear();
+        births + deaths
     }
 }
 
@@ -130,10 +153,20 @@ impl ShardLane for Lane {
         if emit_full {
             self.advance(None);
             for &e in &self.alive {
-                delta.push_added(edge_pair(e));
+                delta.push_added(e);
             }
         } else {
             self.advance(Some(delta));
+        }
+    }
+
+    fn advance_quiet(&mut self) -> u64 {
+        self.advance(None)
+    }
+
+    fn scan(&self, sink: &mut ScanSink<'_>) {
+        for &(u, v) in &self.alive {
+            sink.edge(u, v);
         }
     }
 }
@@ -254,8 +287,7 @@ impl EvolvingGraph for ShardedSparseEdgeMeg {
         }
         self.edge_buf.clear();
         for lane in &self.lanes {
-            self.edge_buf
-                .extend(lane.alive.iter().map(|&e| edge_pair(e)));
+            self.edge_buf.extend_from_slice(&lane.alive);
         }
         self.snapshot.rebuild_from_edges(&self.edge_buf);
         self.synced = false;
@@ -296,7 +328,7 @@ impl EvolvingGraph for ShardedSparseEdgeMeg {
             // exactly like the single-stream sparse init over [0, pairs).
             let mut idx = lane.start + geometric(&mut lane.rng, alpha, log1m_alpha) - 1;
             while idx < lane.end {
-                lane.turn_on(idx);
+                lane.turn_on(idx, edge_pair(idx));
                 idx += geometric(&mut lane.rng, alpha, log1m_alpha);
             }
         }
@@ -317,6 +349,15 @@ impl ShardAccess for ShardedSparseEdgeMeg {
             .iter_mut()
             .map(|l| l as &mut dyn ShardLane)
             .collect()
+    }
+
+    fn step_lanes(&mut self, delta: &mut EdgeDelta, emit_full: bool, churn: &mut [u64]) {
+        self.synced = false;
+        for (lane, churn) in self.lanes.iter_mut().zip(churn) {
+            let before = delta.churn();
+            lane.step_round(delta, emit_full);
+            *churn = (delta.churn() - before) as u64;
+        }
     }
 }
 
@@ -399,7 +440,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_flood_with_one_shard_falls_back_to_serial() {
+    fn sharded_flood_with_one_shard_matches_serial() {
+        // One thread still runs the lane executor (scan rounds).
         let n = 128;
         let mut g = ShardedSparseEdgeMeg::stationary(n, 2.0 / n as f64, 0.3, 3).unwrap();
         let serial = flood(&mut g, 5, 100_000);

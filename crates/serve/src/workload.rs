@@ -107,7 +107,8 @@ impl Workload {
     /// * `p` — per-round edge birth rate, in `(0, 1]` (optional; absent
     ///   means the paper's sparse regime `p = 1.5/n`, and since axis
     ///   *presence* enters the fingerprint, the two parameterizations
-    ///   never collide in the store).
+    ///   never collide in the store). A grid with both a `p = 1` and a
+    ///   `q = 1` value is rejected: that cell's edge chain is periodic.
     ///
     /// A trial builds the stationary model from the trial seed, floods
     /// from node 0 under the cell's round cap (`max_rounds` table entry,
@@ -154,6 +155,22 @@ impl Workload {
             }
             if !(has[0] && has[1]) {
                 return Err("the flooding workload requires axes \"n\" and \"q\"".to_string());
+            }
+            // The grid is the product of its axes, so a p = 1 value and a
+            // q = 1 value always meet in some cell: there every edge
+            // toggles every round, the chain is periodic, and the model
+            // has no stationary start (`NotErgodic`).
+            let has_one = |name: &str| {
+                spec.axes()
+                    .iter()
+                    .any(|a| a.name() == name && a.values().contains(&1.0))
+            };
+            if has_one("p") && has_one("q") {
+                return Err(
+                    "a cell with p = 1 and q = 1 is a periodic edge chain with no stationary \
+                     distribution; the flooding workload needs p < 1 or q < 1"
+                        .to_string(),
+                );
             }
             if let Some(metrics) = spec.metrics() {
                 for m in metrics {
@@ -292,6 +309,55 @@ mod tests {
         for axes in bad {
             assert!(w.validate(&spec(axes.clone())).is_err(), "{axes:?}");
         }
+    }
+
+    #[test]
+    fn flooding_validation_implies_panic_free_trials() {
+        // Boundary grid p, q in {1e-6, 0.5, 1}: each single-cell spec
+        // the validator accepts must run a trial without panicking, and
+        // the one it rejects is p = q = 1 (the periodic chain).
+        let w = Workload::flooding();
+        let rates = [1e-6, 0.5, 1.0];
+        for n in [16usize, 48] {
+            for p in rates {
+                for q in rates {
+                    let s = SweepSpec::new(
+                        vec![
+                            Axis::ints("n", [n]),
+                            Axis::explicit("q", [q]),
+                            Axis::explicit("p", [p]),
+                        ],
+                        7,
+                        TrialBudget::fixed(1),
+                    )
+                    .with_max_rounds(vec![2_000]);
+                    match w.validate(&s) {
+                        Ok(()) => {
+                            // A panicking trial fails this test (or surfaces as
+                            // the sweep's error after its retries).
+                            let report = s.sweep().run(w.trial_fn());
+                            assert!(report.is_ok(), "n = {n}, p = {p}, q = {q}: {report:?}");
+                        }
+                        Err(e) => {
+                            assert_eq!(
+                                (p, q),
+                                (1.0, 1.0),
+                                "rejected n = {n}, p = {p}, q = {q}: {e}"
+                            );
+                            assert!(e.contains("periodic"), "{e}");
+                        }
+                    }
+                }
+            }
+        }
+        // A grid whose axes merely contain p = 1 and q = 1 is rejected
+        // as a whole: the product has the (1, 1) cell.
+        let grid = spec(vec![
+            Axis::ints("n", [16]),
+            Axis::explicit("q", [0.5, 1.0]),
+            Axis::explicit("p", [1e-6, 1.0]),
+        ]);
+        assert!(w.validate(&grid).is_err());
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! then enabled via [`dg_obs::set_enabled`] — and asserts byte identity
 //! of the results, across:
 //!
-//! * the engine's serial, parallel, snapshot, delta, and sharded
-//!   executors;
+//! * the engine's serial, parallel, snapshot and delta executors, and
+//!   the lane executor's scan and adjacency rounds;
 //! * sweep artifacts (`dg-sweep/1` and the multi-metric `dg-sweep/2`
 //!   format) and their fingerprints;
 //! * the checkpoint/resume path (a "killed" sweep finished by a second
@@ -18,7 +18,7 @@
 
 use std::sync::Mutex;
 
-use dynspread::dg_edge_meg::SparseTwoStateEdgeMeg;
+use dynspread::dg_edge_meg::{ShardedSparseEdgeMeg, SparseTwoStateEdgeMeg};
 use dynspread::dynagraph::engine::{PushGossip, Simulation, Stepping};
 use dynspread::dynagraph::sweep::{
     trial_metrics, Axis, Cell, CiTarget, Grid, Metric, Sweep, SweepReport, Trial, TrialBudget,
@@ -90,23 +90,57 @@ fn engine_records_are_identical_with_metrics_on() {
 
 #[test]
 fn sharded_flooding_is_identical_with_metrics_on() {
-    // The intra-trial sharded executor has the one explicitly guarded
-    // hook (per-lane churn counters after the merge barrier).
-    let model = |seed: u64| {
+    // The lane executor's hooks: round-phase spans and per-lane churn
+    // counters. Its three round mixes: scan rounds only (Auto, a fast
+    // flood), scan rounds that switch to adjacency rounds mid-trial
+    // (Auto, slow churn), and adjacency rounds throughout (Delta at 4
+    // shards).
+    let fast = |seed: u64| {
         let n = 512;
-        SparseTwoStateEdgeMeg::stationary(n, 1.5 / n as f64, 0.4, seed).unwrap()
+        ShardedSparseEdgeMeg::stationary(n, 1.5 / n as f64, 0.4, seed).unwrap()
     };
-    let (off, on) = off_then_on(|| {
-        Simulation::builder()
-            .model(model)
-            .trials(3)
-            .max_rounds(MAX_ROUNDS)
-            .base_seed(BASE_SEED)
-            .shards(4)
-            .run()
-    });
-    assert_eq!(off, on);
-    assert_eq!(format!("{off:?}"), format!("{on:?}"));
+    let slow = |seed: u64| ShardedSparseEdgeMeg::stationary(256, 1e-5, 1e-3, seed).unwrap();
+    for (model, cap) in [
+        (&fast as &(dyn Fn(u64) -> _ + Sync), MAX_ROUNDS),
+        (&slow, 400),
+    ] {
+        for (stepping, shards) in [
+            (Stepping::Auto, 1),
+            (Stepping::Auto, 4),
+            (Stepping::Delta, 4),
+        ] {
+            let (off, on) = off_then_on(|| {
+                let phases = || {
+                    ["model_step", "protocol", "observer"].map(|phase| {
+                        dg_obs::Registry::global()
+                            .histogram_snapshot(&format!(
+                                "dg_engine_round_phase_seconds{{phase=\"{phase}\"}}"
+                            ))
+                            .map_or(0, |h| h.count)
+                    })
+                };
+                let before = phases();
+                let report = Simulation::builder()
+                    .model(model)
+                    .trials(3)
+                    .max_rounds(cap)
+                    .base_seed(BASE_SEED)
+                    .stepping(stepping)
+                    .shards(shards)
+                    .run();
+                if dg_obs::enabled() {
+                    // Every executed round records each phase span.
+                    let rounds: u64 = report.records().iter().map(|r| u64::from(r.rounds)).sum();
+                    for (b, a) in before.iter().zip(phases()) {
+                        assert!(a - b >= rounds, "{stepping:?}, {shards} shards");
+                    }
+                }
+                report
+            });
+            assert_eq!(off, on, "{stepping:?}, {shards} shards");
+            assert_eq!(format!("{off:?}"), format!("{on:?}"));
+        }
+    }
 }
 
 fn flood_grid() -> Grid {
