@@ -1,14 +1,15 @@
-//! t14 — churn-proportional trial *setup*: sparse stationary init vs the
-//! O(n²) pair scan, plus the delta-native §5 wrappers.
+//! t14 — churn-proportional trial *setup*: the lane model's sparse
+//! stationary init vs the exact O(n²) pair scan, plus the delta-native
+//! §5 wrappers.
 //!
 //! PR 2 made per-round stepping proportional to churn; this bench tracks
 //! the two pieces that still paid O(n²) per *trial* in the paper's
 //! sparse regime (`p = 1/n`):
 //!
 //! * `SparseTwoStateEdgeMeg::stationary` scans all `n(n-1)/2` pairs at
-//!   construction/reset; `stationary_sparse_init` skip-samples the
-//!   `#on ≈ αn²/2` live edges directly. Headline: setup speedup at
-//!   `n = 2^14`.
+//!   construction/reset; the lane model `ShardedSparseEdgeMeg::stationary`
+//!   skip-samples the `#on ≈ αn²/2` live edges directly. Headline: setup
+//!   speedup at `n = 2^14`.
 //! * `ThinnedEvolvingGraph` / `JammedEvolvingGraph` used to fall back to
 //!   snapshot diffing; their native delta path never materializes a CSR.
 //!
@@ -19,7 +20,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
-use dg_edge_meg::{pair_count, SparseTwoStateEdgeMeg};
+use dg_edge_meg::{pair_count, ShardedSparseEdgeMeg, SparseTwoStateEdgeMeg};
 use dynagraph::{DynAdjacency, EdgeDelta, EvolvingGraph, ThinnedEvolvingGraph};
 
 struct SetupResult {
@@ -28,15 +29,15 @@ struct SetupResult {
     q: f64,
     iters: u32,
     scan_ms: f64,
-    sparse_ms: f64,
+    lane_ms: f64,
     speedup: f64,
     scan_edges: usize,
-    sparse_edges: usize,
+    lane_edges: usize,
     headline: bool,
 }
 
-/// Times trial setup — construction of a stationary instance — on both
-/// initializers. Each iteration uses a fresh seed so the allocator and
+/// Times trial setup — construction of a stationary instance — on the
+/// exact scan and on the lane model. Each iteration uses a fresh seed so the allocator and
 /// branch predictor can't replay one fixed realization.
 fn bench_setup(n: usize, q: f64, iters: u32, headline: bool) -> SetupResult {
     let p = 1.0 / n as f64;
@@ -49,13 +50,13 @@ fn bench_setup(n: usize, q: f64, iters: u32, headline: bool) -> SetupResult {
     }
     let scan_ms = start.elapsed().as_secs_f64() * 1e3 / iters as f64;
 
-    let mut sparse_edges = 0usize;
+    let mut lane_edges = 0usize;
     let start = Instant::now();
     for i in 0..iters {
-        let g = SparseTwoStateEdgeMeg::stationary_sparse_init(n, p, q, 0x5E7 + i as u64).unwrap();
-        sparse_edges = g.alive_count();
+        let g = ShardedSparseEdgeMeg::stationary(n, p, q, 0x5E7 + i as u64).unwrap();
+        lane_edges = g.alive_count();
     }
-    let sparse_ms = start.elapsed().as_secs_f64() * 1e3 / iters as f64;
+    let lane_ms = start.elapsed().as_secs_f64() * 1e3 / iters as f64;
 
     SetupResult {
         n,
@@ -63,10 +64,10 @@ fn bench_setup(n: usize, q: f64, iters: u32, headline: bool) -> SetupResult {
         q,
         iters,
         scan_ms,
-        sparse_ms,
-        speedup: scan_ms / sparse_ms,
+        lane_ms,
+        speedup: scan_ms / lane_ms,
         scan_edges,
-        sparse_edges,
+        lane_edges,
         headline,
     }
 }
@@ -82,7 +83,7 @@ struct WrapperResult {
     mean_churn: f64,
 }
 
-/// Times the §5 thinned wrapper over a sparse-init edge-MEG on both
+/// Times the §5 thinned wrapper over the lane edge-MEG on both
 /// stepping paths (same seed ⇒ identical realizations, asserted). The
 /// interesting regime is `|E_t| ≪ n` (the paper's very sparse MEGs),
 /// where the snapshot path pays `O(n)` per round just for the CSR while
@@ -90,7 +91,7 @@ struct WrapperResult {
 fn bench_thinned_stepping(n: usize, p: f64, q: f64, gamma: f64, rounds: usize) -> WrapperResult {
     let seed = 0x7417;
     let make = || {
-        let inner = SparseTwoStateEdgeMeg::stationary_sparse_init(n, p, q, seed).unwrap();
+        let inner = ShardedSparseEdgeMeg::stationary(n, p, q, seed).unwrap();
         ThinnedEvolvingGraph::new(inner, gamma, seed).unwrap()
     };
 
@@ -158,8 +159,8 @@ fn main() {
     for &(n, q, iters, headline) in setup_cases {
         let r = bench_setup(n, q, iters, headline);
         println!(
-            "setup    n={:>6} p=1/n q={:<6} scan {:>10.2} ms   sparse-init {:>8.3} ms   speedup {:>6.1}x   (on-edges ~{} vs ~{}, pairs {})",
-            r.n, r.q, r.scan_ms, r.sparse_ms, r.speedup, r.scan_edges, r.sparse_edges, pair_count(r.n)
+            "setup    n={:>6} p=1/n q={:<6} scan {:>10.2} ms   lane {:>8.3} ms   speedup {:>6.1}x   (on-edges ~{} vs ~{}, pairs {})",
+            r.n, r.q, r.scan_ms, r.lane_ms, r.speedup, r.scan_edges, r.lane_edges, pair_count(r.n)
         );
         setups.push(r);
     }
@@ -186,22 +187,22 @@ fn main() {
     let _ = writeln!(json, "  \"commit\": \"{}\",", dg_bench::commit());
     let _ = writeln!(
         json,
-        "  \"description\": \"trial setup cost of the O(n^2) stationary pair scan vs the O(#on) geometric-skip initializer (p = 1/n), plus the delta-native section-5 thinned wrapper\","
+        "  \"description\": \"trial setup cost of the exact-scan edge-MEG's O(n^2) stationary pair scan vs the lane edge-MEG's O(#on) geometric-skip initializer (p = 1/n), plus the delta-native section-5 thinned wrapper over the lane edge-MEG\","
     );
     let _ = writeln!(json, "  \"setup\": [");
     for (i, r) in setups.iter().enumerate() {
         let comma = if i + 1 < setups.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"model\": \"sparse-two-state-edge-meg\", \"headline\": {}, \"n\": {}, \"p\": {:.10}, \"q\": {}, \"iters\": {}, \"scan_ms\": {:.3}, \"sparse_init_ms\": {:.3}, \"speedup\": {:.1}, \"scan_edges\": {}, \"sparse_edges\": {}}}{}",
-            r.headline, r.n, r.p, r.q, r.iters, r.scan_ms, r.sparse_ms, r.speedup, r.scan_edges, r.sparse_edges, comma
+            "    {{\"scan_model\": \"sparse-two-state-edge-meg\", \"lane_model\": \"lane-edge-meg\", \"headline\": {}, \"n\": {}, \"p\": {:.10}, \"q\": {}, \"iters\": {}, \"scan_ms\": {:.3}, \"lane_ms\": {:.3}, \"speedup\": {:.1}, \"scan_edges\": {}, \"lane_edges\": {}}}{}",
+            r.headline, r.n, r.p, r.q, r.iters, r.scan_ms, r.lane_ms, r.speedup, r.scan_edges, r.lane_edges, comma
         );
     }
     let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"thinned_stepping\": [");
     let _ = writeln!(
         json,
-        "    {{\"model\": \"thinned(sparse-init-edge-meg)\", \"n\": {}, \"p\": {:.10}, \"q\": {}, \"gamma\": 0.5, \"rounds\": {}, \"snapshot_ns_per_round\": {:.1}, \"delta_ns_per_round\": {:.1}, \"speedup\": {:.2}, \"mean_churn\": {:.1}}}",
+        "    {{\"model\": \"thinned(lane-edge-meg)\", \"n\": {}, \"p\": {:.10}, \"q\": {}, \"gamma\": 0.5, \"rounds\": {}, \"snapshot_ns_per_round\": {:.1}, \"delta_ns_per_round\": {:.1}, \"speedup\": {:.2}, \"mean_churn\": {:.1}}}",
         thinned.n, thinned.p, thinned.q, thinned.rounds, thinned.snapshot_ns_per_round, thinned.delta_ns_per_round, thinned.speedup, thinned.mean_churn
     );
     let _ = writeln!(json, "  ]");

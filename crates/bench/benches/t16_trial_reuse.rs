@@ -6,8 +6,8 @@
 //! byte-identical:
 //!
 //! * **phase-cell sweep** (headline) — flooding time of large
-//!   slow-churn sparse-init edge-MEGs (`n = 2^14`, `p = 1/n`, small
-//!   `q`): the stationary on-set is ~1.6–4M edges while flooding
+//!   slow-churn lane edge-MEGs (`ShardedSparseEdgeMeg`, `n = 2^14`,
+//!   `p = 1/n`, small `q`, one shard): the stationary on-set is ~1.6–4M edges while flooding
 //!   completes in ~3 rounds of tiny churn, so per-trial *setup*
 //!   (stationary init + structure building) is nearly the whole trial.
 //!   Compared paths: the pre-PR-shaped stateless path
@@ -34,7 +34,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
-use dg_edge_meg::SparseTwoStateEdgeMeg;
+use dg_edge_meg::{ShardedSparseEdgeMeg, SparseTwoStateEdgeMeg};
 use dg_mobility::{GeometricMeg, RandomWaypoint};
 use dynagraph::engine::{Simulation, TrialScratch};
 use dynagraph::sweep::{Axis, Cell, Grid, Sweep, SweepReport, Trial, TrialBudget};
@@ -162,7 +162,8 @@ where
 /// occupancy `PairMap`, which speed up *both* of today's paths). Kept
 /// as constants so the committed `BENCH_trial_reuse.json` can state the
 /// end-to-end effect of the PR; on other machines they are indicative
-/// only.
+/// only. The phase-cell baseline ran on the single-stream lazy model the
+/// lane model has since replaced.
 const PRE_PR_PHASE_CELL_MS: f64 = 859.7;
 const PRE_PR_T05_MS: f64 = 0.5817;
 const PRE_PR_EXACT_SCAN_MS: f64 = 337.9;
@@ -186,8 +187,7 @@ fn main() {
     let w1 = measure_sweep(
         w1_grid,
         move |cell: &Cell, seed| {
-            SparseTwoStateEdgeMeg::stationary_sparse_init(n1, 1.0 / n1 as f64, cell.get("q"), seed)
-                .unwrap()
+            ShardedSparseEdgeMeg::stationary(n1, 1.0 / n1 as f64, cell.get("q"), seed).unwrap()
         },
         |_| 0,
         if quick { 3 } else { 6 },
@@ -280,7 +280,7 @@ fn main() {
     let _ = writeln!(json, "  \"workloads\": {{");
     let _ = writeln!(
         json,
-        "    \"phase_cell_sweep\": {{\"model\": \"sparse-init edge-MEG\", \"n\": {n1}, \"p\": \"1/n\", \"q\": {w1_qs}, \"trials\": {}, \"fresh_ms_per_trial\": {:.2}, \"zero_rebuild_ms_per_trial\": {:.2}, \"speedup\": {:.3}}},",
+        "    \"phase_cell_sweep\": {{\"model\": \"lane edge-MEG\", \"n\": {n1}, \"p\": \"1/n\", \"q\": {w1_qs}, \"trials\": {}, \"fresh_ms_per_trial\": {:.2}, \"zero_rebuild_ms_per_trial\": {:.2}, \"speedup\": {:.3}}},",
         w1.trials, w1.fresh_ms_per_trial, w1.reuse_ms_per_trial, w1.speedup()
     );
     let _ = writeln!(

@@ -88,14 +88,11 @@
 //!
 //! | old                                               | new                                        |
 //! |---------------------------------------------------|--------------------------------------------|
-//! | `flooding::run_trials(make, &TrialConfig {..})`   | `Simulation::builder().model(make)…run()`  |
 //! | `gossip::push_spread(&mut g, s, k, cap, seed)`    | `.protocol(PushGossip::new(k))`            |
 //! | `gossip::parsimonious_flood(&mut g, s, ttl, cap)` | `.protocol(ParsimoniousFlooding::new(ttl))`|
 //! | hand-rolled trial loops + `Summary`               | `.observers(…)` + [`SimulationReport`]     |
 //!
-//! `flooding::flood`/`flood_multi` are unchanged single-run primitives;
-//! `run_trials` remains as a deprecated shim over the engine and reports
-//! identical numbers (same `mix_seed(base_seed, trial)` derivation).
+//! `flooding::flood`/`flood_multi` are unchanged single-run primitives.
 
 pub(crate) mod instrument;
 mod observer;

@@ -424,7 +424,7 @@ where
         // Flooding over a lane model runs on the lane executor: at every
         // shard count under Auto (scan-first rounds), and at two or more
         // shards under Delta (adjacency rounds throughout). Delta and
-        // Snapshot at one shard keep the serial loops below — the
+        // Snapshot at one shard keep the serial loop below — the
         // oracles the lane executor is pinned against.
         let record = if use_delta
             && (self.stepping == Stepping::Auto || threads >= 2)
@@ -450,17 +450,6 @@ where
                 first,
                 scratch,
             )
-        } else if use_delta {
-            execute_trial_delta(
-                g,
-                &mut protocol,
-                &mut observer,
-                trial,
-                seed,
-                &self.sources,
-                self.max_rounds,
-                scratch,
-            )
         } else {
             execute_trial(
                 g,
@@ -470,6 +459,7 @@ where
                 seed,
                 &self.sources,
                 self.max_rounds,
+                use_delta,
                 scratch,
             )
         };
@@ -565,7 +555,16 @@ where
 /// quiescence, and the observer callbacks. Shared by every protocol.
 /// All per-trial state lives in `scratch` — cleared here, allocated
 /// (at most) once per worker.
-#[allow(clippy::too_many_arguments)] // internal twin of execute_trial_delta
+///
+/// `use_delta` picks the stepping path. The snapshot path rebuilds a
+/// CSR [`crate::Snapshot`] per round and calls [`Protocol::transmit`].
+/// The delta path steps through [`EvolvingGraph::step_delta`] into the
+/// scratch's [`DynAdjacency`] and calls [`Protocol::transmit_delta`];
+/// it materializes a snapshot only for observers that ask for one, so
+/// a churn-proportional model and protocol stay churn-proportional end
+/// to end. Both paths produce identical [`TrialRecord`]s for the
+/// built-in protocols (pinned by the integration suite).
+#[allow(clippy::too_many_arguments)] // internal; one call site
 fn execute_trial<G, P, O>(
     g: &mut G,
     protocol: &mut P,
@@ -574,118 +573,7 @@ fn execute_trial<G, P, O>(
     seed: u64,
     sources: &[u32],
     max_rounds: u32,
-    scratch: &mut TrialScratch,
-) -> TrialRecord
-where
-    G: EvolvingGraph + ?Sized,
-    P: Protocol + ?Sized,
-    O: Observer + ?Sized,
-{
-    let n = g.node_count();
-    scratch.prepare(n);
-    let TrialScratch {
-        informed,
-        informed_at,
-        informed_list,
-        new_nodes,
-        ..
-    } = scratch;
-    for &s in sources {
-        assert!((s as usize) < n, "source {s} out of range");
-        assert!(!informed[s as usize], "duplicate source {s}");
-        informed[s as usize] = true;
-        informed_at[s as usize] = 0;
-        informed_list.push(s);
-    }
-    observer.on_trial_start(trial, n, sources);
-    protocol.begin_trial(n, seed);
-
-    let mut completed = (informed_list.len() == n).then_some(0u32);
-    let mut messages_total = 0u64;
-    let mut t = 0u32;
-    let mut status = ProtocolStatus::Active;
-    let obs = engine_obs();
-    while completed.is_none() && t < max_rounds && status == ProtocolStatus::Active {
-        let snap = {
-            let _span = obs.model_step.start();
-            g.step()
-        };
-        new_nodes.clear();
-        let round_messages = {
-            let _span = obs.protocol.start();
-            let view = SpreadView {
-                round: t,
-                node_count: n,
-                informed_at,
-                informed_list,
-            };
-            let mut out = Transmissions::new(informed, new_nodes);
-            protocol.transmit(snap, &view, &mut out);
-            out.messages()
-        };
-        t += 1;
-        for &v in new_nodes.iter() {
-            informed_at[v as usize] = t;
-        }
-        informed_list.extend_from_slice(new_nodes);
-        messages_total += round_messages;
-        if informed_list.len() == n {
-            completed = Some(t);
-        }
-        {
-            let _span = obs.observer.start();
-            observer.on_round(&RoundCtx {
-                round: t,
-                snapshot: Some(snap),
-                delta: None,
-                newly_informed: new_nodes,
-                informed_count: informed_list.len(),
-                messages: round_messages,
-            });
-        }
-        if completed.is_none() {
-            let view = SpreadView {
-                round: t,
-                node_count: n,
-                informed_at,
-                informed_list,
-            };
-            status = protocol.end_round(&view);
-        }
-    }
-
-    let record = TrialRecord {
-        trial,
-        seed,
-        time: completed,
-        informed: informed_list.len(),
-        rounds: t,
-        messages: messages_total,
-    };
-    observer.on_trial_end(&record);
-    record
-}
-
-/// The delta-path twin of [`execute_trial`]: steps the process through
-/// [`EvolvingGraph::step_delta`] into a [`DynAdjacency`] and hands the
-/// incremental state to [`Protocol::transmit_delta`]. A CSR snapshot is
-/// materialized per round only when the observer asks for one, so the
-/// per-round cost of a churn-proportional model + protocol stays
-/// churn-proportional end to end.
-///
-/// Produces [`TrialRecord`]s identical to [`execute_trial`]'s for the
-/// built-in protocols (pinned by the integration suite). The incremental
-/// adjacency and the delta buffer live in `scratch` too: re-targeted per
-/// trial, their allocations survive across trials.
-#[allow(clippy::too_many_arguments)] // internal twin of execute_trial
-fn execute_trial_delta<G, P, O>(
-    g: &mut G,
-    protocol: &mut P,
-    observer: &mut O,
-    trial: usize,
-    seed: u64,
-    sources: &[u32],
-    max_rounds: u32,
+    use_delta: bool,
     scratch: &mut TrialScratch,
 ) -> TrialRecord
 where
@@ -714,15 +602,17 @@ where
     observer.on_trial_start(trial, n, sources);
     protocol.begin_trial(n, seed);
     let needs_snapshots = observer.needs_snapshots();
-
-    adj.reset(n);
-    // `clear` (not `begin_round`) also forgets the default-path diffing
-    // baseline of a previous trial's model, so a reused buffer starts
-    // every trial with a full emission.
-    delta.clear();
-    // The adjacency starts empty, so the delta stream must start with a
-    // full emission (the model may have been warmed up or pre-stepped).
-    g.rebase_deltas();
+    if use_delta {
+        adj.reset(n);
+        // `clear` (not `begin_round`) also forgets the default-path
+        // diffing baseline of a previous trial's model, so a reused
+        // buffer starts every trial with a full emission.
+        delta.clear();
+        // The adjacency starts empty, so the delta stream must start
+        // with a full emission (the model may have been warmed up or
+        // pre-stepped).
+        g.rebase_deltas();
+    }
 
     let mut completed = (informed_list.len() == n).then_some(0u32);
     let mut messages_total = 0u64;
@@ -730,11 +620,17 @@ where
     let mut status = ProtocolStatus::Active;
     let obs = engine_obs();
     while completed.is_none() && t < max_rounds && status == ProtocolStatus::Active {
-        {
+        // The round's snapshot: `Some` on the snapshot path only.
+        let snap = {
             let _span = obs.model_step.start();
-            g.step_delta(delta);
-        }
-        {
+            if use_delta {
+                g.step_delta(delta);
+                None
+            } else {
+                Some(g.step())
+            }
+        };
+        if use_delta {
             let _span = obs.delta_apply.start();
             adj.apply(delta);
         }
@@ -748,7 +644,10 @@ where
                 informed_list,
             };
             let mut out = Transmissions::new(informed, new_nodes);
-            protocol.transmit_delta(adj, delta, &view, &mut out);
+            match snap {
+                Some(snap) => protocol.transmit(snap, &view, &mut out),
+                None => protocol.transmit_delta(adj, delta, &view, &mut out),
+            }
             out.messages()
         };
         t += 1;
@@ -764,12 +663,11 @@ where
             let _span = obs.observer.start();
             observer.on_round(&RoundCtx {
                 round: t,
-                snapshot: if needs_snapshots {
-                    Some(adj.snapshot())
-                } else {
-                    None
+                snapshot: match snap {
+                    None if needs_snapshots => Some(adj.snapshot()),
+                    snap => snap,
                 },
-                delta: Some(delta),
+                delta: use_delta.then_some(&*delta),
                 newly_informed: new_nodes,
                 informed_count: informed_list.len(),
                 messages: round_messages,
@@ -798,7 +696,7 @@ where
     record
 }
 
-/// The lane-executor twin of [`execute_trial_delta`] for flooding
+/// The lane-executor counterpart of [`execute_trial`] for flooding
 /// semantics: the model's lanes advance on `threads` threads and each
 /// round runs as a scan round or an adjacency round
 /// ([`crate::shard::flood_sharded_core`]; `first` picks how the trial
@@ -808,7 +706,7 @@ where
 /// byte-identical to the serial paths, and observer callbacks identical
 /// to the serial delta path's on adjacency rounds (pinned by the
 /// sharded-engine and scan-identity suites).
-#[allow(clippy::too_many_arguments)] // internal twin of execute_trial_delta
+#[allow(clippy::too_many_arguments)] // internal; one call site
 fn execute_trial_sharded<G, O>(
     g: &mut G,
     observer: &mut O,

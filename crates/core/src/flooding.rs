@@ -1,5 +1,4 @@
-//! The flooding process of §2: single-run primitives and legacy
-//! multi-trial shims.
+//! The flooding process of §2: single-run primitives.
 //!
 //! Flooding with source `s`: `I_0 = {s}` and
 //! `I_{t+1} = I_t ∪ { j : ∃ i ∈ I_t, {i, j} ∈ E_t }` — newly informed
@@ -14,10 +13,7 @@
 //! frontier's adjacency plus the round's churn, instead of a full
 //! `O(m + n)` snapshot rebuild and informed-set scan; the two sweeps
 //! produce identical runs. For Monte-Carlo measurement use the unified
-//! [`crate::engine::Simulation`] builder; [`run_trials`] remains as a
-//! deprecated shim over it.
-
-use dg_stats::{Quantiles, Summary};
+//! [`crate::engine::Simulation`] builder.
 
 use crate::delta::{DynAdjacency, EdgeDelta};
 use crate::shard::{flood_sharded_core, FirstRounds, ShardScratch, Shards};
@@ -318,137 +314,8 @@ pub fn flood_sharded<G: EvolvingGraph + ?Sized>(
     }
 }
 
-/// Configuration for seeded multi-trial flooding experiments.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct TrialConfig {
-    /// Number of independent trials.
-    pub trials: usize,
-    /// Per-trial round cap.
-    pub max_rounds: u32,
-    /// Flooding source.
-    pub source: u32,
-    /// Base seed; trial `i` uses `mix_seed(base_seed, i)`.
-    pub base_seed: u64,
-    /// Rounds of warm-up before flooding starts (to reach stationarity).
-    pub warm_up: usize,
-}
-
-impl Default for TrialConfig {
-    fn default() -> Self {
-        TrialConfig {
-            trials: 30,
-            max_rounds: 100_000,
-            source: 0,
-            base_seed: 0xD15E_A5E0,
-            warm_up: 0,
-        }
-    }
-}
-
-/// Results of a batch of flooding trials.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct FloodingTrials {
-    times: Vec<Option<u32>>,
-}
-
-impl FloodingTrials {
-    /// Per-trial flooding times (`None` = hit the cap).
-    pub fn times(&self) -> &[Option<u32>] {
-        &self.times
-    }
-
-    /// Number of trials that failed to complete within the cap.
-    pub fn incomplete(&self) -> usize {
-        self.times.iter().filter(|t| t.is_none()).count()
-    }
-
-    /// Completed flooding times as `f64`s.
-    pub fn completed(&self) -> Vec<f64> {
-        self.times
-            .iter()
-            .filter_map(|t| t.map(|x| x as f64))
-            .collect()
-    }
-
-    /// Streaming summary over completed trials.
-    pub fn summary(&self) -> Summary {
-        self.completed().into_iter().collect()
-    }
-
-    /// Order statistics over completed trials; `None` if no trial
-    /// completed.
-    pub fn quantiles(&self) -> Option<Quantiles> {
-        Quantiles::try_new(self.completed())
-    }
-
-    /// Mean flooding time over completed trials (`NaN` if none).
-    pub fn mean(&self) -> f64 {
-        self.summary().mean()
-    }
-
-    /// Empirical 95th percentile — the stand-in for the paper's
-    /// with-high-probability bound; `None` if no trial completed.
-    pub fn p95(&self) -> Option<f64> {
-        self.quantiles().map(|q| q.p95())
-    }
-
-    /// Largest completed flooding time; `None` if no trial completed.
-    pub fn max(&self) -> Option<f64> {
-        self.quantiles().map(|q| q.max())
-    }
-}
-
-/// Runs `cfg.trials` independent seeded flooding runs.
-///
-/// Thin shim over the unified engine: equivalent to
-/// [`crate::engine::Simulation::builder`] with the
-/// [`crate::engine::Flooding`] protocol. Trial `i` receives
-/// `mix_seed(cfg.base_seed, i)`, so results are reproducible regardless
-/// of thread scheduling — and identical to what the builder reports.
-///
-/// # Examples
-///
-/// ```
-/// # #![allow(deprecated)]
-/// use dynagraph::{flooding::{self, TrialConfig}, StaticEvolvingGraph};
-/// use dg_graph::generators;
-///
-/// let cfg = TrialConfig { trials: 4, ..TrialConfig::default() };
-/// let res = flooding::run_trials(
-///     |_seed| StaticEvolvingGraph::new(generators::complete(8)),
-///     &cfg,
-/// );
-/// assert_eq!(res.incomplete(), 0);
-/// assert_eq!(res.mean(), 1.0);
-/// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "drive the unified engine instead: `dynagraph::engine::Simulation::builder()`"
-)]
-pub fn run_trials<G, F>(make: F, cfg: &TrialConfig) -> FloodingTrials
-where
-    G: EvolvingGraph,
-    F: Fn(u64) -> G + Sync,
-{
-    let report = crate::engine::Simulation::builder()
-        .model(make)
-        .trials(cfg.trials)
-        .max_rounds(cfg.max_rounds)
-        .warm_up(cfg.warm_up)
-        .base_seed(cfg.base_seed)
-        .source(cfg.source)
-        .run();
-    FloodingTrials {
-        times: report.times(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the legacy shims stay covered until removal
-
     use super::*;
     use crate::{PeriodicEvolvingGraph, StaticEvolvingGraph};
     use dg_graph::generators;
@@ -522,36 +389,6 @@ mod tests {
         // Round 1 (E_0 = even): 1 informed. Round 2 (E_1 = odd): 2 informed.
         // Round 3 (E_2 = even): 3 informed.
         assert_eq!(run.flooding_time(), Some(3));
-    }
-
-    #[test]
-    fn trials_reproducible() {
-        let cfg = TrialConfig {
-            trials: 8,
-            max_rounds: 100,
-            ..TrialConfig::default()
-        };
-        let make = |_seed: u64| StaticEvolvingGraph::new(generators::cycle(9));
-        let a = run_trials(make, &cfg);
-        let b = run_trials(make, &cfg);
-        assert_eq!(a.times(), b.times());
-        assert_eq!(a.incomplete(), 0);
-        assert_eq!(a.mean(), 4.0);
-        assert_eq!(a.p95(), Some(4.0));
-        assert_eq!(a.max(), Some(4.0));
-    }
-
-    #[test]
-    fn trials_count_incomplete() {
-        let cfg = TrialConfig {
-            trials: 5,
-            max_rounds: 2,
-            ..TrialConfig::default()
-        };
-        let res = run_trials(|_| StaticEvolvingGraph::new(generators::path(10)), &cfg);
-        assert_eq!(res.incomplete(), 5);
-        assert!(res.quantiles().is_none());
-        assert!(res.mean().is_nan());
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //!   (geometric toggle times in a calendar queue) so that huge sparse
 //!   instances cost `O(#toggles)` per round on the delta path (or
 //!   `O(#toggles + |E_t|)` when snapshots are materialized) instead of
-//!   `O(n²)`. Trial *setup* can be made sparse as well:
-//!   [`SparseTwoStateEdgeMeg::stationary_sparse_init`] skip-samples the
-//!   stationary on-set in `O(#on)` instead of scanning all pairs.
+//!   `O(n²)`. Its setup scans all pairs in a byte-pinned order.
+//! * [`ShardedSparseEdgeMeg`] — the same process, simulated lazily over
+//!   fixed lanes: `O(#on)` setup, per-round death and birth sweeps, and
+//!   memory bounded by the current on-set. The model for large `n`; its
+//!   lanes can advance on several threads within one trial.
 //! * [`HiddenChainEdgeMeg`] — the paper's generalization `EM(n, M, χ)`:
 //!   an arbitrary (hidden) finite chain `M` drives each edge and an
 //!   arbitrary map `χ : S → {0, 1}` decides whether the edge exists.
@@ -71,5 +73,5 @@ mod two_state;
 pub use general::{bursty_chain, four_state_chain, HiddenChainEdgeMeg};
 pub use pairs::{edge_index, edge_pair, pair_count};
 pub use sharded::{ShardedSparseEdgeMeg, LANES};
-pub use sparse::SparseTwoStateEdgeMeg;
+pub use sparse::{check_rates, SparseTwoStateEdgeMeg};
 pub use two_state::TwoStateEdgeMeg;

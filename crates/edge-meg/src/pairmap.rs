@@ -1,8 +1,8 @@
 //! A linear-probe hash map from pair indices to `u32` slots.
 //!
-//! The sparse-init edge-MEG tracks one occupancy entry per *touched*
-//! pair; with retirement that is exactly the current on-set, and every
-//! trial reset re-inserts all of it. `std::collections::HashMap`'s
+//! Each lane of [`crate::ShardedSparseEdgeMeg`] tracks one occupancy
+//! entry per on-pair (a dying pair is retired from the map), and every
+//! trial reset re-inserts the whole on-set. `std::collections::HashMap`'s
 //! SipHash plus per-entry overhead makes those inserts the dominant
 //! term of trial setup at large `n`, so this map trades generality for
 //! the three things the occupancy store needs: `u64` keys (triangular
@@ -56,6 +56,7 @@ impl PairMap {
         }
     }
 
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.len
     }

@@ -1,14 +1,18 @@
-//! Lane-decomposed sparse two-state edge-MEG: the million-node model.
+//! Lane-decomposed lazy two-state edge-MEG: the workspace's lazy
+//! edge-MEG dynamics, and its million-node model.
 //!
-//! [`ShardedSparseEdgeMeg`] factors the lazy sparse dynamics of
-//! [`crate::SparseTwoStateEdgeMeg::stationary_sparse_init`] into
-//! [`LANES`] *fixed logical lanes*: lane `l` owns the contiguous pair
-//! range whose higher endpoint falls in the `l`-th slice of the node
-//! space, and runs the usual per-round Geometric(`q`) death sweep plus
-//! Geometric(`p`) birth sweep over *its* range with *its own* RNG
-//! stream. Because every pair behaves independently in the two-state
-//! process, the union over lanes is the same process distribution as
-//! the single-stream model — and because the decomposition is fixed
+//! [`ShardedSparseEdgeMeg`] splits the pair index into [`LANES`] *fixed
+//! logical lanes*: lane `l` owns the contiguous pair range whose higher
+//! endpoint falls in the `l`-th slice of the node space. Each lane, with
+//! its own RNG stream, skip-samples its slice of the stationary on-set
+//! at reset (`O(#on)` work, nothing scheduled) and then runs three steps
+//! per round: a Geometric(`q`) *death sweep* over its alive list, a
+//! Geometric(`p`) *birth sweep* over its untouched pairs, and the
+//! retirement of the round's dead back to untouched. Per-round cost and
+//! memory are bounded by the current on-set, not by every pair that
+//! ever toggled. Because every pair behaves independently in the
+//! two-state process, the union over lanes is the process of
+//! [`crate::TwoStateEdgeMeg`] — and because the decomposition is fixed
 //! (never a function of the thread count), a realization depends only
 //! on `(n, p, q, seed)`.
 //!
@@ -31,7 +35,7 @@ use dynagraph::{mix_seed, EdgeDelta, EvolvingGraph, Snapshot};
 
 use crate::pairmap::PairMap;
 use crate::pairs::edge_pair;
-use crate::sparse::geometric;
+use crate::sparse::{check_rates, geometric};
 
 /// Number of logical lanes — fixed, so realizations are independent of
 /// how many threads step them. 64 comfortably exceeds any core count
@@ -57,7 +61,7 @@ fn index_of((u, v): Edge) -> u64 {
     tri(v as u64) + u as u64
 }
 
-/// Alive-list position sentinel (mirrors the sparse model's `OFF`).
+/// Bound on alive-list positions, which the occupancy map stores as `u32`.
 const OFF: u32 = u32::MAX;
 
 /// One lane: an independently advanceable slice `[start, end)` of the
@@ -109,20 +113,28 @@ impl Lane {
         self.occ.remove(edge);
     }
 
-    /// One round of the lazy dynamics over this lane's range — the same
-    /// death-sweep / birth-sweep / retire order (hence the same
-    /// per-lane draw sequence) as the single-stream sparse-init model.
-    /// Returns the round's churn (births plus deaths); with `delta`, the
-    /// churn is also recorded there.
+    /// One round of the lazy dynamics over this lane's range. Returns the
+    /// round's churn (births plus deaths); with `delta`, the churn is
+    /// also recorded there.
     #[inline]
     fn advance(&mut self, mut delta: Option<&mut EdgeDelta>) -> u64 {
         let mut births = 0u64;
+        // 1. Death sweep: every on edge dies with probability q, so the
+        //    dying positions of the start-of-round alive list are found
+        //    by Geometric(q) skips. They stay tracked through the birth
+        //    sweep, so a pair cannot die and be re-born in one round.
         debug_assert!(self.retire_buf.is_empty());
         let mut pos = geometric(&mut self.rng, self.death, self.log1m_death) - 1;
         while (pos as usize) < self.alive.len() {
             self.retire_buf.push(self.alive[pos as usize]);
             pos += geometric(&mut self.rng, self.death, self.log1m_death);
         }
+        // 2. Birth sweep: the untouched pairs firing this round are found
+        //    by Geometric(p) skips over the range; candidates landing on
+        //    tracked pairs are discarded, which leaves untouched pairs'
+        //    birth times exactly Geometric(p). The newborn join `alive`
+        //    after the death positions were drawn, so they live through
+        //    this round.
         let mut idx = self.start + geometric(&mut self.rng, self.birth, self.log1m_birth) - 1;
         while idx < self.end {
             if !self.occ.contains(idx) {
@@ -135,6 +147,9 @@ impl Lane {
             }
             idx += geometric(&mut self.rng, self.birth, self.log1m_birth);
         }
+        // 3. Retire the dead to untouched: their next birth comes from
+        //    the sweep, the same Geometric(p) wait an eager schedule
+        //    would have drawn.
         for i in 0..self.retire_buf.len() {
             let pair = self.retire_buf[i];
             self.retire(pair);
@@ -171,13 +186,14 @@ impl ShardLane for Lane {
     }
 }
 
-/// Sparse two-state edge-MEG decomposed into [`LANES`] fixed lanes —
-/// the model behind million-node single-trial sharding.
+/// Lazy two-state edge-MEG decomposed into [`LANES`] fixed lanes — the
+/// model for large `n`, and the one behind million-node single-trial
+/// sharding.
 ///
-/// Same process distribution as
-/// [`crate::SparseTwoStateEdgeMeg::stationary_sparse_init`] (every pair
-/// flips independently; only the random-stream bookkeeping differs),
-/// with `O(#on)` setup and churn-proportional rounds. Exposes a lane
+/// Same process distribution as [`crate::TwoStateEdgeMeg`] and the
+/// exact-scan [`crate::SparseTwoStateEdgeMeg`] (every pair flips
+/// independently; only the random-stream bookkeeping differs), with
+/// `O(#on)` setup and churn-proportional rounds. Exposes a lane
 /// decomposition via [`EvolvingGraph::sharding`], so
 /// `Simulation::builder().shards(..)` and
 /// [`dynagraph::flooding::flood_sharded`] run a *single* trial on all
@@ -212,17 +228,12 @@ impl ShardedSparseEdgeMeg {
     ///
     /// # Errors
     ///
-    /// Returns an error for invalid rates, `p = 0` or `q = 0`, or
-    /// `n < 2` — the same conditions as
-    /// [`crate::SparseTwoStateEdgeMeg::stationary`].
+    /// Returns an error for rates [`crate::check_rates`] rejects (among
+    /// them `p = 0` and `q = 0`), for `p = q = 1`, or for `n < 2` — the
+    /// same conditions as [`crate::SparseTwoStateEdgeMeg::stationary`].
     pub fn stationary(n: usize, p: f64, q: f64, seed: u64) -> Result<Self, MarkovError> {
+        check_rates(p, q)?;
         let chain = TwoStateChain::new(p, q)?;
-        if p == 0.0 || q == 0.0 {
-            return Err(MarkovError::ParameterOutOfRange {
-                name: "p/q (event-driven simulation needs both positive)",
-                value: 0.0,
-            });
-        }
         if n < 2 {
             return Err(MarkovError::DimensionMismatch {
                 expected: 2,
@@ -324,8 +335,10 @@ impl EvolvingGraph for ShardedSparseEdgeMeg {
             lane.occ.clear();
             lane.retire_buf.clear();
             lane.rng = SmallRng::seed_from_u64(mix_seed(mix_seed(seed, LANE_SEED_TAG), l as u64));
-            // Skip-sample the lane's slice of the stationary on-set,
-            // exactly like the single-stream sparse init over [0, pairs).
+            // Skip-sample the lane's slice of the stationary on-set:
+            // successive on-pairs are Geometric(alpha) apart in the pair
+            // index, so only the ≈ alpha·(end - start) live pairs are
+            // visited, one draw and one map insert each.
             let mut idx = lane.start + geometric(&mut lane.rng, alpha, log1m_alpha) - 1;
             while idx < lane.end {
                 lane.turn_on(idx, edge_pair(idx));
@@ -452,24 +465,124 @@ mod tests {
 
     #[test]
     fn holding_times_geometric() {
-        // On-runs of a pair must still be Geometric(q) under the lane
-        // decomposition (mean 2 rounds at q = 0.5).
+        // A pair's on-runs must be Geometric(q) (mean 1/q) and its
+        // off-runs Geometric(p) (mean 1/p) under the lane decomposition —
+        // including the off-runs after a retirement, whose birth comes
+        // from the lazy sweep.
         let n = 16;
-        let mut g = ShardedSparseEdgeMeg::stationary(n, 0.5, 0.5, 3).unwrap();
+        let (p, q) = (0.2, 0.5);
+        let mut g = ShardedSparseEdgeMeg::stationary(n, p, q, 23).unwrap();
         let (eu, ev) = edge_pair(0);
-        let mut on_runs = Vec::new();
-        let mut current = 0u32;
-        for _ in 0..4000 {
-            if g.step().has_edge(eu, ev) {
-                current += 1;
-            } else if current > 0 {
-                on_runs.push(current as f64);
-                current = 0;
+        let (mut on_runs, mut off_runs) = (Summary::new(), Summary::new());
+        let mut run = 0u32;
+        let mut was_on = None;
+        for _ in 0..40_000 {
+            let on = g.step().has_edge(eu, ev);
+            match was_on {
+                Some(prev) if prev == on => run += 1,
+                Some(prev) => {
+                    if prev { &mut on_runs } else { &mut off_runs }.push(run as f64);
+                    run = 1;
+                }
+                None => run = 1,
+            }
+            was_on = Some(on);
+        }
+        assert!(on_runs.len() > 500 && off_runs.len() > 500);
+        let (on, off) = (on_runs.mean(), off_runs.mean());
+        assert!((on - 1.0 / q).abs() < 0.2, "on mean {on}");
+        assert!((off - 1.0 / p).abs() < 0.5, "off mean {off}");
+    }
+
+    #[test]
+    fn memory_bounded_by_current_on_set() {
+        // Retire-to-untouched: at every round boundary each lane's
+        // occupancy map holds exactly its on-set, however many pairs have
+        // toggled over the run. Moderate rates make every pair toggle
+        // many times.
+        let n = 40;
+        let (p, q) = (0.05, 0.5);
+        let mut g = ShardedSparseEdgeMeg::stationary(n, p, q, 17).unwrap();
+        let mut max_tracked = 0;
+        for round in 0..5_000 {
+            let mut tracked = 0;
+            for lane in &g.lanes {
+                assert_eq!(lane.occ.len(), lane.alive.len(), "round {round}");
+                for (pos, &pair) in lane.alive.iter().enumerate() {
+                    assert_eq!(lane.occ.get(index_of(pair)), Some(pos as u32));
+                }
+                tracked += lane.occ.len();
+            }
+            max_tracked = max_tracked.max(tracked);
+            let _ = g.step();
+        }
+        let expected = p / (p + q) * pair_count(n) as f64;
+        assert!(
+            (max_tracked as f64) < 4.0 * expected,
+            "max tracked {max_tracked} vs stationary on-set {expected}"
+        );
+    }
+
+    #[test]
+    fn far_future_births_fire() {
+        // Tiny p and q: births and deaths come hundreds of rounds apart
+        // per lane, yet the long-run density must converge to α = 0.5.
+        let n = 24;
+        let mut g = ShardedSparseEdgeMeg::stationary(n, 1e-4, 1e-4, 11).unwrap();
+        let mut total = 0usize;
+        for _ in 0..30_000 {
+            total += g.step().edge_count();
+        }
+        let expected = 0.5 * pair_count(n) as f64;
+        let mean = total as f64 / 30_000.0;
+        assert!((mean / expected - 1.0).abs() < 0.2, "mean = {mean}");
+    }
+
+    #[test]
+    fn handles_pair_indices_past_u32() {
+        // 100 000 nodes put ~14% of the pair space above u32::MAX; with
+        // ~500 on-edges the on-set reaches it with overwhelming
+        // probability. Tiny rates keep the test small.
+        let n = 100_000;
+        assert!(pair_count(n) > u32::MAX as u64);
+        let mut g = ShardedSparseEdgeMeg::stationary(n, 3e-8, 0.3, 1).unwrap();
+        let indices = |g: &ShardedSparseEdgeMeg| {
+            g.lanes
+                .iter()
+                .flat_map(|l| l.alive.iter().map(|&pair| index_of(pair)))
+                .collect::<Vec<_>>()
+        };
+        assert!(
+            indices(&g).iter().any(|&e| e > u32::MAX as u64),
+            "on-set never exercised the wide index space"
+        );
+        for _ in 0..5 {
+            let snap = g.step();
+            for (u, v) in snap.edges() {
+                assert!(u < v && (v as usize) < n);
+            }
+            assert_eq!(snap.edge_count(), g.alive_count());
+            for e in indices(&g) {
+                assert_eq!(index_of(edge_pair(e)), e);
             }
         }
-        let s: Summary = on_runs.into_iter().collect();
-        assert!(s.len() > 100);
-        assert!((s.mean() - 2.0).abs() < 0.4, "mean on-run {}", s.mean());
+    }
+
+    #[test]
+    fn init_distribution_passes_chi_square() {
+        // Round-0 on-edges spread uniformly over the pair index (see the
+        // exact-scan twin of this check in `sparse.rs`).
+        let (n, p, q) = (64, 0.1, 0.3);
+        let make = |s| ShardedSparseEdgeMeg::stationary(n, p, q, s).unwrap();
+        let chi = crate::sparse::tests::init_chi_square(make, p / (p + q), 25);
+        assert!(chi < 50.0, "lane-model χ² = {chi}");
+    }
+
+    #[test]
+    fn init_distribution_matches_degree_moments() {
+        let (n, p, q) = (64, 0.1, 0.3);
+        let make = |s| ShardedSparseEdgeMeg::stationary(n, p, q, s).unwrap();
+        crate::sparse::tests::assert_degree_moments(make, p / (p + q), 30);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! ascending `(round, edge)` order either way, so the RNG draw order
 //! (and thus every realization) is identical to the heap implementation.
 //!
-//! # Trial setup: exact scan vs sparse initialization
+//! # Trial setup: the exact scan
 //!
 //! [`SparseTwoStateEdgeMeg::stationary`] initializes by scanning all
 //! `n(n-1)/2` pairs — one Bernoulli(`α`) draw plus the uniform behind
@@ -29,20 +29,11 @@
 //! a run that does reach the end of the window replays the scan once
 //! from those checkpoints to schedule the rest — the same draws, so the
 //! same events and the same realization. Setup memory is the pair-slot
-//! table plus the window's events. The opt-in
-//! [`SparseTwoStateEdgeMeg::stationary_sparse_init`] constructor samples
-//! the stationary on-set directly with geometric skips over the pair
-//! index (`O(#on)` work and memory: one draw plus one occupancy-map
-//! insert per on-edge, nothing scheduled), so a trial costs
-//! `O(#on + #skips)` before round 1 instead of `O(n²)`. Its dynamics
-//! are fully lazy, bypassing the calendar entirely: each round runs a
-//! Geometric(`q`) *death sweep* over the alive list and a Geometric(`p`)
-//! *birth sweep* over the untouched pair index, and a dying pair is
-//! retired back to untouched — so both per-round cost **and long-run
-//! memory** are bounded by the current working set, not by every pair
-//! that ever toggled. The two constructors realize different random
-//! streams but the same process distribution (pinned by χ²/
-//! degree-moment and holding-time tests).
+//! table plus the window's events. This model is the byte-pinned
+//! reproducer of the served `flooding/1` artifacts and the experiments'
+//! edge-MEG. For large `n`, where an `O(n²)` setup is out of reach, use
+//! [`crate::ShardedSparseEdgeMeg`]: its lazy dynamics keep setup,
+//! per-round cost and memory proportional to the current on-set.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -50,7 +41,6 @@ use rand::{Rng, SeedableRng};
 use dg_markov::{MarkovError, TwoStateChain};
 use dynagraph::{mix_seed, EdgeDelta, EvolvingGraph, Snapshot};
 
-use crate::pairmap::PairMap;
 use crate::pairs::{edge_pair, pair_count};
 
 /// Rounds covered by the exact-scan reset's first window: only first
@@ -152,8 +142,42 @@ impl EventCalendar {
     }
 }
 
-/// Sentinel for an edge that is tracked but currently off.
+/// Slot-table sentinel for a pair that is currently off.
 const OFF: u32 = u32::MAX;
+
+/// Checks that the lazy edge-MEGs can sample birth rate `p`, death rate
+/// `q` and the stationary density `α = p/(p+q)`.
+///
+/// The geometric sampler divides by `ln(1 - r)`, which must be strictly
+/// negative in `f64`. For `r ≤ 2⁻⁵⁴` (≈ 5.6e-17), `1 - r` rounds to `1`,
+/// every draw comes out as `1`, and the model would turn every pair on
+/// at once. Both [`SparseTwoStateEdgeMeg::stationary`] and
+/// [`crate::ShardedSparseEdgeMeg::stationary`] call this first.
+///
+/// # Errors
+///
+/// [`MarkovError::ParameterOutOfRange`] naming the first rate that fails
+/// (this covers zero, negative, `NaN` and `> 1` rates as well).
+///
+/// # Examples
+///
+/// ```
+/// assert!(dg_edge_meg::check_rates(1e-16, 0.5).is_ok());
+/// assert!(dg_edge_meg::check_rates(1e-17, 0.5).is_err());
+/// ```
+pub fn check_rates(p: f64, q: f64) -> Result<(), MarkovError> {
+    for (name, rate) in [
+        ("p (needs ln(1 - p) < 0)", p),
+        ("q (needs ln(1 - q) < 0)", q),
+        ("alpha = p/(p+q) (needs ln(1 - alpha) < 0)", p / (p + q)),
+    ] {
+        let samplable = (1.0 - rate).ln() < 0.0;
+        if !samplable {
+            return Err(MarkovError::ParameterOutOfRange { name, value: rate });
+        }
+    }
+    Ok(())
+}
 
 /// Samples `Geometric(prob)` on `{1, 2, ...}` — the waiting time until
 /// the next success of a Bernoulli(`prob`) sequence. `log1m` is the
@@ -202,89 +226,6 @@ fn window_cut(log1m: f64) -> f64 {
     ((FIRST_WINDOW - 1) as f64 * log1m).exp() * (1.0 - 1e-6)
 }
 
-/// How [`SparseTwoStateEdgeMeg::reset`] realizes the stationary initial
-/// distribution (and, consequently, how off edges are tracked).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum InitMode {
-    /// Scan every pair: one Bernoulli(`α`) draw plus its first toggle's
-    /// draw, scheduling only toggles due within [`FIRST_WINDOW`] until a
-    /// replay schedules the rest. `O(n²)` draws; realizations
-    /// byte-pinned.
-    ExactScan,
-    /// Skip-sample the on-set (`O(#on)` setup); pairs never yet toggled
-    /// carry no event and are born by a lazy per-round skip sweep.
-    SparseStationary,
-}
-
-/// Where each edge currently sits: its position in the `alive` list,
-/// [`OFF`] if tracked-but-off, or (sparse mode only) untracked.
-#[derive(Debug, Clone)]
-enum Occupancy {
-    /// One slot per pair (exact-scan mode): every pair is tracked.
-    Dense(Vec<u32>),
-    /// Only touched pairs present (sparse-init mode): a pair absent from
-    /// the map has never toggled and has no pending event. A flat
-    /// linear-probe [`PairMap`] rather than `std`'s `HashMap`: trial
-    /// reset re-inserts the whole stationary on-set, and the map is
-    /// never iterated, so hashing speed is all that matters.
-    Sparse(PairMap),
-}
-
-impl Occupancy {
-    /// The position of `edge` in the alive list, if it is currently on.
-    #[inline]
-    fn position(&self, edge: u64) -> Option<u32> {
-        let slot = match self {
-            Occupancy::Dense(slots) => slots[edge as usize],
-            Occupancy::Sparse(map) => map.get(edge).unwrap_or(OFF),
-        };
-        (slot != OFF).then_some(slot)
-    }
-
-    /// `true` if `edge` is tracked (on, or off with a pending event).
-    /// Every pair is tracked in exact-scan mode.
-    #[inline]
-    fn is_touched(&self, edge: u64) -> bool {
-        match self {
-            Occupancy::Dense(_) => true,
-            Occupancy::Sparse(map) => map.contains(edge),
-        }
-    }
-
-    #[inline]
-    fn set_position(&mut self, edge: u64, pos: u32) {
-        match self {
-            Occupancy::Dense(slots) => slots[edge as usize] = pos,
-            Occupancy::Sparse(map) => map.insert(edge, pos),
-        }
-    }
-
-    /// Stops tracking a pair entirely (sparse mode only): no position,
-    /// no pending event — the pair returns to the lazy birth sweep.
-    #[inline]
-    fn forget(&mut self, edge: u64) {
-        match self {
-            Occupancy::Dense(_) => unreachable!("exact-scan pairs are always tracked"),
-            Occupancy::Sparse(map) => map.remove(edge),
-        }
-    }
-
-    /// Number of tracked pairs (memory diagnostics).
-    fn tracked(&self) -> usize {
-        match self {
-            Occupancy::Dense(slots) => slots.len(),
-            Occupancy::Sparse(map) => map.len(),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Occupancy::Dense(slots) => slots.fill(OFF),
-            Occupancy::Sparse(map) => map.clear(),
-        }
-    }
-}
-
 /// Event-driven two-state edge-MEG, equivalent in distribution to
 /// [`crate::TwoStateEdgeMeg::stationary`] but with per-round cost
 /// `O(#toggles · log #events + |E_t|)`.
@@ -301,20 +242,8 @@ impl Occupancy {
 /// assert!(run.flooding_time().is_some());
 /// ```
 ///
-/// For large sparse instances, make trial *setup* churn-proportional too
-/// with [`SparseTwoStateEdgeMeg::stationary_sparse_init`]:
-///
-/// ```
-/// use dg_edge_meg::{pair_count, SparseTwoStateEdgeMeg};
-/// use dynagraph::EvolvingGraph;
-///
-/// let n = 2048; // setup cost O(#on), not O(n²)
-/// let mut g = SparseTwoStateEdgeMeg::stationary_sparse_init(n, 1.0 / n as f64, 0.1, 7).unwrap();
-/// let alpha = g.alpha();
-/// let expected = alpha * pair_count(n) as f64;
-/// assert!((g.alive_count() as f64 - expected).abs() < 6.0 * (expected * (1.0 - alpha)).sqrt());
-/// let _ = g.step();
-/// ```
+/// For large `n` use [`crate::ShardedSparseEdgeMeg`], whose setup is
+/// `O(#on)` rather than this model's `O(n²)` pair scan.
 #[derive(Debug, Clone)]
 pub struct SparseTwoStateEdgeMeg {
     n: usize,
@@ -322,10 +251,8 @@ pub struct SparseTwoStateEdgeMeg {
     round: u64,
     /// Indices of currently-on edges.
     alive: Vec<u64>,
-    /// Per-edge occupancy (dense slots or sparse map, by init mode).
-    occupancy: Occupancy,
-    /// How `reset` seeds the stationary distribution.
-    init: InitMode,
+    /// Per-pair position in `alive`, or [`OFF`].
+    slots: Vec<u32>,
     /// Pending toggle events, bucketed by due round.
     events: EventCalendar,
     /// Precomputed `ln(1 - p)` / `ln(1 - q)` for the geometric sampler.
@@ -334,9 +261,9 @@ pub struct SparseTwoStateEdgeMeg {
     /// [`window_cut`]s of the birth and death draws.
     cut_birth: f64,
     cut_death: f64,
-    /// Exact-scan mode: the RNG state at every [`CHECKPOINT_PAIRS`]-th
-    /// pair of the last reset's scan, kept until the run reaches
-    /// [`FIRST_WINDOW`] and the scan is replayed; empty afterwards.
+    /// The RNG state at every [`CHECKPOINT_PAIRS`]-th pair of the last
+    /// reset's scan, kept until the run reaches [`FIRST_WINDOW`] and the
+    /// scan is replayed; empty afterwards.
     checkpoints: Vec<SmallRng>,
     /// Scan replays since construction (at most one per reset).
     #[cfg(test)]
@@ -344,9 +271,6 @@ pub struct SparseTwoStateEdgeMeg {
     rng: SmallRng,
     snapshot: Snapshot,
     edge_buf: Vec<(u32, u32)>,
-    /// Pairs that died this round and leave the touched set once the
-    /// round's lazy sweep has run (sparse-init mode; see `advance`).
-    retire_buf: Vec<u64>,
     synced: bool,
 }
 
@@ -365,70 +289,25 @@ impl SparseTwoStateEdgeMeg {
     ///
     /// # Errors
     ///
-    /// Returns an error for invalid rates, `p = 0` or `q = 0` (event
-    /// scheduling needs both toggles possible), or `n < 2`.
+    /// Returns an error for rates [`check_rates`] rejects (among them
+    /// `p = 0` and `q = 0`: event scheduling needs both toggles
+    /// possible), for `p = q = 1`, or for `n < 2`.
     ///
     /// Pair indices are `u64`, so any `n` up to `2^32` nodes is
     /// addressable; the exact-scan setup, however, draws for and
     /// allocates one slot per pair (`O(n²)` memory and time), which is
-    /// the practical limit of *this* constructor. Beyond ~10^5 nodes use
-    /// [`SparseTwoStateEdgeMeg::stationary_sparse_init`], whose setup
-    /// and memory stay proportional to the on-set.
+    /// the practical limit of this model. Beyond ~10^5 nodes use
+    /// [`crate::ShardedSparseEdgeMeg`], whose setup and memory stay
+    /// proportional to the on-set.
     pub fn stationary(n: usize, p: f64, q: f64, seed: u64) -> Result<Self, MarkovError> {
-        Self::with_init(n, p, q, seed, InitMode::ExactScan)
-    }
-
-    /// Creates a stationary sparse edge-MEG whose trial *setup* is sparse
-    /// too: the initial on-set is sampled directly with geometric skips
-    /// over the pair index (`O(#on + #skips)` instead of the `O(n²)`
-    /// pair scan of [`SparseTwoStateEdgeMeg::stationary`]), with no
-    /// event scheduling at all — deaths and births both come from lazy
-    /// per-round skip sweeps, and dead pairs are retired back to the
-    /// untouched pool.
-    ///
-    /// Same process distribution as `stationary` (pinned by χ²,
-    /// degree-moment and holding-time tests), but a *different
-    /// realization* for the same seed: the two constructors consume
-    /// randomness differently, and `stationary` keeps its byte-pinned
-    /// streams. Memory is bounded by the *current* on-set (plus the
-    /// pre-sized occupancy table), never by `n²`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SparseTwoStateEdgeMeg::stationary`].
-    pub fn stationary_sparse_init(
-        n: usize,
-        p: f64,
-        q: f64,
-        seed: u64,
-    ) -> Result<Self, MarkovError> {
-        Self::with_init(n, p, q, seed, InitMode::SparseStationary)
-    }
-
-    fn with_init(n: usize, p: f64, q: f64, seed: u64, init: InitMode) -> Result<Self, MarkovError> {
+        check_rates(p, q)?;
         let chain = TwoStateChain::new(p, q)?;
-        if p == 0.0 || q == 0.0 {
-            return Err(MarkovError::ParameterOutOfRange {
-                name: "p/q (event-driven simulation needs both positive)",
-                value: 0.0,
-            });
-        }
         if n < 2 {
             return Err(MarkovError::DimensionMismatch {
                 expected: 2,
                 found: n,
             });
         }
-        let occupancy = match init {
-            InitMode::ExactScan => Occupancy::Dense(vec![OFF; pair_count(n) as usize]),
-            InitMode::SparseStationary => {
-                // Pre-size for the stationary working set: with
-                // retirement the map holds exactly the on-set, whose
-                // expectation is alpha·pairs.
-                let expected = (chain.stationary_on() * pair_count(n) as f64).ceil() as usize;
-                Occupancy::Sparse(PairMap::with_capacity(expected))
-            }
-        };
         let log1m_birth = (1.0 - chain.birth()).ln();
         let log1m_death = (1.0 - chain.death()).ln();
         let mut meg = SparseTwoStateEdgeMeg {
@@ -443,13 +322,11 @@ impl SparseTwoStateEdgeMeg {
             chain,
             round: 0,
             alive: Vec::new(),
-            occupancy,
-            init,
+            slots: vec![OFF; pair_count(n) as usize],
             events: EventCalendar::new(),
             rng: SmallRng::seed_from_u64(seed),
             snapshot: Snapshot::empty(n),
             edge_buf: Vec::new(),
-            retire_buf: Vec::new(),
             synced: false,
         };
         meg.reset(seed);
@@ -464,16 +341,6 @@ impl SparseTwoStateEdgeMeg {
     /// Number of currently-on edges.
     pub fn alive_count(&self) -> usize {
         self.alive.len()
-    }
-
-    /// Number of pairs the instance currently tracks — the memory
-    /// working set. Exact-scan instances track every pair
-    /// (`pair_count(n)`); sparse-init instances track exactly the
-    /// current on-set at round boundaries (a pair's entry is retired the
-    /// round its edge dies), so long-run memory is bounded by `|E_t|`,
-    /// not by every pair that ever toggled.
-    pub fn tracked_pairs(&self) -> usize {
-        self.occupancy.tracked()
     }
 
     /// `(rate, ln(1 - rate), window cut)` of the toggle a pair in state
@@ -533,131 +400,58 @@ impl SparseTwoStateEdgeMeg {
     }
 
     fn turn_on(&mut self, edge: u64) {
-        debug_assert!(self.occupancy.position(edge).is_none());
+        debug_assert_eq!(self.slots[edge as usize], OFF);
         // Alive-list positions are u32 (with OFF reserved); the on-set
         // would have to reach 4 billion edges to overflow them.
         assert!(
             self.alive.len() < OFF as usize,
             "on-set exceeds u32 alive-list positions"
         );
-        self.occupancy.set_position(edge, self.alive.len() as u32);
+        self.slots[edge as usize] = self.alive.len() as u32;
         self.alive.push(edge);
     }
 
     fn turn_off(&mut self, edge: u64) {
-        let pos = self.occupancy.position(edge).expect("edge is alive");
+        let pos = std::mem::replace(&mut self.slots[edge as usize], OFF);
+        assert_ne!(pos, OFF, "edge is alive");
         let last = *self.alive.last().expect("edge is alive");
         self.alive.swap_remove(pos as usize);
         if last != edge {
-            self.occupancy.set_position(last, pos);
+            self.slots[last as usize] = pos;
         }
-        self.occupancy.set_position(edge, OFF);
-    }
-
-    /// [`Self::turn_off`] for sparse-mode deaths: the pair leaves the
-    /// occupancy map entirely (one removal instead of an OFF overwrite
-    /// followed by a removal) and returns to the untouched pool.
-    fn retire(&mut self, edge: u64) {
-        let pos = self.occupancy.position(edge).expect("edge is alive");
-        let last = *self.alive.last().expect("edge is alive");
-        self.alive.swap_remove(pos as usize);
-        if last != edge {
-            self.occupancy.set_position(last, pos);
-        }
-        self.occupancy.forget(edge);
     }
 
     /// Advances the process one round. Shared by both stepping paths —
     /// identical RNG stream either way — and records the churn into
     /// `delta` when one is supplied (suppressed while the delta baseline
     /// is unsynced; the caller emits a full set instead).
-    ///
-    /// Exact-scan mode replays the byte-pinned calendar-queue dynamics;
-    /// sparse-init mode is fully lazy — one Geometric(q) *death sweep*
-    /// over the alive list plus one Geometric(p) *birth sweep* over the
-    /// untouched pair index per round, no scheduled events at all.
     fn advance(&mut self, delta: Option<&mut EdgeDelta>) {
         // Churn is recorded only when the consumer's baseline is in sync;
         // while unsynced the caller emits a full edge set instead, so the
         // suppression is decided once here rather than per toggle.
         let mut delta = if self.synced { delta } else { None };
         self.round += 1;
-        match self.init {
-            InitMode::ExactScan => {
-                if self.round == FIRST_WINDOW {
-                    self.replay_scan();
-                }
-                let due = self.events.begin_round(self.round);
-                for &edge in &due {
-                    let on = self.occupancy.position(edge).is_some();
-                    if on {
-                        self.turn_off(edge);
-                    } else {
-                        self.turn_on(edge);
-                    }
-                    if let Some(d) = delta.as_deref_mut() {
-                        if on {
-                            d.push_removed(edge_pair(edge));
-                        } else {
-                            d.push_added(edge_pair(edge));
-                        }
-                    }
-                    self.schedule_toggle(edge, !on);
-                }
-                self.events.end_round(due);
-            }
-            InitMode::SparseStationary => {
-                // 1. Death sweep: every on edge dies independently with
-                //    probability q this round, so the dying subset of the
-                //    start-of-round alive list is found by Geometric(q)
-                //    skips over its positions — O(q·|E_t|) draws. The
-                //    dying edges are only *collected* here; they stay
-                //    tracked through the birth sweep so a pair cannot
-                //    die and be re-born in the same round.
-                debug_assert!(self.retire_buf.is_empty());
-                let death = self.chain.death();
-                let mut pos = geometric(&mut self.rng, death, self.log1m_death) - 1;
-                while (pos as usize) < self.alive.len() {
-                    self.retire_buf.push(self.alive[pos as usize]);
-                    pos += geometric(&mut self.rng, death, self.log1m_death);
-                }
-                // 2. Birth sweep: every untouched pair is an independent
-                //    Bernoulli(p) per round; the pairs firing this round
-                //    are found by Geometric(p) skips over the pair
-                //    index. Candidates landing on touched pairs are
-                //    discarded, which leaves untouched pairs' birth
-                //    times exactly Geometric(p). Newly born edges join
-                //    `alive` *after* the death positions were sampled,
-                //    so they live through this round — one transition
-                //    per pair per round, like the dense model.
-                let pairs = pair_count(self.n);
-                let birth = self.chain.birth();
-                let mut idx = geometric(&mut self.rng, birth, self.log1m_birth) - 1;
-                while idx < pairs {
-                    if !self.occupancy.is_touched(idx) {
-                        self.turn_on(idx);
-                        if let Some(d) = delta.as_deref_mut() {
-                            d.push_added(edge_pair(idx));
-                        }
-                    }
-                    idx += geometric(&mut self.rng, birth, self.log1m_birth);
-                }
-                // 3. Retire the dead to untouched: remove them from the
-                //    alive list and the occupancy map, so long-run
-                //    memory is bounded by the *current* on-set and their
-                //    next birth comes from the sweep — the same
-                //    Geometric(p) waiting time an eager schedule would
-                //    have drawn.
-                for i in 0..self.retire_buf.len() {
-                    let edge = self.retire_buf[i];
-                    self.retire(edge);
-                    if let Some(d) = delta.as_deref_mut() {
-                        d.push_removed(edge_pair(edge));
-                    }
-                }
-                self.retire_buf.clear();
-            }
+        if self.round == FIRST_WINDOW {
+            self.replay_scan();
         }
+        let due = self.events.begin_round(self.round);
+        for &edge in &due {
+            let on = self.slots[edge as usize] != OFF;
+            if on {
+                self.turn_off(edge);
+            } else {
+                self.turn_on(edge);
+            }
+            if let Some(d) = delta.as_deref_mut() {
+                if on {
+                    d.push_removed(edge_pair(edge));
+                } else {
+                    d.push_added(edge_pair(edge));
+                }
+            }
+            self.schedule_toggle(edge, !on);
+        }
+        self.events.end_round(due);
     }
 }
 
@@ -702,58 +496,35 @@ impl EvolvingGraph for SparseTwoStateEdgeMeg {
         self.round = 0;
         self.synced = false;
         self.alive.clear();
-        self.occupancy.clear();
+        self.slots.fill(OFF);
         self.events.clear();
-        self.retire_buf.clear();
+        // Scan every pair: Bernoulli(alpha) membership plus the draw of
+        // its first toggle, O(n²) draws that keep the realizations
+        // byte-pinned. Only toggles that can fall due inside the first
+        // window are scheduled now; the checkpoints let `replay_scan`
+        // schedule the rest.
+        self.checkpoints.clear();
         let alpha = self.chain.stationary_on();
-        let pairs = pair_count(self.n);
-        match self.init {
-            InitMode::ExactScan => {
-                // Scan every pair: Bernoulli(alpha) membership plus the
-                // draw of its first toggle, O(n²) draws that keep the
-                // realizations byte-pinned. Only toggles that can fall
-                // due inside the first window are scheduled now; the
-                // checkpoints let `replay_scan` schedule the rest.
-                self.checkpoints.clear();
-                // A local stream, handed back below: `scan_pair`
-                // borrows `self`.
-                let mut rng = self.rng.clone();
-                for e in 0..pairs {
-                    if e % CHECKPOINT_PAIRS == 0 {
-                        self.checkpoints.push(rng.clone());
-                    }
-                    let (on, first) = self.scan_pair(&mut rng, alpha);
-                    if on {
-                        self.turn_on(e);
-                    }
-                    if let Ok(dt) = first {
-                        self.events.push(0, dt, e);
-                    }
-                }
-                self.rng = rng;
+        // A local stream, handed back below: `scan_pair` borrows `self`.
+        let mut rng = self.rng.clone();
+        for e in 0..pair_count(self.n) {
+            if e % CHECKPOINT_PAIRS == 0 {
+                self.checkpoints.push(rng.clone());
             }
-            InitMode::SparseStationary => {
-                // Skip-sample the stationary on-set: successive on-pairs
-                // are Geometric(alpha) apart in the pair index, so only
-                // the ≈ alpha·pairs live edges are visited — one draw
-                // and one map insert each, O(#on + #skips) total and the
-                // whole trial setup. No events are scheduled at all:
-                // deaths come from the per-round Geometric(q) sweep over
-                // the alive list, births from the Geometric(p) sweep
-                // over untouched pairs (see `advance`).
-                let log1m_alpha = (1.0 - alpha).ln();
-                let mut idx = geometric(&mut self.rng, alpha, log1m_alpha) - 1;
-                while idx < pairs {
-                    self.turn_on(idx);
-                    idx += geometric(&mut self.rng, alpha, log1m_alpha);
-                }
+            let (on, first) = self.scan_pair(&mut rng, alpha);
+            if on {
+                self.turn_on(e);
+            }
+            if let Ok(dt) = first {
+                self.events.push(0, dt, e);
             }
         }
+        self.rng = rng;
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::TwoStateEdgeMeg;
     use dg_stats::Summary;
@@ -848,35 +619,6 @@ mod tests {
     fn rejects_zero_rates() {
         assert!(SparseTwoStateEdgeMeg::stationary(10, 0.0, 0.5, 0).is_err());
         assert!(SparseTwoStateEdgeMeg::stationary(10, 0.5, 0.0, 0).is_err());
-    }
-
-    #[test]
-    fn sparse_init_handles_pair_indices_past_u32() {
-        // 100 000 nodes was rejected while pair indices were u32; with
-        // the u64 pair space the sparse-init constructor must accept it
-        // and run correctly on indices beyond u32::MAX. Rates are tiny
-        // so the on-set (and the test) stays small.
-        let n = 100_000;
-        assert!(pair_count(n) > u32::MAX as u64);
-        let (p, q) = (3e-8, 0.3);
-        let mut g = SparseTwoStateEdgeMeg::stationary_sparse_init(n, p, q, 1).unwrap();
-        // ~14% of the pair space lies above u32::MAX; with ~500 on-edges
-        // the initial set reaches it with overwhelming probability.
-        assert!(
-            g.alive.iter().any(|&e| e > u32::MAX as u64),
-            "on-set never exercised the widened index space"
-        );
-        for _ in 0..5 {
-            let alive = {
-                let snap = g.step();
-                for (u, v) in snap.edges() {
-                    assert!(u < v && (v as usize) < n);
-                }
-                snap.edge_count()
-            };
-            assert_eq!(alive, g.alive_count());
-            assert_eq!(g.tracked_pairs(), g.alive_count());
-        }
     }
 
     /// FNV-style fold of the first `rounds` snapshots — a fingerprint of
@@ -994,159 +736,17 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn sparse_init_reset_reproducible() {
-        let mut g = SparseTwoStateEdgeMeg::stationary_sparse_init(24, 0.1, 0.2, 5).unwrap();
-        g.reset(42);
-        let a: Vec<_> = g.step().edges().collect();
-        g.reset(42);
-        let b: Vec<_> = g.step().edges().collect();
-        assert_eq!(a, b);
-        g.reset(43);
-        let c: Vec<_> = g.step().edges().collect();
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn sparse_init_rejects_bad_parameters() {
-        assert!(SparseTwoStateEdgeMeg::stationary_sparse_init(10, 0.0, 0.5, 0).is_err());
-        assert!(SparseTwoStateEdgeMeg::stationary_sparse_init(10, 0.5, 0.0, 0).is_err());
-        assert!(SparseTwoStateEdgeMeg::stationary_sparse_init(1, 0.2, 0.2, 0).is_err());
-    }
-
-    #[test]
-    fn sparse_init_bookkeeping_consistent() {
-        let mut g = SparseTwoStateEdgeMeg::stationary_sparse_init(20, 0.2, 0.4, 9).unwrap();
-        for _ in 0..80 {
-            let snap = g.step();
-            assert_eq!(snap.edge_count(), g.alive_count());
-        }
-    }
-
-    #[test]
-    fn sparse_init_deltas_replay_rebuild() {
-        let mut rebuild = SparseTwoStateEdgeMeg::stationary_sparse_init(28, 0.05, 0.2, 11).unwrap();
-        let mut delta = SparseTwoStateEdgeMeg::stationary_sparse_init(28, 0.05, 0.2, 11).unwrap();
-        dynagraph::delta::assert_replays_rebuild(&mut rebuild, &mut delta, 40);
-        rebuild.reset(12);
-        delta.reset(12);
-        dynagraph::delta::assert_replays_rebuild(&mut rebuild, &mut delta, 40);
-    }
-
-    #[test]
-    fn sparse_init_memory_bounded_by_current_on_set() {
-        // Retire-to-untouched: at every round boundary the touched-pair
-        // map holds exactly the on-set, however many pairs have toggled
-        // over the run. Moderate rates so most pairs toggle many times —
-        // the regime where pre-retirement tracking grew monotonically.
-        let n = 40;
-        let (p, q) = (0.05, 0.5); // alpha ≈ 0.09: heavy per-pair churn
-        let mut g = SparseTwoStateEdgeMeg::stationary_sparse_init(n, p, q, 17).unwrap();
-        assert_eq!(g.tracked_pairs(), g.alive_count());
-        let mut max_tracked = 0;
-        for _ in 0..5_000 {
-            let _ = g.step();
-            assert_eq!(
-                g.tracked_pairs(),
-                g.alive_count(),
-                "touched set must equal the on-set at round boundaries"
-            );
-            max_tracked = max_tracked.max(g.tracked_pairs());
-        }
-        // Far below the ~780 pairs; bounded by the working set.
-        let alpha = p / (p + q);
-        let expected = alpha * pair_count(n) as f64;
-        assert!(
-            (max_tracked as f64) < 4.0 * expected,
-            "max tracked {max_tracked} vs stationary on-set {expected}"
-        );
-        // The exact-scan twin tracks everything, as documented.
-        let exact = SparseTwoStateEdgeMeg::stationary(n, p, q, 17).unwrap();
-        assert_eq!(exact.tracked_pairs() as u64, pair_count(n));
-    }
-
-    #[test]
-    fn retirement_preserves_holding_times() {
-        // A retired pair's next birth comes from the lazy sweep; its
-        // waiting time must still be Geometric(p) (mean 1/p), and on-runs
-        // Geometric(q) (mean 1/q) — the distribution-equivalence half of
-        // the retire-to-untouched change.
-        let n = 16;
-        let (p, q) = (0.2, 0.5);
-        let mut g = SparseTwoStateEdgeMeg::stationary_sparse_init(n, p, q, 23).unwrap();
-        let (eu, ev) = edge_pair(0);
-        let mut off_runs = Vec::new();
-        let mut on_runs = Vec::new();
-        let mut run = 0u32;
-        let mut was_on = None;
-        for _ in 0..40_000 {
-            let on = g.step().has_edge(eu, ev);
-            match was_on {
-                Some(prev) if prev == on => run += 1,
-                Some(prev) => {
-                    if prev {
-                        on_runs.push(run as f64);
-                    } else {
-                        off_runs.push(run as f64);
-                    }
-                    run = 1;
-                }
-                None => run = 1,
-            }
-            was_on = Some(on);
-        }
-        let on: Summary = on_runs.into_iter().collect();
-        let off: Summary = off_runs.into_iter().collect();
-        assert!(on.len() > 500 && off.len() > 500);
-        assert!((on.mean() - 1.0 / q).abs() < 0.2, "on mean {}", on.mean());
-        assert!(
-            (off.mean() - 1.0 / p).abs() < 0.5,
-            "off mean {}",
-            off.mean()
-        );
-    }
-
-    #[test]
-    fn sparse_init_time_average_density_stationary() {
-        // The lazy birth sweep plus calendar deaths must hold the process
-        // at its stationary density from round 0 onwards.
-        let n = 40;
-        let (p, q) = (0.02, 0.08);
-        let mut g = SparseTwoStateEdgeMeg::stationary_sparse_init(n, p, q, 3).unwrap();
-        let rounds = 4_000;
-        let mut total = 0usize;
-        for _ in 0..rounds {
-            total += g.step().edge_count();
-        }
-        let expected = p / (p + q) * pair_count(n) as f64;
-        let mean = total as f64 / rounds as f64;
-        assert!((mean / expected - 1.0).abs() < 0.1, "mean = {mean}");
-    }
-
-    #[test]
-    fn sparse_init_far_future_births_fire() {
-        // Tiny p: initial births fall entirely to the lazy sweep, deaths
-        // reschedule far beyond the calendar horizon. The long-run
-        // density must still converge to alpha = 0.5.
-        let n = 24;
-        let mut g = SparseTwoStateEdgeMeg::stationary_sparse_init(n, 1e-4, 1e-4, 11).unwrap();
-        let mut total = 0usize;
-        for _ in 0..30_000 {
-            total += g.step().edge_count();
-        }
-        let expected = 0.5 * pair_count(n) as f64;
-        let mean = total as f64 / 30_000.0;
-        assert!((mean / expected - 1.0).abs() < 0.2, "mean = {mean}");
-    }
-
     /// χ² statistic of round-0 on-edge counts over `buckets` equal slices
-    /// of the pair index, aggregated over `seeds` independent instances.
-    /// Each bucket count is an independent Binomial(slice · seeds, α), so
-    /// the statistic is ≈ χ² with `buckets` degrees of freedom.
-    fn init_chi_square(make: impl Fn(u64) -> SparseTwoStateEdgeMeg, seeds: u64) -> f64 {
-        let g0 = make(0);
-        let n = g0.node_count();
-        let alpha = g0.alpha();
+    /// of the pair index, aggregated over `seeds` independent instances
+    /// of density `alpha`. Each bucket count is an independent
+    /// Binomial(slice · seeds, α), so the statistic is ≈ χ² with
+    /// `buckets` degrees of freedom.
+    pub(crate) fn init_chi_square<G: EvolvingGraph>(
+        make: impl Fn(u64) -> G,
+        alpha: f64,
+        seeds: u64,
+    ) -> f64 {
+        let n = make(0).node_count();
         let pairs = pair_count(n);
         let buckets = 16u64;
         let slice = pairs / buckets;
@@ -1176,96 +776,70 @@ mod tests {
     }
 
     #[test]
-    fn init_distributions_pass_chi_square() {
+    fn init_distribution_passes_chi_square() {
         // 16 degrees of freedom: mean 16, sd √32 ≈ 5.7. 50 is ≈ 6σ —
         // deterministic seeds make this a fixed, regression-pinning
-        // check that both initializers spread on-edges uniformly over
-        // the pair index.
-        let n = 64;
-        let (p, q) = (0.1, 0.3);
-        let exact = init_chi_square(
-            |s| SparseTwoStateEdgeMeg::stationary(n, p, q, s).unwrap(),
-            25,
-        );
-        let sparse = init_chi_square(
-            |s| SparseTwoStateEdgeMeg::stationary_sparse_init(n, p, q, s).unwrap(),
-            25,
-        );
-        assert!(exact < 50.0, "exact-scan χ² = {exact}");
-        assert!(sparse < 50.0, "sparse-init χ² = {sparse}");
+        // check that the scan spreads on-edges uniformly over the pair
+        // index (the lane model's half lives in `sharded.rs`).
+        let (n, p, q) = (64, 0.1, 0.3);
+        let make = |s| SparseTwoStateEdgeMeg::stationary(n, p, q, s).unwrap();
+        let chi = init_chi_square(make, p / (p + q), 25);
+        assert!(chi < 50.0, "exact-scan χ² = {chi}");
     }
 
-    /// Mean and variance of the round-0 degree distribution aggregated
-    /// over seeds (degrees are Binomial(n-1, α) under stationarity).
-    fn degree_moments(make: impl Fn(u64) -> SparseTwoStateEdgeMeg, seeds: u64) -> (f64, f64) {
-        let mut sum = 0.0;
-        let mut sum_sq = 0.0;
-        let mut count = 0.0;
+    /// Asserts that the round-0 degrees of `seeds` instances of `make`
+    /// have the Binomial(n-1, α) mean and variance of stationarity.
+    pub(crate) fn assert_degree_moments<G: EvolvingGraph>(
+        make: impl Fn(u64) -> G,
+        alpha: f64,
+        seeds: u64,
+    ) {
+        let (mut sum, mut sum_sq, mut count) = (0.0, 0.0, 0.0);
+        let mut n = 0;
         for seed in 0..seeds {
             let mut g = make(seed);
-            let n = g.node_count() as u32;
+            n = g.node_count();
             let snap = g.step();
-            for u in 0..n {
+            for u in 0..n as u32 {
                 let d = snap.degree(u) as f64;
                 sum += d;
                 sum_sq += d * d;
                 count += 1.0;
             }
         }
-        let mean = sum / count;
-        (mean, sum_sq / count - mean * mean)
-    }
-
-    #[test]
-    fn init_distributions_match_degree_moments() {
-        let n = 64;
-        let (p, q) = (0.1, 0.3);
-        let alpha = p / (p + q);
+        let (mean, var) = (sum / count, sum_sq / count - (sum / count).powi(2));
         let expect_mean = (n - 1) as f64 * alpha;
-        let expect_var = (n - 1) as f64 * alpha * (1.0 - alpha);
-        for (label, (mean, var)) in [
-            (
-                "exact",
-                degree_moments(
-                    |s| SparseTwoStateEdgeMeg::stationary(n, p, q, s).unwrap(),
-                    30,
-                ),
-            ),
-            (
-                "sparse",
-                degree_moments(
-                    |s| SparseTwoStateEdgeMeg::stationary_sparse_init(n, p, q, s).unwrap(),
-                    30,
-                ),
-            ),
-        ] {
-            assert!(
-                (mean / expect_mean - 1.0).abs() < 0.05,
-                "{label} degree mean {mean} vs {expect_mean}"
-            );
-            assert!(
-                (var / expect_var - 1.0).abs() < 0.15,
-                "{label} degree variance {var} vs {expect_var}"
-            );
-        }
+        let expect_var = expect_mean * (1.0 - alpha);
+        assert!(
+            (mean / expect_mean - 1.0).abs() < 0.05,
+            "degree mean {mean} vs {expect_mean}"
+        );
+        assert!(
+            (var / expect_var - 1.0).abs() < 0.15,
+            "degree variance {var} vs {expect_var}"
+        );
     }
 
     #[test]
-    fn sparse_init_engine_paths_agree() {
-        use dynagraph::engine::{Simulation, Stepping};
-        let n = 96;
-        let run = |stepping| {
-            Simulation::builder()
-                .model(move |seed| {
-                    SparseTwoStateEdgeMeg::stationary_sparse_init(n, 2.0 / n as f64, 0.3, seed)
-                        .unwrap()
-                })
-                .trials(4)
-                .warm_up(5)
-                .max_rounds(10_000)
-                .stepping(stepping)
-                .run()
-        };
-        assert_eq!(run(Stepping::Snapshot), run(Stepping::Delta));
+    fn init_distribution_matches_degree_moments() {
+        let (n, p, q) = (64, 0.1, 0.3);
+        let make = |s| SparseTwoStateEdgeMeg::stationary(n, p, q, s).unwrap();
+        assert_degree_moments(make, p / (p + q), 30);
+    }
+
+    #[test]
+    fn lazy_models_reject_rates_the_sampler_cannot_resolve() {
+        // 1 - 1e-17 rounds to 1, so ln(1 - r) = 0 and every geometric
+        // draw would be 1; 1e-16 still leaves ln(1 - r) < 0.
+        for (p, q) in [(1e-17, 0.5), (0.5, 1e-17)] {
+            assert!(check_rates(p, q).is_err(), "p = {p}, q = {q}");
+            assert!(SparseTwoStateEdgeMeg::stationary(64, p, q, 1).is_err());
+            assert!(crate::ShardedSparseEdgeMeg::stationary(64, p, q, 1).is_err());
+        }
+        for (p, q) in [(1e-16, 0.5), (0.5, 1e-16)] {
+            assert!(check_rates(p, q).is_ok(), "p = {p}, q = {q}");
+            assert!(SparseTwoStateEdgeMeg::stationary(64, p, q, 1).is_ok());
+            assert!(crate::ShardedSparseEdgeMeg::stationary(64, p, q, 1).is_ok());
+        }
     }
 }

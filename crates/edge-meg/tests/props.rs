@@ -12,8 +12,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use dg_edge_meg::{
-    bursty_chain, edge_index, edge_pair, pair_count, HiddenChainEdgeMeg, SparseTwoStateEdgeMeg,
-    TwoStateEdgeMeg,
+    bursty_chain, edge_index, edge_pair, pair_count, HiddenChainEdgeMeg, ShardedSparseEdgeMeg,
+    SparseTwoStateEdgeMeg, TwoStateEdgeMeg,
 };
 use dynagraph::delta::assert_replays_rebuild;
 use dynagraph::{mix_seed, EdgeDelta, EvolvingGraph};
@@ -452,10 +452,10 @@ proptest! {
             seed,
             25,
         );
-        // Sparse-init: the perturbation rounds grow (and retire) the
-        // lazy occupancy map; reset must clear every trace of it.
+        // Lane model: the perturbation rounds grow (and retire) the lazy
+        // per-lane occupancy maps; reset must clear every trace of them.
         dynagraph::assert_reset_matches_fresh(
-            |s| SparseTwoStateEdgeMeg::stationary_sparse_init(n, p, q, s).unwrap(),
+            |s| ShardedSparseEdgeMeg::stationary(n, p, q, s).unwrap(),
             perturb,
             seed,
             25,

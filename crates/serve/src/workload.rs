@@ -24,7 +24,7 @@ type TrialFn = Arc<dyn Fn(&Cell, Trial) -> Option<f64> + Send + Sync>;
 /// spec declares — what [`dg_sweep::Sweep::run_metrics`] schedules.
 type MetricRowFn = Arc<dyn Fn(&Cell, Trial, &[Metric]) -> Vec<Option<f64>> + Send + Sync>;
 
-use dg_edge_meg::{ShardedSparseEdgeMeg, SparseTwoStateEdgeMeg};
+use dg_edge_meg::{check_rates, ShardedSparseEdgeMeg, SparseTwoStateEdgeMeg};
 use dg_sweep::{Cell, Metric, SweepSpec, Trial};
 use dynagraph::engine::{Simulation, TrialRecord};
 use dynagraph::sweep::{trial_metrics, TRIAL_METRICS};
@@ -172,6 +172,28 @@ impl Workload {
                         .to_string(),
                 );
             }
+            // Every (p, q) the grid can form (p = 1.5/n without a p
+            // axis) must be a pair the models' geometric sampler
+            // resolves: a rate whose 1 - r rounds to 1 would turn every
+            // pair on at once.
+            let values = |name: &str| -> Vec<f64> {
+                spec.axes()
+                    .iter()
+                    .filter(|a| a.name() == name)
+                    .flat_map(|a| a.values().iter().copied())
+                    .collect()
+            };
+            let mut ps = values("p");
+            if ps.is_empty() {
+                ps = values("n").iter().map(|&n| 1.5 / n).collect();
+            }
+            for &p in &ps {
+                for &q in &values("q") {
+                    check_rates(p, q).map_err(|e| {
+                        format!("the edge-MEG cannot sample the cell p = {p}, q = {q}: {e}")
+                    })?;
+                }
+            }
             if let Some(metrics) = spec.metrics() {
                 for m in metrics {
                     if !TRIAL_METRICS.contains(&m.name()) {
@@ -313,11 +335,12 @@ mod tests {
 
     #[test]
     fn flooding_validation_implies_panic_free_trials() {
-        // Boundary grid p, q in {1e-6, 0.5, 1}: each single-cell spec
-        // the validator accepts must run a trial without panicking, and
-        // the one it rejects is p = q = 1 (the periodic chain).
+        // Boundary grid p, q in {1e-17, 1e-6, 0.5, 1}: each single-cell
+        // spec the validator accepts must run a trial without panicking,
+        // and the ones it rejects are p = q = 1 (the periodic chain) and
+        // those with a rate the geometric sampler cannot resolve.
         let w = Workload::flooding();
-        let rates = [1e-6, 0.5, 1.0];
+        let rates = [1e-17, 1e-6, 0.5, 1.0];
         for n in [16usize, 48] {
             for p in rates {
                 for q in rates {
@@ -337,6 +360,9 @@ mod tests {
                             // the sweep's error after its retries).
                             let report = s.sweep().run(w.trial_fn());
                             assert!(report.is_ok(), "n = {n}, p = {p}, q = {q}: {report:?}");
+                        }
+                        Err(e) if p == 1e-17 || q == 1e-17 => {
+                            assert!(e.contains("cannot sample"), "{e}");
                         }
                         Err(e) => {
                             assert_eq!(
@@ -358,6 +384,12 @@ mod tests {
             Axis::explicit("p", [1e-6, 1.0]),
         ]);
         assert!(w.validate(&grid).is_err());
+        // Without a p axis, p = 1.5/n meets every q value.
+        let no_p = spec(vec![
+            Axis::ints("n", [16]),
+            Axis::explicit("q", [0.5, 1e-17]),
+        ]);
+        assert!(w.validate(&no_p).unwrap_err().contains("cannot sample"));
     }
 
     #[test]

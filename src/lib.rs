@@ -59,14 +59,12 @@
 //!
 //! | old                                            | new                                              |
 //! |------------------------------------------------|--------------------------------------------------|
-//! | `flooding::run_trials(make, &TrialConfig {..})`| `Simulation::builder().model(make)…run()`        |
 //! | `gossip::push_spread(&mut g, s, k, cap, seed)` | `.protocol(PushGossip::new(k))`                  |
 //! | `gossip::parsimonious_flood(&mut g, s, t, cap)`| `.protocol(ParsimoniousFlooding::new(t))`        |
 //! | hand-rolled per-trial loops + `Summary`        | `.observers(…)` / `SimulationReport` aggregation |
 //!
 //! Single-run primitives (`flooding::flood`, `flooding::flood_multi`)
-//! are unchanged; `run_trials` still works as a deprecated shim over the
-//! engine and reports identical numbers.
+//! are unchanged.
 //!
 //! ## Delta-native stepping
 //!
@@ -86,10 +84,10 @@
 //!
 //! In the `p = 1/n` regime, trial *setup* dominates short runs at large
 //! `n`: `SparseTwoStateEdgeMeg::stationary` scans all `n(n-1)/2` pairs.
-//! `SparseTwoStateEdgeMeg::stationary_sparse_init` skip-samples the
+//! The lane model `ShardedSparseEdgeMeg::stationary` skip-samples the
 //! stationary on-set directly (`O(#on)` setup; same distribution,
-//! different realization stream) — `BENCH_sparse_init.json` tracks the
-//! measured speedup (≈ 20× at `n = 2¹⁴`). Observers that want churn
+//! different realization stream) — `BENCH_sparse_init.json` records the
+//! two setups side by side. Observers that want churn
 //! metrics read `RoundCtx::delta` (e.g. `engine::ChurnObserver`) instead
 //! of forcing snapshot materialization.
 //!

@@ -7,17 +7,15 @@
 //!   (`flooding::flood`, `gossip::push_spread`,
 //!   `gossip::parsimonious_flood`) trial for trial on both a static
 //!   process and a genuinely dynamic edge-MEG;
-//! * the deprecated `run_trials` shim reports exactly what the builder
-//!   reports;
 //! * observers stream what the run records say.
 
-use dynspread::dg_edge_meg::{SparseTwoStateEdgeMeg, TwoStateEdgeMeg};
+use dynspread::dg_edge_meg::{ShardedSparseEdgeMeg, SparseTwoStateEdgeMeg, TwoStateEdgeMeg};
 use dynspread::dg_graph::generators;
 use dynspread::dynagraph::engine::{
     DelayObserver, MeanGrowthObserver, Observer, ParsimoniousFlooding, PushGossip, RoundCtx,
     Simulation, Stepping,
 };
-use dynspread::dynagraph::flooding::{flood, flood_multi, TrialConfig};
+use dynspread::dynagraph::flooding::{flood, flood_multi};
 use dynspread::dynagraph::gossip::{parsimonious_flood, push_spread};
 use dynspread::dynagraph::{mix_seed, EvolvingGraph, StaticEvolvingGraph};
 
@@ -202,11 +200,11 @@ fn model_reuse_and_scratch_are_byte_identical_to_fresh_construction() {
     // The zero-rebuild pipeline: per-worker model reuse (reset between
     // trials) + reusable TrialScratch must reproduce the fresh-
     // allocation path record for record, on both stepping paths, for a
-    // model with lazily grown internal state (the sparse-init edge-MEG's
-    // occupancy map) and under warm-up.
+    // model with lazily grown internal state (the lane model's per-lane
+    // occupancy maps) and under warm-up.
     let lazy_meg = |seed: u64| {
         let n = 96;
-        SparseTwoStateEdgeMeg::stationary_sparse_init(n, 1.5 / n as f64, 0.4, seed).unwrap()
+        ShardedSparseEdgeMeg::stationary(n, 1.5 / n as f64, 0.4, seed).unwrap()
     };
     for stepping in [Stepping::Snapshot, Stepping::Delta] {
         let builder = move || {
@@ -421,29 +419,6 @@ fn delta_path_feeds_observers_that_need_snapshots() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_run_trials_shim_matches_builder() {
-    let cfg = TrialConfig {
-        trials: TRIALS,
-        max_rounds: MAX_ROUNDS,
-        source: 3,
-        base_seed: BASE_SEED,
-        warm_up: 8,
-    };
-    let legacy = dynspread::dynagraph::flooding::run_trials(sparse_meg, &cfg);
-    let report = Simulation::builder()
-        .model(sparse_meg)
-        .trials(cfg.trials)
-        .max_rounds(cfg.max_rounds)
-        .warm_up(cfg.warm_up)
-        .base_seed(cfg.base_seed)
-        .source(cfg.source)
-        .run();
-    assert_eq!(legacy.times(), report.times().as_slice());
-    assert_eq!(legacy.incomplete(), report.incomplete());
-}
-
-#[test]
 fn observers_stream_what_records_say() {
     let (report, observers) = Simulation::builder()
         .model(sparse_meg)
@@ -527,12 +502,12 @@ fn delta_path_matches_snapshot_path_for_section5_wrappers() {
 }
 
 #[test]
-fn sparse_init_model_matches_across_stepping_paths() {
-    // The O(#on) initializer drives the same event machinery; snapshot
-    // and delta pipelines must agree on its realizations too.
+fn lane_model_matches_across_stepping_paths() {
+    // The lazy lane model: the snapshot and delta pipelines and the lane
+    // executor (Auto) must agree on its realizations.
     let model = |seed: u64| {
         let n = 128usize;
-        SparseTwoStateEdgeMeg::stationary_sparse_init(n, 1.5 / n as f64, 0.3, seed).unwrap()
+        ShardedSparseEdgeMeg::stationary(n, 1.5 / n as f64, 0.3, seed).unwrap()
     };
     let run = |stepping: Stepping| {
         Simulation::builder()

@@ -46,6 +46,20 @@ fn off_then_on<T>(f: impl Fn() -> T) -> (T, T) {
     (off, on)
 }
 
+/// Observations so far of each named round-phase span.
+fn phase_counts(phases: &[&str]) -> Vec<u64> {
+    phases
+        .iter()
+        .map(|phase| {
+            dg_obs::Registry::global()
+                .histogram_snapshot(&format!(
+                    "dg_engine_round_phase_seconds{{phase=\"{phase}\"}}"
+                ))
+                .map_or(0, |h| h.count)
+        })
+        .collect()
+}
+
 #[test]
 fn engine_records_are_identical_with_metrics_on() {
     // Delta-path flooding: span timers around step/apply/protocol.
@@ -86,6 +100,41 @@ fn engine_records_are_identical_with_metrics_on() {
             .run()
     });
     assert_eq!(off, on);
+
+    // The serial round loop's span accounting at one shard: one
+    // model_step, protocol and observer span per executed round on both
+    // stepping paths, and one delta_apply span per round on Delta only.
+    // Every engine run in this binary holds the lock, so counts are
+    // exact.
+    const PHASES: [&str; 4] = ["model_step", "delta_apply", "protocol", "observer"];
+    for stepping in [Stepping::Snapshot, Stepping::Delta] {
+        let (off, on) = off_then_on(|| {
+            let before = phase_counts(&PHASES);
+            let report = Simulation::builder()
+                .model(sparse_meg)
+                .trials(6)
+                .max_rounds(MAX_ROUNDS)
+                .base_seed(BASE_SEED)
+                .stepping(stepping)
+                .run();
+            if dg_obs::enabled() {
+                let rounds: u64 = report.records().iter().map(|r| u64::from(r.rounds)).sum();
+                let applies = if stepping == Stepping::Delta {
+                    rounds
+                } else {
+                    0
+                };
+                let spans: Vec<u64> = phase_counts(&PHASES)
+                    .iter()
+                    .zip(&before)
+                    .map(|(a, b)| a - b)
+                    .collect();
+                assert_eq!(spans, [rounds, applies, rounds, rounds], "{stepping:?}");
+            }
+            report
+        });
+        assert_eq!(off, on, "{stepping:?}");
+    }
 }
 
 #[test]
@@ -110,15 +159,7 @@ fn sharded_flooding_is_identical_with_metrics_on() {
             (Stepping::Delta, 4),
         ] {
             let (off, on) = off_then_on(|| {
-                let phases = || {
-                    ["model_step", "protocol", "observer"].map(|phase| {
-                        dg_obs::Registry::global()
-                            .histogram_snapshot(&format!(
-                                "dg_engine_round_phase_seconds{{phase=\"{phase}\"}}"
-                            ))
-                            .map_or(0, |h| h.count)
-                    })
-                };
+                let phases = || phase_counts(&["model_step", "protocol", "observer"]);
                 let before = phases();
                 let report = Simulation::builder()
                     .model(model)

@@ -262,10 +262,10 @@ proptest! {
         q in 0.05f64..0.5,
         seed in any::<u64>(),
     ) {
-        use dynspread::dg_edge_meg::SparseTwoStateEdgeMeg;
+        use dynspread::dg_edge_meg::ShardedSparseEdgeMeg;
         let p = 1.5 / n as f64;
-        let mut rebuild = SparseTwoStateEdgeMeg::stationary_sparse_init(n, p, q, seed).unwrap();
-        let mut delta = SparseTwoStateEdgeMeg::stationary_sparse_init(n, p, q, seed).unwrap();
+        let mut rebuild = ShardedSparseEdgeMeg::stationary(n, p, q, seed).unwrap();
+        let mut delta = ShardedSparseEdgeMeg::stationary(n, p, q, seed).unwrap();
         assert_replays_rebuild(&mut rebuild, &mut delta, 30);
     }
 
