@@ -42,18 +42,21 @@ impl PairMap {
         Self::with_capacity(0)
     }
 
-    /// A map pre-sized to hold `expected` entries without growing —
-    /// construction-time sizing from the model's expected working set
-    /// (`α · pairs`), so the fresh path never pays rehash churn.
+    /// A map pre-sized to hold `expected` entries without growing.
     pub(crate) fn with_capacity(expected: usize) -> Self {
-        // Plain linear probing degrades sharply past ~1/2 load, so the
-        // table keeps at least 2 slots per entry.
-        let cap = (expected * 2).next_power_of_two().max(Self::MIN_CAPACITY);
+        let cap = Self::capacity_for(expected);
         PairMap {
             slots: vec![(EMPTY, 0); cap],
             mask: cap - 1,
             len: 0,
         }
+    }
+
+    /// Slots for `expected` entries. Plain linear probing degrades
+    /// sharply past ~1/2 load, so the table keeps at least 2 slots per
+    /// entry.
+    fn capacity_for(expected: usize) -> usize {
+        (expected * 2).next_power_of_two().max(Self::MIN_CAPACITY)
     }
 
     #[cfg(test)]
@@ -157,11 +160,22 @@ impl PairMap {
         self.slots[hole] = (EMPTY, 0);
     }
 
-    /// Empties the map, keeping its capacity (the reuse path: a trial
+    /// Empties the map and makes room for `expected` entries without
+    /// growing, keeping any larger capacity (the reset path: a trial
     /// reset re-inserts a same-order working set with zero growth).
-    pub(crate) fn clear(&mut self) {
-        self.slots.fill((EMPTY, 0));
-        self.len = 0;
+    ///
+    /// Each call writes every slot once, right before the caller's
+    /// inserts: a map too small is replaced by a freshly written one. So
+    /// a lane model built with tiny maps sizes and writes each lane's
+    /// table once, in its first reset, while the table is about to be
+    /// filled and still in cache.
+    pub(crate) fn clear_for(&mut self, expected: usize) {
+        if Self::capacity_for(expected) > self.slots.len() {
+            *self = Self::with_capacity(expected);
+        } else {
+            self.slots.fill((EMPTY, 0));
+            self.len = 0;
+        }
     }
 
     fn grow(&mut self) {
@@ -201,9 +215,24 @@ mod tests {
         assert_eq!(m.len(), 1);
         m.remove(3); // absent: no-op
         assert_eq!(m.len(), 1);
-        m.clear();
+        m.clear_for(1);
         assert_eq!(m.len(), 0);
         assert_eq!(m.get(4), None);
+    }
+
+    #[test]
+    fn clear_for_sizes_once_and_keeps_a_larger_capacity() {
+        let mut m = PairMap::new();
+        m.clear_for(100);
+        assert_eq!(m.slots.len(), 256);
+        for k in 0..100u64 {
+            m.insert(k * 7, k as u32);
+        }
+        assert_eq!(m.slots.len(), 256, "sized for 100 entries: no growth");
+        m.clear_for(10);
+        assert_eq!(m.slots.len(), 256, "a larger capacity is kept");
+        assert!(m.slots.iter().all(|&(k, _)| k == EMPTY));
+        assert_eq!((m.len(), m.get(7)), (0, None));
     }
 
     #[test]
@@ -264,7 +293,7 @@ mod tests {
                     }
                     _ => {
                         if rng.gen_range(0..100) == 0 {
-                            ours.clear();
+                            ours.clear_for(rng.gen_range(0..64));
                             reference.clear();
                         }
                     }

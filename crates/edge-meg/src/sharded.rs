@@ -240,7 +240,6 @@ impl ShardedSparseEdgeMeg {
                 found: n,
             });
         }
-        let alpha = chain.stationary_on();
         let node_span = n.div_ceil(LANES) as u64;
         let log1m_birth = (1.0 - chain.birth()).ln();
         let log1m_death = (1.0 - chain.death()).ln();
@@ -249,7 +248,6 @@ impl ShardedSparseEdgeMeg {
                 let lo = (l * node_span).min(n as u64);
                 let hi = ((l + 1) * node_span).min(n as u64);
                 let (start, end) = (tri(lo.max(1)), tri(hi.max(1)));
-                let expected = (alpha * (end - start) as f64).ceil() as usize;
                 Lane {
                     start,
                     end,
@@ -258,7 +256,9 @@ impl ShardedSparseEdgeMeg {
                     log1m_birth,
                     log1m_death,
                     alive: Vec::new(),
-                    occ: PairMap::with_capacity(expected),
+                    // Sized and written by the first `reset`, lane by
+                    // lane, just before its inserts.
+                    occ: PairMap::new(),
                     retire_buf: Vec::new(),
                     rng: SmallRng::seed_from_u64(0),
                 }
@@ -332,7 +332,10 @@ impl EvolvingGraph for ShardedSparseEdgeMeg {
         let log1m_alpha = (1.0 - alpha).ln();
         for (l, lane) in self.lanes.iter_mut().enumerate() {
             lane.alive.clear();
-            lane.occ.clear();
+            // Room for the lane's expected stationary on-set: the
+            // first reset never regrows the map.
+            lane.occ
+                .clear_for((alpha * (lane.end - lane.start) as f64).ceil() as usize);
             lane.retire_buf.clear();
             lane.rng = SmallRng::seed_from_u64(mix_seed(mix_seed(seed, LANE_SEED_TAG), l as u64));
             // Skip-sample the lane's slice of the stationary on-set:
@@ -432,6 +435,24 @@ mod tests {
             5,
             25,
         );
+    }
+
+    #[test]
+    fn rate_one_chains_replay_and_reset() {
+        // Birth or death rate 1: that side toggles every round without a
+        // draw. (`deltas_replay_rebuild` and `reset_matches_fresh` keep
+        // their sparse rates as pinned.)
+        for (p, q) in [(1.0, 0.3), (0.05, 1.0)] {
+            let mut rebuild = ShardedSparseEdgeMeg::stationary(96, p, q, 11).unwrap();
+            let mut delta = ShardedSparseEdgeMeg::stationary(96, p, q, 11).unwrap();
+            dynagraph::delta::assert_replays_rebuild(&mut rebuild, &mut delta, 20);
+            dynagraph::assert_reset_matches_fresh(
+                move |s| ShardedSparseEdgeMeg::stationary(80, p, q, s).unwrap(),
+                99,
+                5,
+                10,
+            );
+        }
     }
 
     #[test]

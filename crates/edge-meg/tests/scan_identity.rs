@@ -92,6 +92,35 @@ proptest! {
     }
 }
 
+#[test]
+fn rate_one_records_agree_across_stepping_and_shards() {
+    // The no-draw branches (birth or death rate 1), which the rate kinds
+    // above never reach.
+    for (n, p, q) in [
+        (48, 1.0, 0.3),
+        (200, 1.0, 0.9),
+        (48, 0.05, 1.0),
+        (200, 0.02, 1.0),
+    ] {
+        let build = || builder(n, p, q, 400).base_seed(0x0A7E);
+        let delta = build().stepping(Stepping::Delta).run();
+        assert_eq!(build().stepping(Stepping::Snapshot).run(), delta);
+        for shards in [1usize, 3] {
+            for stepping in [Stepping::Auto, Stepping::Delta] {
+                let lane = build().stepping(stepping).shards(shards).run();
+                assert_eq!(
+                    lane, delta,
+                    "n = {n}, p = {p}, q = {q}: {stepping:?} at {shards}"
+                );
+            }
+        }
+        let mut g = ShardedSparseEdgeMeg::stationary(n, p, q, 7).unwrap();
+        let serial = flood(&mut g, 3, 400);
+        g.reset(7);
+        assert_eq!(flood_sharded(&mut g, 3, 400, Shards::Fixed(3)), serial);
+    }
+}
+
 /// One observed round: round, newly informed (sorted: the order is
 /// path-dependent by contract), informed count, messages, delta
 /// added/removed lengths, snapshot edge count.

@@ -150,6 +150,11 @@ impl Daemon {
     /// scan). Incomplete artifacts the workload no longer validates are
     /// left in place, untouched.
     ///
+    /// Every artifact in `store` is served as `workload`'s, so the store
+    /// must hold that workload's artifacts only: open it at
+    /// [`Workload::store_root`] of the daemon root (a fresh directory is
+    /// always safe).
+    ///
     /// Starting a daemon switches [`dg_obs`] metric recording on for the
     /// whole process — serving telemetry (`GET /metrics`) is part of the
     /// daemon's contract, and recording never perturbs sweep results.

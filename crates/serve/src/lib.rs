@@ -18,8 +18,10 @@
 //! * [`http`] — the hand-rolled HTTP/1.1 layer (std `TcpListener`; this
 //!   crate takes no dependencies beyond the workspace);
 //! * [`Workload`] — the one trial-function family a daemon serves (the
-//!   paper's edge-MEG flooding phase diagram), with the admission rule
-//!   that keeps worker threads panic-free.
+//!   paper's edge-MEG flooding phase diagram: `flooding/2` on the lane
+//!   model by default, `flooding/1` as the exact-scan reproducer of older
+//!   artifacts), with the admission rule that keeps worker threads
+//!   panic-free and the store directory that keeps workloads apart.
 //!
 //! The load-bearing invariant is inherited from `dg-sweep` and extended
 //! over the wire: the bytes `GET /sweep/<fp>` serves are byte-identical
@@ -74,8 +76,12 @@
 //! use dg_serve::{http, ArtifactStore, Daemon, Workload};
 //! use std::sync::Arc;
 //!
-//! let store = ArtifactStore::open("phase-diagrams").unwrap();
-//! let daemon = Arc::new(Daemon::start(store, Workload::flooding(), 1).unwrap());
+//! // One store per workload: `flooding/2` keeps its artifacts in
+//! // `phase-diagrams/flooding-2/`, apart from any `flooding/1` store at
+//! // the root.
+//! let workload = Workload::flooding();
+//! let store = ArtifactStore::open(workload.store_root("phase-diagrams")).unwrap();
+//! let daemon = Arc::new(Daemon::start(store, workload, 1).unwrap());
 //! let handler = Arc::clone(&daemon);
 //! let server = http::serve("127.0.0.1:0", move |req| handler.handle(req)).unwrap();
 //! println!("serving on {}", server.addr());

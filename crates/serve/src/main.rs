@@ -3,8 +3,20 @@
 //!
 //! ```text
 //! dg-serve [--root DIR] [--addr HOST:PORT] [--workers N]
-//!          [--workload flooding|synthetic] [--max-queue N] [--max-attempts N]
+//!          [--workload flooding|flooding/2|flooding/1|synthetic]
+//!          [--max-queue N] [--max-attempts N]
 //! ```
+//!
+//! `--workload` defaults to `flooding`, which means `flooding/2` (the
+//! flooding workload on the lane model, dense cells with
+//! `α = p/(p+q) > 1/2` on the exact scan). `flooding/1` is the
+//! exact-scan reproducer of artifacts stored before `flooding/2`
+//! existed. The store lives under the root as [`Workload::store_root`]
+//! says: `flooding/1` keeps its artifacts in `DIR/store/`, `flooding/2`
+//! in `DIR/flooding-2/store/` and `synthetic` in
+//! `DIR/synthetic/store/`, so a root that older flooding daemons filled
+//! keeps serving its `flooding/1` bytes under `--workload flooding/1`
+//! and is never served by another workload.
 //!
 //! Binds the address (default `127.0.0.1:0`, an ephemeral port), prints
 //! the bound address on stdout, and also writes it to
@@ -100,14 +112,18 @@ fn parse_args() -> Result<Args, String> {
             }
             "--workload" => {
                 args.workload = match value("--workload")?.as_str() {
-                    "flooding" => Workload::flooding(),
+                    "flooding" | "flooding/2" => Workload::flooding(),
+                    "flooding/1" => Workload::flooding_v1(),
                     "synthetic" => Workload::synthetic(),
                     other => return Err(format!("unknown workload {other:?}")),
                 };
             }
             "--help" | "-h" => {
                 println!(
-                    "dg-serve [--root DIR] [--addr HOST:PORT] [--workers N] [--workload flooding|synthetic] [--max-queue N] [--max-attempts N]"
+                    "dg-serve [--root DIR] [--addr HOST:PORT] [--workers N] [--workload flooding|flooding/2|flooding/1|synthetic] [--max-queue N] [--max-attempts N]\n\n\
+                     --workload flooding means flooding/2 (lane model; store in DIR/flooding-2/);\n\
+                     flooding/1 is the exact-scan reproducer (store in DIR/);\n\
+                     synthetic is a model-free test workload (store in DIR/synthetic/)"
                 );
                 exit(0);
             }
@@ -125,14 +141,16 @@ fn main() {
             exit(2);
         }
     };
-    let store = match ArtifactStore::open(&args.root) {
+    let store_root = args.workload.store_root(&args.root);
+    let store = match ArtifactStore::open(&store_root) {
         Ok(store) => store,
         Err(e) => {
-            dg_error!("dg-serve: opening store {:?}: {e}", args.root);
+            dg_error!("dg-serve: opening store {}: {e}", store_root.display());
             exit(1);
         }
     };
     let resumed = store.incomplete_specs().map(|s| s.len()).unwrap_or(0);
+    let daemon_workload = args.workload.name();
     let daemon = match Daemon::start_with(store, args.workload, args.config) {
         Ok(daemon) => Arc::new(daemon),
         Err(e) => {
@@ -157,8 +175,9 @@ fn main() {
     }
     install_signal_handlers();
     println!(
-        "dg-serve listening on http://{addr} (root {:?}, {resumed} sweep(s) resumed)",
-        args.root
+        "dg-serve listening on http://{addr} (workload {}, store {}, {resumed} sweep(s) resumed)",
+        daemon_workload,
+        store_root.display()
     );
     // Serve until signalled. The park timeout bounds shutdown latency;
     // unparks are spurious-safe because the loop just re-checks the flag.

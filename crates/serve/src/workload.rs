@@ -5,7 +5,28 @@
 //! key says nothing about which trial function produced the samples. A
 //! daemon therefore serves exactly one [`Workload`] — every artifact in
 //! its store was produced by that workload's trial function, so the
-//! fingerprint is a complete content address within the daemon.
+//! fingerprint is a complete content address within the daemon. The
+//! workload id enters the store key through the store path instead
+//! ([`Workload::store_root`]), which leaves fingerprints and stored bytes
+//! as they were.
+//!
+//! The paper's flooding workload comes in two versions that admit the
+//! same specs:
+//!
+//! * `flooding/2` ([`Workload::flooding`], the default) realizes every
+//!   cell with stationary edge density `α = p/(p+q)` at most 1/2 on the
+//!   lane model, `ShardedSparseEdgeMeg`: `O(α·n²)` setup instead of
+//!   `O(n²)`, so a served miss at `n = 4096`, `q = 0.01` is about 3.5×
+//!   cheaper than on `flooding/1` (`BENCH_serve.json`). Denser cells up
+//!   to `n = 92 682` stay on the exact scan, whose per-pair table is
+//!   smaller than the lane model's per-on-edge one once most pairs are
+//!   on;
+//! * `flooding/1` ([`Workload::flooding_v1`]) keeps the exact-scan model
+//!   at every density up to `n = 92 682`, so artifacts stored before
+//!   `flooding/2` existed regenerate byte for byte.
+//!
+//! The two draw the same flooding-time law, from different random
+//! streams on sparse cells.
 //!
 //! The workload also carries the validator that stands between the wire
 //! and the worker pool: [`dg_sweep::SweepSpec::from_json`] guarantees a
@@ -14,6 +35,7 @@
 //! error on is rejected at submission time with a `400`, so a worker
 //! thread never sees a spec it cannot run to completion.
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// The shape every workload trial function shares — what
@@ -38,21 +60,36 @@ const DEFAULT_MAX_ROUNDS: u32 = 200_000;
 /// the u64 pair-index space and the scale the sharded executor targets.
 const MAX_FLOODING_N: usize = 1_048_576;
 
-/// Above this `n`, flooding trials switch from the exact-scan model to
-/// the lane-sharded one and run on all cores. The threshold is the old
-/// `floor(sqrt(2^53))` admission cap, so every spec a pre-sharding
-/// daemon could have stored still runs on the exact-scan model and
-/// reproduces its artifact bytes. The exact scan costs `O(n²)` RNG
-/// draws per trial but schedules only the toggles due in its first 64
-/// rounds up front, so the short floods of the sparse regime never pay
-/// for the rest.
+/// At or below this `n` a flooding trial runs on one thread, so a served
+/// job is one compute thread; above it, on all cores. It is the old
+/// `floor(sqrt(2^53))` admission cap, and `flooding/1` also keeps the
+/// exact-scan model up to it, so every spec a pre-sharding daemon could
+/// have stored reproduces its artifact bytes. The exact scan costs
+/// `O(n²)` RNG draws per trial but schedules only the toggles due in its
+/// first 64 rounds up front; `flooding/2` keeps it only for cells denser
+/// than [`LANE_MAX_ALPHA`], and above this `n` both versions run the
+/// lane model, whatever the density.
 const SHARDED_FLOODING_N: usize = 92_682;
+
+/// Densest stationary edge density `α = p/(p+q)` that `flooding/2` runs
+/// on the lane model at or below [`SHARDED_FLOODING_N`]. The lane model
+/// keeps ~40–72 bytes per on-edge (2–4 `PairMap` slots and an alive
+/// entry), the exact scan ~4 bytes per pair plus its due toggles. At
+/// `n = 4096` (one-thread 1-trial sweeps, 2-vCPU host) the lane model
+/// was faster at every measured `α ≤ 1/2` (~4× at the sparse served
+/// cell, 1.1× at 1/2) with no more peak memory at 1/2; from `α = 0.77`
+/// up its peak memory was 1.2–1.6× the exact scan's, and from `α = 0.9`
+/// it was also up to 1.5× slower.
+const LANE_MAX_ALPHA: f64 = 0.5;
 
 /// One family of measurements: a named trial function plus the
 /// admission rule for specs it can run.
 #[derive(Clone)]
 pub struct Workload {
     name: &'static str,
+    /// Subdirectory of the daemon root holding this workload's store
+    /// (`None`: the root itself).
+    store_dir: Option<&'static str>,
     validate: fn(&SweepSpec) -> Result<(), String>,
     trial: TrialFn,
     metric_trial: MetricRowFn,
@@ -70,6 +107,24 @@ impl Workload {
     /// The workload's name (reported by `GET /healthz`).
     pub fn name(&self) -> &'static str {
         self.name
+    }
+
+    /// The directory under the daemon root `root` that holds this
+    /// workload's [`ArtifactStore`](crate::ArtifactStore): `root` itself
+    /// for `flooding/1`, `root/flooding-2` for `flooding/2` and
+    /// `root/synthetic` for `synthetic`.
+    ///
+    /// A fingerprint names a grid, not the trial function that measured
+    /// it, so two workloads must never share a store: a `flooding/2`
+    /// daemon opened over a `flooding/1` store would serve the old
+    /// realizations as its own. Flooding stores laid out before
+    /// `flooding/2` existed sit at the root and keep serving their
+    /// `flooding/1` bytes.
+    pub fn store_root(&self, root: impl AsRef<Path>) -> PathBuf {
+        match self.store_dir {
+            Some(dir) => root.as_ref().join(dir),
+            None => root.as_ref().to_path_buf(),
+        }
     }
 
     /// Checks that every cell of `spec` is one this workload's trial
@@ -97,8 +152,10 @@ impl Workload {
         move |cell, t| trial(cell, t, &metrics)
     }
 
-    /// The paper's phase-diagram workload: flooding time on a stationary
-    /// sparse edge-MEG.
+    /// The paper's phase-diagram workload, `flooding/2` (the default):
+    /// flooding time on a stationary sparse edge-MEG, realized by the
+    /// lane model ([`ShardedSparseEdgeMeg`]) on every cell with
+    /// `α = p/(p+q) ≤ 1/2` and on every cell with `n` above 92 682.
     ///
     /// Axes (any other name is rejected):
     ///
@@ -113,133 +170,58 @@ impl Workload {
     /// A trial builds the stationary model from the trial seed, floods
     /// from node 0 under the cell's round cap (`max_rounds` table entry,
     /// or 200 000), and reports the flooding time — `None` when the cap
-    /// censors the trial. Cells with `n` above 92 682 (the pre-sharding
-    /// admission cap) run on the lane-sharded model across all cores;
-    /// smaller cells keep the exact-scan model, so artifacts stored by
-    /// older daemons remain byte-reproducible (pinned by
-    /// `tests/golden_flooding.rs`). Its setup is `O(n²)` RNG draws,
-    /// with the logarithm and the event push paid only for first
-    /// toggles due within the first 64 rounds.
+    /// censors the trial. Cells with `n` up to 92 682 run on one thread,
+    /// so a served job is one compute thread; larger cells run across
+    /// all cores. The samples do not depend on the thread count. On the
+    /// lane model setup is one geometric draw per initial on-edge
+    /// (`α·n²/2` of them). Denser cells with `n` up to 92 682 run on the
+    /// exact-scan model ([`SparseTwoStateEdgeMeg`]), exactly as in
+    /// [`Workload::flooding_v1`]: once most pairs are on, the lane
+    /// model's per-on-edge table outgrows the scan's per-pair one.
+    ///
+    /// Only the law of the flooding time is part of this workload's
+    /// contract, and `crates/edge-meg/tests/flooding_law.rs` checks it
+    /// on both models against the exact count chain. Its artifacts
+    /// differ from [`Workload::flooding_v1`]'s for the same spec, so it
+    /// keeps them in its own store directory ([`Workload::store_root`]).
     pub fn flooding() -> Self {
-        fn validate(spec: &SweepSpec) -> Result<(), String> {
-            let mut has = [false; 2]; // n, q
-            for axis in spec.axes() {
-                match axis.name() {
-                    "n" => {
-                        has[0] = true;
-                        for &v in axis.values() {
-                            if v.fract() != 0.0 || !(2.0..=MAX_FLOODING_N as f64).contains(&v) {
-                                return Err(format!(
-                                    "axis \"n\" value {v} must be an integer in 2..=1048576"
-                                ));
-                            }
-                        }
-                    }
-                    "q" | "p" => {
-                        has[1] |= axis.name() == "q";
-                        for &v in axis.values() {
-                            if !(v > 0.0 && v <= 1.0) {
-                                return Err(format!(
-                                    "axis {:?} value {v} must be in (0, 1]",
-                                    axis.name()
-                                ));
-                            }
-                        }
-                    }
-                    other => {
-                        return Err(format!(
-                            "unknown axis {other:?}: the flooding workload sweeps n, q and optionally p"
-                        ));
-                    }
-                }
-            }
-            if !(has[0] && has[1]) {
-                return Err("the flooding workload requires axes \"n\" and \"q\"".to_string());
-            }
-            // The grid is the product of its axes, so a p = 1 value and a
-            // q = 1 value always meet in some cell: there every edge
-            // toggles every round, the chain is periodic, and the model
-            // has no stationary start (`NotErgodic`).
-            let has_one = |name: &str| {
-                spec.axes()
-                    .iter()
-                    .any(|a| a.name() == name && a.values().contains(&1.0))
-            };
-            if has_one("p") && has_one("q") {
-                return Err(
-                    "a cell with p = 1 and q = 1 is a periodic edge chain with no stationary \
-                     distribution; the flooding workload needs p < 1 or q < 1"
-                        .to_string(),
-                );
-            }
-            // Every (p, q) the grid can form (p = 1.5/n without a p
-            // axis) must be a pair the models' geometric sampler
-            // resolves: a rate whose 1 - r rounds to 1 would turn every
-            // pair on at once.
-            let values = |name: &str| -> Vec<f64> {
-                spec.axes()
-                    .iter()
-                    .filter(|a| a.name() == name)
-                    .flat_map(|a| a.values().iter().copied())
-                    .collect()
-            };
-            let mut ps = values("p");
-            if ps.is_empty() {
-                ps = values("n").iter().map(|&n| 1.5 / n).collect();
-            }
-            for &p in &ps {
-                for &q in &values("q") {
-                    check_rates(p, q).map_err(|e| {
-                        format!("the edge-MEG cannot sample the cell p = {p}, q = {q}: {e}")
-                    })?;
-                }
-            }
-            if let Some(metrics) = spec.metrics() {
-                for m in metrics {
-                    if !TRIAL_METRICS.contains(&m.name()) {
-                        return Err(format!(
-                            "unknown metric {:?}: the flooding workload measures {TRIAL_METRICS:?}",
-                            m.name()
-                        ));
-                    }
-                }
-            }
-            Ok(())
-        }
+        Self::flooding_on(false)
+    }
 
-        fn record(cell: &Cell, trial: Trial) -> TrialRecord {
-            let n = cell.usize("n");
-            let q = cell.get("q");
-            let p = cell.try_get("p").unwrap_or(1.5 / n as f64);
-            let max_rounds = cell.max_rounds().unwrap_or(DEFAULT_MAX_ROUNDS);
-            if n > SHARDED_FLOODING_N {
-                Simulation::builder()
-                    .model(move |seed| {
-                        ShardedSparseEdgeMeg::stationary(n, p, q, seed)
-                            .expect("spec validated at submission")
-                    })
-                    .max_rounds(max_rounds)
-                    .base_seed(trial.cell_seed)
-                    .shards(Shards::Auto)
-                    .run_trial(trial.index)
-            } else {
-                Simulation::builder()
-                    .model(move |seed| {
-                        SparseTwoStateEdgeMeg::stationary(n, p, q, seed)
-                            .expect("spec validated at submission")
-                    })
-                    .max_rounds(max_rounds)
-                    .base_seed(trial.cell_seed)
-                    .run_trial(trial.index)
-            }
-        }
+    /// `flooding/1`, the byte-pinned reproducer of artifacts stored
+    /// before `flooding/2` became the default: the same axes, validation
+    /// and trial as [`Workload::flooding`], but every cell with `n` up to
+    /// 92 682 (the pre-sharding admission cap) runs on the exact-scan
+    /// model ([`SparseTwoStateEdgeMeg`]), whose realizations
+    /// `tests/golden_flooding.rs` pins byte for byte. Its setup is
+    /// `O(n²)` RNG draws, with the logarithm and the event push paid only
+    /// for first toggles due within the first 64 rounds. Larger cells run
+    /// on the lane model, as in `flooding/2`.
+    pub fn flooding_v1() -> Self {
+        Self::flooding_on(true)
+    }
 
+    /// The flooding workload on the exact scan up to
+    /// [`SHARDED_FLOODING_N`] (`flooding/1`) or only on its cells denser
+    /// than [`LANE_MAX_ALPHA`] (`flooding/2`).
+    fn flooding_on(exact_scan: bool) -> Self {
         Workload {
-            name: "flooding",
-            validate,
-            trial: Arc::new(|cell: &Cell, trial: Trial| record(cell, trial).time.map(f64::from)),
-            metric_trial: Arc::new(|cell: &Cell, trial: Trial, metrics: &[Metric]| {
-                trial_metrics(&record(cell, trial), cell.usize("n"), metrics)
+            name: if exact_scan {
+                "flooding/1"
+            } else {
+                "flooding/2"
+            },
+            store_dir: (!exact_scan).then_some("flooding-2"),
+            validate: validate_flooding,
+            trial: Arc::new(move |cell: &Cell, trial: Trial| {
+                flooding_record(cell, trial, exact_scan).time.map(f64::from)
+            }),
+            metric_trial: Arc::new(move |cell: &Cell, trial: Trial, metrics: &[Metric]| {
+                trial_metrics(
+                    &flooding_record(cell, trial, exact_scan),
+                    cell.usize("n"),
+                    metrics,
+                )
             }),
         }
     }
@@ -254,6 +236,7 @@ impl Workload {
         }
         Workload {
             name: "synthetic",
+            store_dir: Some("synthetic"),
             validate: |_| Ok(()),
             trial: Arc::new(scalar),
             // Slot 0 censors like the scalar path; later slots always
@@ -274,6 +257,127 @@ impl Workload {
                     .collect()
             }),
         }
+    }
+}
+
+/// The flooding workloads' admission rule (both versions admit the
+/// same specs).
+fn validate_flooding(spec: &SweepSpec) -> Result<(), String> {
+    let mut has = [false; 2]; // n, q
+    for axis in spec.axes() {
+        match axis.name() {
+            "n" => {
+                has[0] = true;
+                for &v in axis.values() {
+                    if v.fract() != 0.0 || !(2.0..=MAX_FLOODING_N as f64).contains(&v) {
+                        return Err(format!(
+                            "axis \"n\" value {v} must be an integer in 2..=1048576"
+                        ));
+                    }
+                }
+            }
+            "q" | "p" => {
+                has[1] |= axis.name() == "q";
+                for &v in axis.values() {
+                    if !(v > 0.0 && v <= 1.0) {
+                        return Err(format!(
+                            "axis {:?} value {v} must be in (0, 1]",
+                            axis.name()
+                        ));
+                    }
+                }
+            }
+            other => {
+                return Err(format!(
+                    "unknown axis {other:?}: the flooding workload sweeps n, q and optionally p"
+                ));
+            }
+        }
+    }
+    if !(has[0] && has[1]) {
+        return Err("the flooding workload requires axes \"n\" and \"q\"".to_string());
+    }
+    // The grid is the product of its axes, so a p = 1 value and a q = 1
+    // value always meet in some cell: there every edge toggles every
+    // round, the chain is periodic, and the model has no stationary
+    // start (`NotErgodic`).
+    let has_one = |name: &str| {
+        spec.axes()
+            .iter()
+            .any(|a| a.name() == name && a.values().contains(&1.0))
+    };
+    if has_one("p") && has_one("q") {
+        return Err(
+            "a cell with p = 1 and q = 1 is a periodic edge chain with no stationary \
+             distribution; the flooding workload needs p < 1 or q < 1"
+                .to_string(),
+        );
+    }
+    // Every (p, q) the grid can form (p = 1.5/n without a p axis) must be
+    // a pair the models' geometric sampler resolves: a rate whose 1 - r
+    // rounds to 1 would turn every pair on at once.
+    let values = |name: &str| -> Vec<f64> {
+        spec.axes()
+            .iter()
+            .filter(|a| a.name() == name)
+            .flat_map(|a| a.values().iter().copied())
+            .collect()
+    };
+    let mut ps = values("p");
+    if ps.is_empty() {
+        ps = values("n").iter().map(|&n| 1.5 / n).collect();
+    }
+    for &p in &ps {
+        for &q in &values("q") {
+            check_rates(p, q).map_err(|e| {
+                format!("the edge-MEG cannot sample the cell p = {p}, q = {q}: {e}")
+            })?;
+        }
+    }
+    if let Some(metrics) = spec.metrics() {
+        for m in metrics {
+            if !TRIAL_METRICS.contains(&m.name()) {
+                return Err(format!(
+                    "unknown metric {:?}: the flooding workload measures {TRIAL_METRICS:?}",
+                    m.name()
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One flooding trial of `cell`: on the exact-scan model up to
+/// [`SHARDED_FLOODING_N`] when `exact_scan` (`flooding/1`) or when the
+/// cell is denser than [`LANE_MAX_ALPHA`], otherwise on the lane model,
+/// one thread up to [`SHARDED_FLOODING_N`] and all cores above it.
+fn flooding_record(cell: &Cell, trial: Trial, exact_scan: bool) -> TrialRecord {
+    let n = cell.usize("n");
+    let q = cell.get("q");
+    let p = cell.try_get("p").unwrap_or(1.5 / n as f64);
+    let max_rounds = cell.max_rounds().unwrap_or(DEFAULT_MAX_ROUNDS);
+    let engine = Simulation::builder()
+        .max_rounds(max_rounds)
+        .base_seed(trial.cell_seed);
+    if n <= SHARDED_FLOODING_N && (exact_scan || p / (p + q) > LANE_MAX_ALPHA) {
+        engine
+            .model(move |seed| {
+                SparseTwoStateEdgeMeg::stationary(n, p, q, seed)
+                    .expect("spec validated at submission")
+            })
+            .run_trial(trial.index)
+    } else {
+        engine
+            .model(move |seed| {
+                ShardedSparseEdgeMeg::stationary(n, p, q, seed)
+                    .expect("spec validated at submission")
+            })
+            .shards(if n <= SHARDED_FLOODING_N {
+                Shards::Fixed(1)
+            } else {
+                Shards::Auto
+            })
+            .run_trial(trial.index)
     }
 }
 
@@ -339,7 +443,13 @@ mod tests {
         // spec the validator accepts must run a trial without panicking,
         // and the ones it rejects are p = q = 1 (the periodic chain) and
         // those with a rate the geometric sampler cannot resolve.
-        let w = Workload::flooding();
+        for w in [Workload::flooding_v1(), Workload::flooding()] {
+            assert_validation_implies_panic_free_trials(&w);
+        }
+    }
+
+    fn assert_validation_implies_panic_free_trials(w: &Workload) {
+        let name = w.name();
         let rates = [1e-17, 1e-6, 0.5, 1.0];
         for n in [16usize, 48] {
             for p in rates {
@@ -359,7 +469,10 @@ mod tests {
                             // A panicking trial fails this test (or surfaces as
                             // the sweep's error after its retries).
                             let report = s.sweep().run(w.trial_fn());
-                            assert!(report.is_ok(), "n = {n}, p = {p}, q = {q}: {report:?}");
+                            assert!(
+                                report.is_ok(),
+                                "{name}: n = {n}, p = {p}, q = {q}: {report:?}"
+                            );
                         }
                         Err(e) if p == 1e-17 || q == 1e-17 => {
                             assert!(e.contains("cannot sample"), "{e}");
@@ -368,7 +481,7 @@ mod tests {
                             assert_eq!(
                                 (p, q),
                                 (1.0, 1.0),
-                                "rejected n = {n}, p = {p}, q = {q}: {e}"
+                                "{name}: rejected n = {n}, p = {p}, q = {q}: {e}"
                             );
                             assert!(e.contains("periodic"), "{e}");
                         }
@@ -392,44 +505,107 @@ mod tests {
         assert!(w.validate(&no_p).unwrap_err().contains("cannot sample"));
     }
 
-    #[test]
-    fn flooding_trial_matches_direct_engine_run() {
-        // The workload's trial function is the same glue the examples
-        // hand-write; pin one (cell, trial) against the engine directly.
-        let w = Workload::flooding();
-        let s = SweepSpec::new(
+    /// The spec both workloads' trial pins run: `n = 24`, `q = 0.3`,
+    /// default `p`, two trials.
+    fn pin_spec() -> SweepSpec {
+        SweepSpec::new(
             vec![Axis::ints("n", [24]), Axis::explicit("q", [0.3])],
             0xFEED,
             TrialBudget::fixed(2),
-        );
-        let report = s.sweep().run(w.trial_fn()).unwrap();
-        let p = 1.5 / 24.0;
-        let direct = Simulation::builder()
-            .model(move |seed| SparseTwoStateEdgeMeg::stationary(24, p, 0.3, seed).unwrap())
+        )
+    }
+
+    /// Trial 1 of [`pin_spec`]'s cell, run on the engine directly with
+    /// the given model.
+    fn pin_record<G, M>(model: M) -> TrialRecord
+    where
+        G: dynagraph::EvolvingGraph,
+        M: Fn(u64) -> G,
+    {
+        Simulation::builder()
+            .model(model)
             .max_rounds(200_000)
             .base_seed(dg_sweep::mix_seed(0xFEED, 0))
             .run_trial(1)
-            .time
-            .map(f64::from);
-        assert_eq!(report.cell(0).samples[1], vec![direct]);
+    }
+
+    #[test]
+    fn flooding_v1_trial_matches_direct_exact_scan_run() {
+        // The workload's trial function is the same glue the examples
+        // hand-write; pin one (cell, trial) against the engine directly.
+        let report = pin_spec()
+            .sweep()
+            .run(Workload::flooding_v1().trial_fn())
+            .unwrap();
+        let p = 1.5 / 24.0;
+        let direct =
+            pin_record(move |seed| SparseTwoStateEdgeMeg::stationary(24, p, 0.3, seed).unwrap());
+        assert_eq!(report.cell(0).samples[1], vec![direct.time.map(f64::from)]);
+    }
+
+    #[test]
+    fn flooding_v2_trial_matches_direct_lane_model_run() {
+        let report = pin_spec()
+            .sweep()
+            .run(Workload::flooding().trial_fn())
+            .unwrap();
+        let p = 1.5 / 24.0;
+        let direct =
+            pin_record(move |seed| ShardedSparseEdgeMeg::stationary(24, p, 0.3, seed).unwrap());
+        assert_eq!(report.cell(0).samples[1], vec![direct.time.map(f64::from)]);
+    }
+
+    #[test]
+    fn flooding_v2_runs_only_cells_denser_than_one_half_on_the_exact_scan() {
+        // n = 24, q = 0.3: p = 0.3 is α = 1/2 exactly (lane model),
+        // p = 0.5 is α = 0.625 (exact scan, the flooding/1 bytes). Both
+        // flood in a round or two, so the rows carry the message count,
+        // which tells the realizations apart.
+        let metrics = vec![Metric::new("rounds"), Metric::observe("messages")];
+        for (p, exact) in [(0.3, false), (0.5, true)] {
+            let s = SweepSpec::new(
+                vec![
+                    Axis::ints("n", [24]),
+                    Axis::explicit("q", [0.3]),
+                    Axis::explicit("p", [p]),
+                ],
+                0xFEED,
+                TrialBudget::fixed(2),
+            )
+            .with_metrics(metrics.clone());
+            let run = |w: Workload| {
+                s.sweep()
+                    .run_metrics(w.metric_trial_fn(metrics.clone()))
+                    .unwrap()
+            };
+            let (v1, v2) = (run(Workload::flooding_v1()), run(Workload::flooding()));
+            let direct = if exact {
+                pin_record(move |seed| SparseTwoStateEdgeMeg::stationary(24, p, 0.3, seed).unwrap())
+            } else {
+                pin_record(move |seed| ShardedSparseEdgeMeg::stationary(24, p, 0.3, seed).unwrap())
+            };
+            assert_eq!(
+                v2.cell(0).samples[1],
+                vec![direct.time.map(f64::from), Some(direct.messages as f64)],
+                "p = {p}"
+            );
+            assert_eq!(v1.to_json() == v2.to_json(), exact, "p = {p}");
+        }
     }
 
     #[test]
     fn flooding_routes_large_n_to_sharded_model() {
-        // Above the old cap the workload builds the lane-sharded model;
+        // Above the old cap both workloads build the lane-sharded model;
         // pin its sample against a direct sharded-model run, and check
         // the shard-count independence the store relies on (the same
         // spec must hash to the same artifact on any machine).
         let n = SHARDED_FLOODING_N + 1;
         let p = 1.5 / n as f64; // the sparse default the absent axis implies
-        let w = Workload::flooding();
         let s = SweepSpec::new(
             vec![Axis::ints("n", [n]), Axis::explicit("q", [0.5])],
             0xDA7A,
             TrialBudget::fixed(1),
         );
-        assert!(w.validate(&s).is_ok());
-        let report = s.sweep().run(w.trial_fn()).unwrap();
         let direct = Simulation::builder()
             .model(move |seed| ShardedSparseEdgeMeg::stationary(n, p, 0.5, seed).unwrap())
             .max_rounds(200_000)
@@ -438,7 +614,12 @@ mod tests {
             .run_trial(0)
             .time
             .map(f64::from);
-        assert_eq!(report.cell(0).samples[0], vec![direct]);
+        // Above the threshold both versions run the same lane model.
+        for w in [Workload::flooding_v1(), Workload::flooding()] {
+            assert!(w.validate(&s).is_ok());
+            let report = s.sweep().run(w.trial_fn()).unwrap();
+            assert_eq!(report.cell(0).samples[0], vec![direct], "{}", w.name());
+        }
     }
 
     #[test]
@@ -456,8 +637,9 @@ mod tests {
         assert!(err.contains("latency"), "{err}");
     }
 
-    #[test]
-    fn flooding_metric_rows_match_direct_engine_records() {
+    /// Trial 1's metric row of [`pin_spec`] under `w`, against the row
+    /// a direct engine `record` yields.
+    fn assert_metric_row_matches(w: &Workload, record: &TrialRecord) {
         // The multi-metric trial extracts from the same record the
         // scalar path observes: rows must line up slot-for-slot with a
         // direct engine run.
@@ -466,32 +648,52 @@ mod tests {
             Metric::observe("messages"),
             Metric::observe("coverage"),
         ];
-        let w = Workload::flooding();
-        let s = SweepSpec::new(
-            vec![Axis::ints("n", [24]), Axis::explicit("q", [0.3])],
-            0xFEED,
-            TrialBudget::fixed(2),
-        )
-        .with_metrics(metrics.clone());
+        let s = pin_spec().with_metrics(metrics.clone());
         assert!(w.validate(&s).is_ok());
-        let report = s
-            .sweep()
-            .run_metrics(w.metric_trial_fn(metrics.clone()))
-            .unwrap();
-        let p = 1.5 / 24.0;
-        let record = Simulation::builder()
-            .model(move |seed| SparseTwoStateEdgeMeg::stationary(24, p, 0.3, seed).unwrap())
-            .max_rounds(200_000)
-            .base_seed(dg_sweep::mix_seed(0xFEED, 0))
-            .run_trial(1);
+        let report = s.sweep().run_metrics(w.metric_trial_fn(metrics)).unwrap();
         assert_eq!(
             report.cell(0).samples[1],
             vec![
                 record.time.map(f64::from),
                 Some(record.messages as f64),
                 Some(record.informed as f64 / 24.0),
-            ]
+            ],
+            "{}",
+            w.name()
         );
+    }
+
+    #[test]
+    fn flooding_v1_metric_rows_match_direct_exact_scan_records() {
+        let p = 1.5 / 24.0;
+        let record =
+            pin_record(move |seed| SparseTwoStateEdgeMeg::stationary(24, p, 0.3, seed).unwrap());
+        assert_metric_row_matches(&Workload::flooding_v1(), &record);
+    }
+
+    #[test]
+    fn flooding_v2_metric_rows_match_direct_lane_model_records() {
+        let p = 1.5 / 24.0;
+        let record =
+            pin_record(move |seed| ShardedSparseEdgeMeg::stationary(24, p, 0.3, seed).unwrap());
+        assert_metric_row_matches(&Workload::flooding(), &record);
+    }
+
+    #[test]
+    fn workloads_name_their_versions_and_store_roots() {
+        let root = Path::new("data");
+        let v1 = Workload::flooding_v1();
+        let v2 = Workload::flooding();
+        assert_eq!(
+            (v1.name(), v1.store_root(root)),
+            ("flooding/1", root.into())
+        );
+        assert_eq!(
+            (v2.name(), v2.store_root(root)),
+            ("flooding/2", root.join("flooding-2"))
+        );
+        let synthetic = Workload::synthetic();
+        assert_eq!(synthetic.store_root(root), root.join("synthetic"));
     }
 
     #[test]

@@ -110,13 +110,14 @@ impl Drop for KillOnDrop {
     }
 }
 
-/// Spawns the real `dg-serve` binary over `root` and waits for its
-/// address file.
-fn spawn_daemon(root: &Path) -> (KillOnDrop, SocketAddr) {
+/// Spawns the real `dg-serve` binary over `root` with the given extra
+/// arguments and waits for its address file.
+fn spawn_daemon_with(root: &Path, args: &[&str]) -> (KillOnDrop, SocketAddr) {
     let addr_file = root.join("dg-serve.addr");
     let _ = std::fs::remove_file(&addr_file);
     let child = Command::new(env!("CARGO_BIN_EXE_dg-serve"))
-        .args(["--root", root.to_str().unwrap(), "--workload", "synthetic"])
+        .args(["--root", root.to_str().unwrap()])
+        .args(args)
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -138,6 +139,98 @@ fn spawn_daemon(root: &Path) -> (KillOnDrop, SocketAddr) {
     (child, addr)
 }
 
+/// Spawns a `synthetic` daemon over `root`.
+fn spawn_daemon(root: &Path) -> (KillOnDrop, SocketAddr) {
+    spawn_daemon_with(root, &["--workload", "synthetic"])
+}
+
+/// `GET /healthz`'s body.
+fn healthz(addr: SocketAddr) -> String {
+    let (status, body) = http::request(addr, "GET", "/healthz", b"").unwrap();
+    assert_eq!(status, 200);
+    String::from_utf8(body).unwrap()
+}
+
+#[test]
+fn healthz_reports_flooding_2_by_default() {
+    let root = tmp_root("healthz_default");
+    std::fs::create_dir_all(&root).unwrap();
+    let (child, addr) = spawn_daemon_with(&root, &[]);
+    let body = healthz(addr);
+    assert!(body.contains("\"workload\": \"flooding/2\""), "{body}");
+    drop(child);
+    let (child, addr) = spawn_daemon_with(&root, &["--workload", "flooding/1"]);
+    let body = healthz(addr);
+    assert!(body.contains("\"workload\": \"flooding/1\""), "{body}");
+    drop(child);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn v2_daemon_over_a_v1_root_answers_with_v2_bytes() {
+    let root = tmp_root("v2_over_v1");
+    std::fs::create_dir_all(&root).unwrap();
+    // A slow-churn cell, so the two versions' realizations differ.
+    let spec = SweepSpec::new(
+        vec![
+            Axis::ints("n", [48]),
+            Axis::explicit("q", [0.05]),
+            Axis::explicit("p", [0.002]),
+        ],
+        0x51DE,
+        TrialBudget::fixed(4),
+    );
+    let fp = spec.fingerprint();
+    let v1_report = spec
+        .sweep()
+        .run(Workload::flooding_v1().trial_fn())
+        .unwrap();
+    let v1 = v1_report.to_json().into_bytes();
+    let v2 = spec
+        .sweep()
+        .run(Workload::flooding().trial_fn())
+        .unwrap()
+        .to_json()
+        .into_bytes();
+    assert_ne!(v1, v2, "the cell must tell the versions apart");
+
+    // The root as a daemon from before flooding/2 left it: a flooding/1
+    // artifact at root/store/<fp>.json.
+    ArtifactStore::open(&root).unwrap().put(&v1_report).unwrap();
+    let v1_file = root.join("store").join(format!("{fp}.json"));
+    assert_eq!(std::fs::read(&v1_file).unwrap(), v1);
+
+    // flooding/1 over that root still serves the stored bytes as a hit.
+    {
+        let (_child, addr) = spawn_daemon_with(&root, &["--workload", "flooding/1"]);
+        let (status, body) =
+            http::request(addr, "POST", "/sweep", spec.to_json().as_bytes()).unwrap();
+        assert_eq!((status, body), (200, v1.clone()));
+    }
+
+    // The default workload never sees it: the spec is a miss, and what
+    // it serves is the flooding/2 realization.
+    let (child, addr) = spawn_daemon_with(&root, &["--workload", "flooding"]);
+    let (status, _) = http::request(addr, "GET", &format!("/sweep/{fp}"), b"").unwrap();
+    assert_eq!(
+        status, 404,
+        "a flooding/2 daemon listed a flooding/1 artifact"
+    );
+    let (status, body) = http::request(addr, "POST", "/sweep", spec.to_json().as_bytes()).unwrap();
+    assert_eq!(status, 202, "{}", String::from_utf8_lossy(&body));
+    let served = poll_complete(addr, fp, Duration::from_secs(120));
+    assert_eq!(served, v2);
+    drop(child);
+    // Each version's artifact sits in its own store.
+    assert_eq!(std::fs::read(&v1_file).unwrap(), v1);
+    let v2_file = Workload::flooding()
+        .store_root(&root)
+        .join("store")
+        .join(format!("{fp}.json"));
+    assert_eq!(std::fs::read(&v2_file).unwrap(), v2);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn sigkill_mid_sweep_then_restart_converges_to_identical_bytes() {
     let root = tmp_root("sigkill");
@@ -151,7 +244,10 @@ fn sigkill_mid_sweep_then_restart_converges_to_identical_bytes() {
         TrialBudget::fixed(40),
     );
     let fp = spec.fingerprint();
-    let artifact = root.join("store").join(format!("{fp}.json"));
+    let artifact = Workload::synthetic()
+        .store_root(&root)
+        .join("store")
+        .join(format!("{fp}.json"));
 
     {
         let (child, addr) = spawn_daemon(&root);

@@ -1,17 +1,30 @@
-//! Golden `flooding/1` artifacts: the exact bytes the flooding workload
-//! produced for stored specs, checked in and pinned byte for byte.
+//! Golden flooding artifacts: the exact bytes both flooding workloads
+//! produce for stored specs, checked in and pinned byte for byte.
 //!
-//! Every cell with `n` at or below the sharding threshold runs on the
-//! exact-scan edge-MEG, whose realizations are part of the store's
-//! contract: an artifact a daemon stored must regenerate to the same
-//! bytes under every later build. The in-crate fingerprint pins stop at
-//! `n = 128`; these files cover the served benchmark cell (`n = 4096`,
-//! `q = 0.01`) and small grids whose slow cells flood in tens to hundreds
-//! of rounds, with birth or death rates equal to one (the no-draw
-//! branch) and small ones.
+//! **`flooding/1`** ([`Workload::flooding_v1`]). Every cell with `n` at
+//! or below the sharding threshold runs on the exact-scan edge-MEG,
+//! whose realizations are part of the store's contract: an artifact a
+//! daemon stored must regenerate to the same bytes under every later
+//! build. The in-crate fingerprint pins stop at `n = 128`; these files
+//! cover the served benchmark cell (`n = 4096`, `q = 0.01`) and small
+//! grids whose slow cells flood in tens to hundreds of rounds, with
+//! birth or death rates equal to one (the no-draw branch) and small
+//! ones.
+//!
+//! **`flooding/2`** ([`Workload::flooding`], the default). Cells with
+//! `α = p/(p+q) ≤ 1/2` run on the lane model, denser ones on the exact
+//! scan. Its files (`flooding2_*.json`) pin the served cell, a
+//! slow-churn grid and the small grid above (its `q = 1` cells on the
+//! lane model, its `α > 1/2` cells on the exact scan), so a stream drift
+//! in the lane model or a change of routing shows up as a diff in
+//! served bytes, not only in the models' own pins. The served cell
+//! floods in exactly 3 rounds on every trial of either workload, so its
+//! `flooding/2` spec also records the message count, which does depend
+//! on the realization. Every `p = 1` cell has `α > 1/2`, so `flooding/2`
+//! answers the birth-rate-one grid with `flooding/1`'s stored bytes.
 
 use dg_serve::Workload;
-use dg_sweep::{Axis, SweepSpec, TrialBudget};
+use dg_sweep::{Axis, Metric, SweepSpec, TrialBudget};
 
 fn golden_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -56,38 +69,109 @@ fn birth_rate_one_spec() -> SweepSpec {
     )
 }
 
-fn run(spec: &SweepSpec) -> String {
-    let report = spec
-        .sweep()
-        .run(Workload::flooding().trial_fn())
-        .expect("flooding sweep runs");
+/// The served miss cell with a message-count metric beside the
+/// flooding time.
+fn miss_cell_metrics_spec() -> SweepSpec {
+    miss_cell_spec().with_metrics(vec![Metric::new("rounds"), Metric::observe("messages")])
+}
+
+/// A slow-churn grid for `flooding/2`: sparse stationary graphs whose
+/// edges live tens of rounds, so floods wait on births.
+fn slow_churn_spec() -> SweepSpec {
+    SweepSpec::new(
+        vec![
+            Axis::ints("n", [64, 512]),
+            Axis::explicit("q", [0.02, 0.1]),
+            Axis::explicit("p", [0.0005, 0.002]),
+        ],
+        0x5_10C4_0C4E,
+        TrialBudget::fixed(3),
+    )
+}
+
+fn run(workload: &Workload, spec: &SweepSpec) -> String {
+    let sweep = spec.sweep();
+    let report = match spec.metrics() {
+        Some(metrics) => sweep.run_metrics(workload.metric_trial_fn(metrics.to_vec())),
+        None => sweep.run(workload.trial_fn()),
+    }
+    .expect("flooding sweep runs");
     assert!(report.is_complete());
     report.to_json()
 }
 
-fn assert_golden(name: &str, spec: &SweepSpec) {
+fn assert_golden(workload: &Workload, name: &str, spec: &SweepSpec) {
     let path = golden_dir().join(name);
     let stored =
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     assert!(
-        run(spec) == stored,
-        "{name}: the flooding workload no longer reproduces its stored artifact bytes"
+        run(workload, spec) == stored,
+        "{name}: the {} workload no longer reproduces its stored artifact bytes",
+        workload.name()
     );
 }
 
 #[test]
 fn miss_cell_artifact_is_byte_identical() {
-    assert_golden("flooding_n4096_q0.01.json", &miss_cell_spec());
+    assert_golden(
+        &Workload::flooding_v1(),
+        "flooding_n4096_q0.01.json",
+        &miss_cell_spec(),
+    );
 }
 
 #[test]
 fn small_grid_artifact_is_byte_identical() {
-    assert_golden("flooding_small_grid.json", &small_grid_spec());
+    assert_golden(
+        &Workload::flooding_v1(),
+        "flooding_small_grid.json",
+        &small_grid_spec(),
+    );
 }
 
 #[test]
 fn birth_rate_one_artifact_is_byte_identical() {
-    assert_golden("flooding_p1.json", &birth_rate_one_spec());
+    assert_golden(
+        &Workload::flooding_v1(),
+        "flooding_p1.json",
+        &birth_rate_one_spec(),
+    );
+}
+
+#[test]
+fn v2_miss_cell_artifact_is_byte_identical() {
+    assert_golden(
+        &Workload::flooding(),
+        "flooding2_n4096_q0.01.json",
+        &miss_cell_metrics_spec(),
+    );
+}
+
+#[test]
+fn v2_slow_churn_artifact_is_byte_identical() {
+    assert_golden(
+        &Workload::flooding(),
+        "flooding2_slow_churn.json",
+        &slow_churn_spec(),
+    );
+}
+
+#[test]
+fn v2_small_grid_artifact_is_byte_identical() {
+    assert_golden(
+        &Workload::flooding(),
+        "flooding2_small_grid.json",
+        &small_grid_spec(),
+    );
+}
+
+#[test]
+fn v2_birth_rate_one_cells_run_on_the_exact_scan() {
+    assert_golden(
+        &Workload::flooding(),
+        "flooding_p1.json",
+        &birth_rate_one_spec(),
+    );
 }
 
 /// Regenerates the stored artifacts. They must never change, so running
@@ -98,15 +182,16 @@ fn birth_rate_one_artifact_is_byte_identical() {
 fn regenerate_golden_flooding() {
     let dir = golden_dir();
     std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(
-        dir.join("flooding_n4096_q0.01.json"),
-        run(&miss_cell_spec()),
-    )
-    .unwrap();
-    std::fs::write(
-        dir.join("flooding_small_grid.json"),
-        run(&small_grid_spec()),
-    )
-    .unwrap();
-    std::fs::write(dir.join("flooding_p1.json"), run(&birth_rate_one_spec())).unwrap();
+    let (v1, v2) = (Workload::flooding_v1(), Workload::flooding());
+    let files = [
+        (&v1, "flooding_n4096_q0.01.json", miss_cell_spec()),
+        (&v1, "flooding_small_grid.json", small_grid_spec()),
+        (&v1, "flooding_p1.json", birth_rate_one_spec()),
+        (&v2, "flooding2_n4096_q0.01.json", miss_cell_metrics_spec()),
+        (&v2, "flooding2_slow_churn.json", slow_churn_spec()),
+        (&v2, "flooding2_small_grid.json", small_grid_spec()),
+    ];
+    for (workload, name, spec) in files {
+        std::fs::write(dir.join(name), run(workload, &spec)).unwrap();
+    }
 }

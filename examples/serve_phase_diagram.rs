@@ -21,9 +21,12 @@
 //! cargo run --release --example serve_phase_diagram
 //! ```
 //!
-//! State lands in `serve_phase_diagram_data/`; rerunning is a cache hit
-//! (step 2 serves `200` immediately), and killing a run mid-sweep
-//! leaves a checkpoint the next run resumes.
+//! State lands in `serve_phase_diagram_data/flooding-2/`, the
+//! `flooding/2` store under that root (`Workload::store_root`); rerunning
+//! is a cache hit (step 2 serves `200` immediately), and killing a run
+//! mid-sweep leaves a checkpoint the next run resumes. Artifacts an
+//! older build left in `serve_phase_diagram_data/store/` are
+//! `flooding/1` realizations and are never served here.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,8 +43,10 @@ fn main() {
     );
     let fp = spec.fingerprint();
 
-    let store = ArtifactStore::open("serve_phase_diagram_data").expect("store io");
-    let daemon = Arc::new(Daemon::start(store, Workload::flooding(), 1).expect("daemon start"));
+    let workload = Workload::flooding();
+    let store =
+        ArtifactStore::open(workload.store_root("serve_phase_diagram_data")).expect("store io");
+    let daemon = Arc::new(Daemon::start(store, workload, 1).expect("daemon start"));
     let handler = Arc::clone(&daemon);
     let server = http::serve("127.0.0.1:0", move |req| handler.handle(req)).expect("bind");
     let addr = server.addr();
