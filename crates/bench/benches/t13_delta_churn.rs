@@ -6,16 +6,15 @@
 //! round), not to `|E_t| + n`. This bench measures both stepping paths
 //! of the event-driven `SparseTwoStateEdgeMeg` on identical realizations
 //! (same seed ⇒ same RNG stream), plus an end-to-end engine flooding run
-//! on both pipelines, and emits machine-readable `BENCH_delta.json` at
-//! the repository root so future PRs can track the perf trajectory.
+//! on both pipelines, and writes `BENCH_delta.json` at the repository
+//! root (a [`dg_bench::Record`]) to track the perf trajectory.
 //!
 //! Quick mode (`DG_BENCH_QUICK=1`) shrinks every case so CI can smoke
-//! the harness in seconds.
+//! the harness in seconds, and writes `target/BENCH_delta_quick.json`.
 
-use std::fmt::Write as _;
-use std::path::Path;
 use std::time::Instant;
 
+use dg_bench::{fixed, obj};
 use dg_edge_meg::SparseTwoStateEdgeMeg;
 use dynagraph::{DynAdjacency, EdgeDelta, EvolvingGraph};
 
@@ -181,52 +180,22 @@ fn main() {
         flooding.n, flooding.snapshot_ms, flooding.delta_ms, flooding.speedup, flooding.flooding_time
     );
 
-    // Machine-readable trajectory record (hand-rolled JSON; the build
-    // environment has no serde).
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"t13_delta_churn\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(
-        json,
-        "  \"description\": \"per-round cost of full CSR rebuild vs delta-native stepping on the stationary sparse edge-MEG (p = 1/n)\","
-    );
-    let _ = writeln!(json, "  \"stepping\": [");
-    for (i, r) in stepping.iter().enumerate() {
-        let comma = if i + 1 < stepping.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"model\": \"sparse-two-state-edge-meg\", \"headline\": {}, \"n\": {}, \"p\": {:.8}, \"q\": {}, \"rounds\": {}, \"rebuild_ns_per_round\": {:.1}, \"delta_ns_per_round\": {:.1}, \"speedup\": {:.2}, \"mean_edges\": {:.1}, \"mean_churn\": {:.2}}}{}",
-            r.headline, r.n, r.p, r.q, r.rounds, r.rebuild_ns_per_round, r.delta_ns_per_round, r.speedup, r.mean_edges, r.mean_churn, comma
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"flooding_end_to_end\": [");
-    let _ = writeln!(
-        json,
-        "    {{\"model\": \"sparse-two-state-edge-meg\", \"protocol\": \"flooding\", \"n\": {}, \"p\": {:.10}, \"q\": {}, \"snapshot_ms\": {:.2}, \"delta_ms\": {:.2}, \"speedup\": {:.2}, \"flooding_time\": {}}}",
-        flooding.n,
-        flooding.p,
-        flooding.q,
-        flooding.snapshot_ms,
-        flooding.delta_ms,
-        flooding.speedup,
-        flooding
-            .flooding_time
-            .map_or("null".to_string(), |t| t.to_string())
-    );
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-
-    if quick {
-        // Quick mode is a CI smoke run; don't clobber the committed
-        // full-scale trajectory record.
-        println!("quick mode: skipping BENCH_delta.json update");
-        return;
-    }
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_delta.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    dg_bench::Record::new(
+        env!("CARGO_CRATE_NAME"),
+        "delta",
+        "per-round cost of full CSR rebuild vs delta-native stepping on the stationary sparse edge-MEG (p = 1/n)",
+    )
+    .rows("stepping", stepping.iter().map(|r| obj! {
+        "model": "sparse-two-state-edge-meg", "headline": r.headline, "n": r.n, "p": fixed(r.p, 8),
+        "q": r.q, "rounds": r.rounds, "rebuild_ns_per_round": fixed(r.rebuild_ns_per_round, 1),
+        "delta_ns_per_round": fixed(r.delta_ns_per_round, 1), "speedup": fixed(r.speedup, 2),
+        "mean_edges": fixed(r.mean_edges, 1), "mean_churn": fixed(r.mean_churn, 2),
+    }))
+    .rows("flooding_end_to_end", [obj! {
+        "model": "sparse-two-state-edge-meg", "protocol": "flooding", "n": flooding.n,
+        "p": fixed(flooding.p, 10), "q": flooding.q, "snapshot_ms": fixed(flooding.snapshot_ms, 2),
+        "delta_ms": fixed(flooding.delta_ms, 2), "speedup": fixed(flooding.speedup, 2),
+        "flooding_time": flooding.flooding_time,
+    }])
+    .write();
 }

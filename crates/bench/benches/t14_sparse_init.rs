@@ -13,13 +13,13 @@
 //! * `ThinnedEvolvingGraph` / `JammedEvolvingGraph` used to fall back to
 //!   snapshot diffing; their native delta path never materializes a CSR.
 //!
-//! Emits machine-readable `BENCH_sparse_init.json` at the repository
-//! root. Quick mode (`DG_BENCH_QUICK=1`) shrinks sizes for CI smoke.
+//! Writes `BENCH_sparse_init.json` at the repository root. Quick mode
+//! (`DG_BENCH_QUICK=1`) shrinks sizes for CI smoke and writes
+//! `target/BENCH_sparse_init_quick.json`.
 
-use std::fmt::Write as _;
-use std::path::Path;
 use std::time::Instant;
 
+use dg_bench::{fixed, obj};
 use dg_edge_meg::{pair_count, ShardedSparseEdgeMeg, SparseTwoStateEdgeMeg};
 use dynagraph::{DynAdjacency, EdgeDelta, EvolvingGraph, ThinnedEvolvingGraph};
 
@@ -177,46 +177,25 @@ fn main() {
         thinned.n, thinned.snapshot_ns_per_round, thinned.delta_ns_per_round, thinned.speedup, thinned.mean_churn
     );
 
-    // Machine-readable trajectory record (hand-rolled JSON; no serde in
-    // this environment).
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"t14_sparse_init\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"cores\": {},", dg_bench::cores());
-    let _ = writeln!(json, "  \"commit\": \"{}\",", dg_bench::commit());
-    let _ = writeln!(
-        json,
-        "  \"description\": \"trial setup cost of the exact-scan edge-MEG's O(n^2) stationary pair scan vs the lane edge-MEG's O(#on) geometric-skip initializer (p = 1/n), plus the delta-native section-5 thinned wrapper over the lane edge-MEG\","
-    );
-    let _ = writeln!(json, "  \"setup\": [");
-    for (i, r) in setups.iter().enumerate() {
-        let comma = if i + 1 < setups.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"scan_model\": \"sparse-two-state-edge-meg\", \"lane_model\": \"lane-edge-meg\", \"headline\": {}, \"n\": {}, \"p\": {:.10}, \"q\": {}, \"iters\": {}, \"scan_ms\": {:.3}, \"lane_ms\": {:.3}, \"speedup\": {:.1}, \"scan_edges\": {}, \"lane_edges\": {}}}{}",
-            r.headline, r.n, r.p, r.q, r.iters, r.scan_ms, r.lane_ms, r.speedup, r.scan_edges, r.lane_edges, comma
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"thinned_stepping\": [");
-    let _ = writeln!(
-        json,
-        "    {{\"model\": \"thinned(lane-edge-meg)\", \"n\": {}, \"p\": {:.10}, \"q\": {}, \"gamma\": 0.5, \"rounds\": {}, \"snapshot_ns_per_round\": {:.1}, \"delta_ns_per_round\": {:.1}, \"speedup\": {:.2}, \"mean_churn\": {:.1}}}",
-        thinned.n, thinned.p, thinned.q, thinned.rounds, thinned.snapshot_ns_per_round, thinned.delta_ns_per_round, thinned.speedup, thinned.mean_churn
-    );
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-
-    if quick {
-        // Quick mode is a CI smoke run; don't clobber the committed
-        // full-scale trajectory record.
-        println!("quick mode: skipping BENCH_sparse_init.json update");
-        return;
-    }
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sparse_init.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    dg_bench::Record::new(
+        env!("CARGO_CRATE_NAME"),
+        "sparse_init",
+        "trial setup cost of the exact-scan edge-MEG's O(n^2) stationary pair scan vs the lane edge-MEG's O(#on) geometric-skip initializer (p = 1/n), plus the delta-native section-5 thinned wrapper over the lane edge-MEG",
+    )
+    .rows("setup", setups.iter().map(|r| obj! {
+        "scan_model": "sparse-two-state-edge-meg", "lane_model": "lane-edge-meg",
+        "headline": r.headline,
+        "n": r.n, "p": fixed(r.p, 10), "q": r.q, "iters": r.iters, "scan_ms": fixed(r.scan_ms, 3),
+        "lane_ms": fixed(r.lane_ms, 3), "speedup": fixed(r.speedup, 1), "scan_edges": r.scan_edges,
+        "lane_edges": r.lane_edges,
+    }))
+    .rows("thinned_stepping", [obj! {
+        "model": "thinned(lane-edge-meg)", "n": thinned.n, "p": fixed(thinned.p, 10),
+        "q": thinned.q,
+        "gamma": 0.5, "rounds": thinned.rounds,
+        "snapshot_ns_per_round": fixed(thinned.snapshot_ns_per_round, 1),
+        "delta_ns_per_round": fixed(thinned.delta_ns_per_round, 1),
+        "speedup": fixed(thinned.speedup, 2), "mean_churn": fixed(thinned.mean_churn, 1),
+    }])
+    .write();
 }

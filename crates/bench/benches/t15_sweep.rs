@@ -15,13 +15,13 @@
 //!   `run_budget`, checkpointed, resumed, and the final artifact is
 //!   asserted byte-identical to the uninterrupted run's.
 //!
-//! Emits machine-readable `BENCH_sweep.json` at the repository root.
-//! Quick mode (`DG_BENCH_QUICK=1`) shrinks sizes for CI smoke.
+//! Writes `BENCH_sweep.json` at the repository root. Quick mode
+//! (`DG_BENCH_QUICK=1`) shrinks sizes for CI smoke and writes
+//! `target/BENCH_sweep_quick.json`.
 
-use std::fmt::Write as _;
-use std::path::Path;
 use std::time::Instant;
 
+use dg_bench::{fixed, obj};
 use dg_mobility::{GeometricMeg, RandomWaypoint};
 use dynagraph::engine::Simulation;
 use dynagraph::sweep::{Axis, CiTarget, Grid, Sweep, SweepReport, Trial, TrialBudget};
@@ -109,13 +109,13 @@ fn main() {
         .map(|c| c.trials())
         .max()
         .expect("non-empty grid");
-    let (fixed, fixed_secs) = run_sweep(n, quick, TrialBudget::fixed(worst));
-    let fixed_trials = fixed.total_trials();
+    let (baseline, fixed_secs) = run_sweep(n, quick, TrialBudget::fixed(worst));
+    let fixed_trials = baseline.total_trials();
     let savings = 1.0 - adaptive_trials as f64 / fixed_trials as f64;
     println!(
         "fixed({worst:>2})  n={n:>3}  {cells} cells  {fixed_trials:>4} trials  {:>7.2} ms  (max rel CI {:.3})",
         fixed_secs * 1e3,
-        max_rel_half_width(&fixed),
+        max_rel_half_width(&baseline),
     );
     println!(
         "adaptive stopping saves {:.1}% of trials ({} of {}) at the same worst-cell CI target",
@@ -169,70 +169,41 @@ fn main() {
     );
     let _ = std::fs::remove_file(&ckpt);
 
-    // Machine-readable trajectory record (hand-rolled JSON; no serde in
-    // this environment).
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"t15_sweep\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(
-        json,
-        "  \"description\": \"adaptive (cell x trial) sweep scheduling on the t05 density grid: trial savings of sequential stopping vs a fixed budget sized for the worst cell at the same CI target, plus sweep throughput and kill/resume byte-identity\","
-    );
-    let _ = writeln!(
-        json,
-        "  \"workload\": {{\"model\": \"waypoint-manet\", \"n\": {n}, \"r\": 1.0, \"ci_target_relative\": {}, \"min_trials\": {}, \"max_trials\": {}}},",
-        match budget.ci_target {
-            Some(CiTarget::Relative(v)) => v,
-            _ => unreachable!("bench budget is relative"),
-        },
-        budget.min_trials,
-        budget.max_trials,
-    );
-    let _ = writeln!(json, "  \"cells\": [");
-    let cells_n = adaptive.cells().len();
-    for (i, cell) in adaptive.cells().iter().enumerate() {
-        let ci = cell.ci();
-        let _ = writeln!(
-            json,
-            "    {{\"L\": {}, \"density\": {:.4}, \"trials\": {}, \"mean_f\": {:.2}, \"ci_half_width\": {:.3}, \"incomplete\": {}}}{}",
-            adaptive.axis_value(cell, "L"),
-            n as f64 / (adaptive.axis_value(cell, "L") * adaptive.axis_value(cell, "L")),
-            cell.trials(),
-            cell.mean().unwrap_or(f64::NAN),
-            ci.map_or(f64::NAN, |c| c.half_width()),
-            cell.incomplete(),
-            if i + 1 < cells_n { "," } else { "" },
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"adaptive\": {{\"total_trials\": {adaptive_trials}, \"seconds\": {adaptive_secs:.3}, \"cells_per_sec\": {:.2}, \"trials_per_sec\": {:.1}, \"max_rel_half_width\": {:.4}}},",
-        cells as f64 / adaptive_secs,
-        adaptive_trials as f64 / adaptive_secs,
-        max_rel_half_width(&adaptive),
-    );
-    let _ = writeln!(
-        json,
-        "  \"fixed_equal_ci\": {{\"per_cell_trials\": {worst}, \"total_trials\": {fixed_trials}, \"seconds\": {fixed_secs:.3}, \"max_rel_half_width\": {:.4}}},",
-        max_rel_half_width(&fixed),
-    );
-    let _ = writeln!(
-        json,
-        "  \"headline\": {{\"trial_savings\": {savings:.3}, \"resume_byte_identical\": {resume_byte_identical}}}"
-    );
-    let _ = writeln!(json, "}}");
-
-    if quick {
-        // Quick mode is a CI smoke run; don't clobber the committed
-        // full-scale trajectory record.
-        println!("quick mode: skipping BENCH_sweep.json update");
-        return;
-    }
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sweep.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    let ci_target_relative = match budget.ci_target {
+        Some(CiTarget::Relative(v)) => v,
+        _ => unreachable!("bench budget is relative"),
+    };
+    dg_bench::Record::new(
+        env!("CARGO_CRATE_NAME"),
+        "sweep",
+        "adaptive (cell x trial) sweep scheduling on the t05 density grid: trial savings of sequential stopping vs a fixed budget sized for the worst cell at the same CI target, plus sweep throughput and kill/resume byte-identity",
+    )
+    .object("workload", obj! {
+        "model": "waypoint-manet", "n": n, "r": fixed(1.0, 1),
+        "ci_target_relative": ci_target_relative,
+        "min_trials": budget.min_trials, "max_trials": budget.max_trials,
+    })
+    .rows("cells", adaptive.cells().iter().map(|cell| {
+        let l = adaptive.axis_value(cell, "L");
+        obj! {
+            "L": l, "density": fixed(n as f64 / (l * l), 4), "trials": cell.trials(),
+            "mean_f": fixed(cell.mean().unwrap_or(f64::NAN), 2),
+            "ci_half_width": fixed(cell.ci().map_or(f64::NAN, |c| c.half_width()), 3),
+            "incomplete": cell.incomplete(),
+        }
+    }))
+    .object("adaptive", obj! {
+        "total_trials": adaptive_trials, "seconds": fixed(adaptive_secs, 3),
+        "cells_per_sec": fixed(cells as f64 / adaptive_secs, 2),
+        "trials_per_sec": fixed(adaptive_trials as f64 / adaptive_secs, 1),
+        "max_rel_half_width": fixed(max_rel_half_width(&adaptive), 4),
+    })
+    .object("fixed_equal_ci", obj! {
+        "per_cell_trials": worst, "total_trials": fixed_trials, "seconds": fixed(fixed_secs, 3),
+        "max_rel_half_width": fixed(max_rel_half_width(&baseline), 4),
+    })
+    .object("headline", obj! {
+        "trial_savings": fixed(savings, 3), "resume_byte_identical": resume_byte_identical,
+    })
+    .write();
 }

@@ -25,15 +25,13 @@
 //!   fresh; the rest of the scan is replayed only by trials that run
 //!   past round 64).
 //!
-//! Emits machine-readable `BENCH_trial_reuse.json` at the repository
-//! root (in quick mode: `target/BENCH_trial_reuse_quick.json`, for the
-//! CI artifact upload — quick outputs never land in the source tree).
+//! Writes `BENCH_trial_reuse.json` at the repository root (quick mode:
+//! `target/BENCH_trial_reuse_quick.json`).
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::path::Path;
 use std::time::Instant;
 
+use dg_bench::{fixed, obj};
 use dg_edge_meg::{ShardedSparseEdgeMeg, SparseTwoStateEdgeMeg};
 use dg_mobility::{GeometricMeg, RandomWaypoint};
 use dynagraph::engine::{Simulation, TrialScratch};
@@ -175,9 +173,9 @@ fn main() {
     // 1. Headline: slow-churn phase cells — setup is the trial.
     let n1 = if quick { 1024 } else { 16384 };
     let w1_qs = if quick {
-        "[0.02, 0.01]"
+        vec![0.02, 0.01]
     } else {
-        "[0.005, 0.002]"
+        vec![0.005, 0.002]
     };
     let w1_grid = if quick {
         || Grid::new().axis(Axis::explicit("q", vec![0.02, 0.01]))
@@ -267,57 +265,43 @@ fn main() {
         );
     }
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"t16_trial_reuse\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"cores\": {},", dg_bench::cores());
-    let _ = writeln!(json, "  \"commit\": \"{}\",", dg_bench::commit());
-    let _ = writeln!(
-        json,
-        "  \"description\": \"zero-rebuild trials: per-worker model reuse (reset instead of reconstruction) + reusable TrialScratch across the engine and sweep layers, plus the full-emission bulk load and the lazy sparse-MEG dynamics that this PR added to the shared trial path. fresh = stateless pre-PR-shaped path (new model + new buffers every trial); zero_rebuild = cached model reset in place + retained buffers. Reports are asserted byte-identical on every workload.\","
-    );
-    let _ = writeln!(json, "  \"workloads\": {{");
-    let _ = writeln!(
-        json,
-        "    \"phase_cell_sweep\": {{\"model\": \"lane edge-MEG\", \"n\": {n1}, \"p\": \"1/n\", \"q\": {w1_qs}, \"trials\": {}, \"fresh_ms_per_trial\": {:.2}, \"zero_rebuild_ms_per_trial\": {:.2}, \"speedup\": {:.3}}},",
-        w1.trials, w1.fresh_ms_per_trial, w1.reuse_ms_per_trial, w1.speedup()
-    );
-    let _ = writeln!(
-        json,
-        "    \"t05_density_grid\": {{\"model\": \"waypoint-manet\", \"n\": {n2}, \"trials\": {}, \"fresh_ms_per_trial\": {:.4}, \"zero_rebuild_ms_per_trial\": {:.4}, \"speedup\": {:.3}, \"note\": \"round-dominated: mobility stepping, not setup, is the cost here; recorded as the honest negative control\"}},",
-        w2.trials, w2.fresh_ms_per_trial, w2.reuse_ms_per_trial, w2.speedup()
-    );
-    let _ = writeln!(
-        json,
-        "    \"exact_scan_batch\": {{\"model\": \"exact-scan sparse edge-MEG\", \"n\": {n3}, \"trials\": {w3_trials}, \"fresh_ms_per_trial\": {:.2}, \"zero_rebuild_ms_per_trial\": {:.2}, \"speedup\": {:.3}}}",
-        w3_fresh, w3_reuse, w3_fresh / w3_reuse
-    );
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(
-        json,
-        "  \"pre_pr_baseline\": {{\"phase_cell_sweep_ms_per_trial\": {PRE_PR_PHASE_CELL_MS}, \"t05_density_grid_ms_per_trial\": {PRE_PR_T05_MS}, \"exact_scan_batch_ms_per_trial\": {PRE_PR_EXACT_SCAN_MS}, \"note\": \"same workloads, same machine, measured at commit time on the parent commit (before the bulk load, the lazy sparse-MEG dynamics and the occupancy PairMap, which speed up both of today's paths); the end-to-end headline below compares against it\"}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"headline\": {{\"phase_cell_end_to_end_vs_pre_pr\": {:.2}, \"t05_end_to_end_vs_pre_pr\": {:.2}, \"exact_scan_end_to_end_vs_pre_pr\": {:.2}, \"reuse_only_byte_identical\": true}}",
-        PRE_PR_PHASE_CELL_MS / w1.reuse_ms_per_trial,
-        PRE_PR_T05_MS / w2.reuse_ms_per_trial,
-        PRE_PR_EXACT_SCAN_MS / w3_reuse,
-    );
-    let _ = writeln!(json, "}}");
-
-    // Quick mode is the CI smoke: write a separate artifact (uploaded
-    // by the workflow) instead of clobbering the committed full-scale
-    // trajectory record.
-    let name = if quick {
-        "../../target/BENCH_trial_reuse_quick.json"
-    } else {
-        "../../BENCH_trial_reuse.json"
-    };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(name);
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    dg_bench::Record::new(
+        env!("CARGO_CRATE_NAME"),
+        "trial_reuse",
+        "zero-rebuild trials: per-worker model reuse (reset instead of reconstruction) + reusable TrialScratch across the engine and sweep layers, plus the full-emission bulk load and the lazy sparse-MEG dynamics added to the shared trial path. fresh = stateless path (new model + new buffers every trial); zero_rebuild = cached model reset in place + retained buffers. Reports are asserted byte-identical on every workload.",
+    )
+    .entries("workloads", [
+        ("phase_cell_sweep", obj! {
+            "model": "lane edge-MEG", "n": n1, "p": "1/n", "q": w1_qs, "trials": w1.trials,
+            "fresh_ms_per_trial": fixed(w1.fresh_ms_per_trial, 2),
+            "zero_rebuild_ms_per_trial": fixed(w1.reuse_ms_per_trial, 2),
+            "speedup": fixed(w1.speedup(), 3),
+        }),
+        ("t05_density_grid", obj! {
+            "model": "waypoint-manet", "n": n2, "trials": w2.trials,
+            "fresh_ms_per_trial": fixed(w2.fresh_ms_per_trial, 4),
+            "zero_rebuild_ms_per_trial": fixed(w2.reuse_ms_per_trial, 4),
+            "speedup": fixed(w2.speedup(), 3),
+            "note": "round-dominated: mobility stepping, not setup, is the cost here; recorded as the honest negative control",
+        }),
+        ("exact_scan_batch", obj! {
+            "model": "exact-scan sparse edge-MEG", "n": n3, "trials": w3_trials,
+            "fresh_ms_per_trial": fixed(w3_fresh, 2),
+            "zero_rebuild_ms_per_trial": fixed(w3_reuse, 2),
+            "speedup": fixed(w3_fresh / w3_reuse, 3),
+        }),
+    ])
+    .object("pre_pr_baseline", obj! {
+        "phase_cell_sweep_ms_per_trial": PRE_PR_PHASE_CELL_MS,
+        "t05_density_grid_ms_per_trial": PRE_PR_T05_MS,
+        "exact_scan_batch_ms_per_trial": PRE_PR_EXACT_SCAN_MS,
+        "note": "same workloads, same machine, measured at commit time on the parent commit (before the bulk load, the lazy sparse-MEG dynamics and the occupancy PairMap, which speed up both of today's paths); the end-to-end headline below compares against it",
+    })
+    .object("headline", obj! {
+        "phase_cell_end_to_end_vs_pre_pr": fixed(PRE_PR_PHASE_CELL_MS / w1.reuse_ms_per_trial, 2),
+        "t05_end_to_end_vs_pre_pr": fixed(PRE_PR_T05_MS / w2.reuse_ms_per_trial, 2),
+        "exact_scan_end_to_end_vs_pre_pr": fixed(PRE_PR_EXACT_SCAN_MS / w3_reuse, 2),
+        "reuse_only_byte_identical": true,
+    })
+    .write();
 }

@@ -21,18 +21,15 @@
 //!   daemon's served bytes at every cell are asserted equal to a direct
 //!   one-thread sweep of its workload.
 //!
-//! Emits `BENCH_serve.json` at the repository root (quick mode:
-//! `target/BENCH_serve_quick.json`, for the CI artifact upload — quick
-//! outputs never land in the source tree). Respects `DG_BENCH_QUICK=1`
-//! like every other bench target.
+//! Writes `BENCH_serve.json` at the repository root (quick mode,
+//! `DG_BENCH_QUICK=1`: `target/BENCH_serve_quick.json`).
 
-use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dg_bench::Harness;
+use dg_bench::{fixed, obj, Harness, Raw};
 use dg_serve::{http, ArtifactStore, Daemon, Workload};
 use dynagraph::sweep::{Axis, SweepSpec, TrialBudget};
 
@@ -267,45 +264,20 @@ fn main() {
         );
     }
 
-    let cores = dg_bench::cores();
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"t17_serve\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"cores\": {cores},");
-    let _ = writeln!(json, "  \"commit\": \"{}\",", dg_bench::commit());
-    let _ = writeln!(
-        json,
-        "  \"description\": \"served misses per flooding workload: POST a never-seen 1-cell, 1-trial spec at n = {MISS_N}, wait for the job, GET the artifact, on an in-process one-worker daemon over loopback TCP; ops alternate between a flooding/1 daemon (exact-scan model) and a flooding/2 daemon (lane model up to alpha = p/(p+q) = 1/2, exact scan above). Cells: the served cell (p = 1.5/n, q = 0.01), p = q = 0.01 (alpha 1/2) and p = 0.09, q = 0.01 (alpha 0.9). Each daemon's served bytes at every cell are asserted equal to a direct one-thread sweep of its workload before timing. median_ms and min_ms are per op (POST + wait + GET), ops_per_s = 1000 / median_ms.\","
-    );
-    let _ = writeln!(json, "  \"workloads\": [");
-    for (i, (cell, name, model, ops, median, min)) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"cell\": \"{}\", \"workload\": \"{name}\", \"model\": \"{model}\", \"n\": {MISS_N}, \"p\": {}, \"q\": {}, \"ops\": {ops}, \"median_ms\": {median:.1}, \"min_ms\": {min:.1}, \"ops_per_s\": {:.2}}}{comma}",
-            cell.label,
-            cell.p_json(),
-            cell.q,
-            1e3 / median
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"headline\": {{\"served_bytes_equal_direct_sweep\": true, \"v2_over_v1_speedup\": {:.2}, \"v2_over_v1_speedup_alpha_0_5\": {:.2}, \"v2_over_v1_speedup_alpha_0_9\": {:.2}}}",
-        speedups[0], speedups[1], speedups[2]
-    );
-    let _ = writeln!(json, "}}");
-
-    let name = if quick {
-        "../../target/BENCH_serve_quick.json"
-    } else {
-        "../../BENCH_serve.json"
-    };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(name);
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    dg_bench::Record::new(
+        env!("CARGO_CRATE_NAME"),
+        "serve",
+        &format!("served misses per flooding workload: POST a never-seen 1-cell, 1-trial spec at n = {MISS_N}, wait for the job, GET the artifact, on an in-process one-worker daemon over loopback TCP; ops alternate between a flooding/1 daemon (exact-scan model) and a flooding/2 daemon (lane model up to alpha = p/(p+q) = 1/2, exact scan above). Cells: the served cell (p = 1.5/n, q = 0.01), p = q = 0.01 (alpha 1/2) and p = 0.09, q = 0.01 (alpha 0.9). Each daemon's served bytes at every cell are asserted equal to a direct one-thread sweep of its workload before timing. median_ms and min_ms are per op (POST + wait + GET), ops_per_s = 1000 / median_ms."),
+    )
+    .rows("workloads", rows.iter().map(|(cell, name, model, ops, median, min)| obj! {
+        "cell": cell.label, "workload": name, "model": model, "n": MISS_N, "p": Raw(cell.p_json()),
+        "q": cell.q, "ops": ops, "median_ms": fixed(*median, 1), "min_ms": fixed(*min, 1),
+        "ops_per_s": fixed(1e3 / median, 2),
+    }))
+    .object("headline", obj! {
+        "served_bytes_equal_direct_sweep": true, "v2_over_v1_speedup": fixed(speedups[0], 2),
+        "v2_over_v1_speedup_alpha_0_5": fixed(speedups[1], 2),
+        "v2_over_v1_speedup_alpha_0_9": fixed(speedups[2], 2),
+    })
+    .write();
 }

@@ -16,14 +16,12 @@
 //! `BENCH_shard.json` records the core count alongside every number so
 //! the artifact says what hardware produced it.
 //!
-//! Emits `BENCH_shard.json` at the repository root (quick mode:
-//! `target/BENCH_shard_quick.json`, for the CI artifact upload — quick
-//! outputs never land in the source tree).
+//! Writes `BENCH_shard.json` at the repository root (quick mode:
+//! `target/BENCH_shard_quick.json`).
 
-use std::fmt::Write as _;
-use std::path::Path;
 use std::time::Instant;
 
+use dg_bench::{fixed, obj};
 use dg_edge_meg::ShardedSparseEdgeMeg;
 use dynagraph::engine::{Simulation, SimulationReport, Stepping};
 
@@ -115,53 +113,24 @@ fn main() {
         }
     }
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"t18_shard\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"cores\": {cores},");
-    let _ = writeln!(json, "  \"commit\": \"{}\",", dg_bench::commit());
-    let _ = writeln!(
-        json,
-        "  \"description\": \"intra-trial sharding: one flood trial on a stationary-sparse edge-MEG (p = 1.5/n, q = 0.5) on the lane executor — 64 fixed lanes of the u64 pair space advanced in parallel, each scanning its own on-edges against the informed set (scan rounds; at q = 0.5 churn outgrows the graph, so no trial switches to adjacency rounds), candidates committed over disjoint node ranges. delta = the serial delta path (Stepping::Delta, one shard), serial = the lane executor on one thread (.shards(1)), scan_speedup = delta / serial; every report is asserted equal to the delta one (records including message counts) before timing. On machines with fewer cores than shards the sharded numbers show scheduling overhead, not speedup; the cores field above says which reading applies.\","
-    );
-    let _ = writeln!(json, "  \"workloads\": [");
-    for (i, (n, trials, delta_ms, serial_ms, sharded)) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let mut per = String::new();
-        for (j, (k, ms)) in sharded.iter().enumerate() {
-            let c = if j + 1 < sharded.len() { ", " } else { "" };
-            let _ = write!(
-                per,
-                "{{\"shards\": {k}, \"ms_per_trial\": {ms:.1}, \"speedup\": {:.3}}}{c}",
-                serial_ms / ms
-            );
+    dg_bench::Record::new(
+        env!("CARGO_CRATE_NAME"),
+        "shard",
+        "intra-trial sharding: one flood trial on a stationary-sparse edge-MEG (p = 1.5/n, q = 0.5) on the lane executor — 64 fixed lanes of the u64 pair space advanced in parallel, each scanning its own on-edges against the informed set (scan rounds; at q = 0.5 churn outgrows the graph, so no trial switches to adjacency rounds), candidates committed over disjoint node ranges. delta = the serial delta path (Stepping::Delta, one shard), serial = the lane executor on one thread (.shards(1)), scan_speedup = delta / serial; every report is asserted equal to the delta one (records including message counts) before timing. On machines with fewer cores than shards the sharded numbers show scheduling overhead, not speedup; the cores field above says which reading applies.",
+    )
+    .rows("workloads", rows.iter().map(|(n, trials, delta_ms, serial_ms, sharded)| {
+        let sharded: Vec<_> = sharded.iter().map(|(k, ms)| obj! {
+            "shards": k, "ms_per_trial": fixed(*ms, 1), "speedup": fixed(serial_ms / ms, 3),
+        }).collect();
+        obj! {
+            "model": "lane-sharded sparse edge-MEG", "n": n, "p": "1.5/n", "q": 0.5,
+            "trials": trials,
+            "delta_ms_per_trial": fixed(*delta_ms, 1), "serial_ms_per_trial": fixed(*serial_ms, 1),
+            "scan_speedup": fixed(delta_ms / serial_ms, 3), "sharded": sharded,
         }
-        let _ = writeln!(
-            json,
-            "    {{\"model\": \"lane-sharded sparse edge-MEG\", \"n\": {n}, \"p\": \"1.5/n\", \"q\": 0.5, \"trials\": {trials}, \"delta_ms_per_trial\": {delta_ms:.1}, \"serial_ms_per_trial\": {serial_ms:.1}, \"scan_speedup\": {:.3}, \"sharded\": [{per}]}}{comma}",
-            delta_ms / serial_ms
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"headline\": {{\"byte_identical_all_shard_counts\": true, \"speedup_assertion_active\": {}}}",
-        !quick && cores >= 8
-    );
-    let _ = writeln!(json, "}}");
-
-    // Quick mode is the CI smoke: write a separate artifact (uploaded
-    // by the workflow) instead of clobbering the committed full-scale
-    // record.
-    let name = if quick {
-        "../../target/BENCH_shard_quick.json"
-    } else {
-        "../../BENCH_shard.json"
-    };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(name);
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    }))
+    .object("headline", obj! {
+        "byte_identical_all_shard_counts": true, "speedup_assertion_active": !quick && cores >= 8,
+    })
+    .write();
 }

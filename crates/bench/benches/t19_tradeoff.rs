@@ -16,15 +16,12 @@
 //! * **determinism** — the multi-metric sweep re-run single-threaded
 //!   must produce a byte-identical `dg-sweep/2` artifact.
 //!
-//! Emits machine-readable `BENCH_tradeoff.json` at the repository root
-//! (quick mode, `DG_BENCH_QUICK=1`: shrunken sizes and a
-//! `target/BENCH_tradeoff_quick.json` sibling for the CI artifact
-//! upload — quick outputs never land in the source tree).
+//! Writes `BENCH_tradeoff.json` at the repository root (quick mode,
+//! `DG_BENCH_QUICK=1`: shrunken sizes, `target/BENCH_tradeoff_quick.json`).
 
-use std::fmt::Write as _;
-use std::path::Path;
 use std::time::Instant;
 
+use dg_bench::{fixed, obj};
 use dg_edge_meg::SparseTwoStateEdgeMeg;
 use dynagraph::engine::{Simulation, TrialRecord};
 use dynagraph::sweep::{
@@ -146,66 +143,34 @@ fn main() {
     );
     println!("serial re-run artifact byte-identical: {byte_identical}");
 
-    // Machine-readable trajectory record (hand-rolled JSON; no serde in
-    // this environment).
     let (rounds, messages, coverage) = (0usize, 1usize, 2usize);
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"t19_tradeoff\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(
-        json,
-        "  \"description\": \"multi-metric (rounds, messages, coverage) sweep on the stationary edge-MEG density grid: engine-trial savings of one per-metric-stopped sweep vs one scalar sweep per observable, plus dg-sweep/2 byte-determinism\","
-    );
-    let _ = writeln!(
-        json,
-        "  \"workload\": {{\"model\": \"sparse-two-state-edge-meg\", \"n\": {n}, \"p\": {:.6}, \"ci_target_relative\": 0.1}},",
-        1.5 / n as f64,
-    );
-    let _ = writeln!(json, "  \"cells\": [");
-    let cells_n = multi.cells().len();
-    for (i, cell) in multi.cells().iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"q\": {}, \"trials\": {}, \"mean_rounds\": {:.2}, \"mean_messages\": {:.1}, \"mean_coverage\": {:.4}, \"rounds_incomplete\": {}}}{}",
-            multi.axis_value(cell, "q"),
-            cell.trials(),
-            cell.mean_of(rounds).unwrap_or(f64::NAN),
-            cell.mean_of(messages).unwrap_or(f64::NAN),
-            cell.mean_of(coverage).unwrap_or(f64::NAN),
-            cell.incomplete_of(rounds),
-            if i + 1 < cells_n { "," } else { "" },
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"multi_metric\": {{\"total_trials\": {multi_trials}, \"seconds\": {multi_secs:.3}, \"trials_per_sec\": {:.1}}},",
-        multi_trials as f64 / multi_secs,
-    );
-    let _ = writeln!(
-        json,
-        "  \"two_scalar_sweeps\": {{\"rounds_trials\": {}, \"messages_trials\": {}, \"total_trials\": {scalar_trials}, \"seconds\": {:.3}}},",
-        rounds_only.total_trials(),
-        messages_only.total_trials(),
-        rounds_secs + messages_secs,
-    );
-    let _ = writeln!(
-        json,
-        "  \"headline\": {{\"trial_savings\": {savings:.3}, \"serial_byte_identical\": {byte_identical}}}"
-    );
-    let _ = writeln!(json, "}}");
-
-    // Quick mode writes a `_quick` sibling (CI uploads it as an
-    // artifact) instead of clobbering the committed full-scale record.
-    let name = if quick {
-        "../../target/BENCH_tradeoff_quick.json"
-    } else {
-        "../../BENCH_tradeoff.json"
-    };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(name);
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    dg_bench::Record::new(
+        env!("CARGO_CRATE_NAME"),
+        "tradeoff",
+        "multi-metric (rounds, messages, coverage) sweep on the stationary edge-MEG density grid: engine-trial savings of one per-metric-stopped sweep vs one scalar sweep per observable, plus dg-sweep/2 byte-determinism",
+    )
+    .object("workload", obj! {
+        "model": "sparse-two-state-edge-meg", "n": n, "p": fixed(1.5 / n as f64, 6),
+        "ci_target_relative": 0.1,
+    })
+    .rows("cells", multi.cells().iter().map(|cell| obj! {
+        "q": multi.axis_value(cell, "q"), "trials": cell.trials(),
+        "mean_rounds": fixed(cell.mean_of(rounds).unwrap_or(f64::NAN), 2),
+        "mean_messages": fixed(cell.mean_of(messages).unwrap_or(f64::NAN), 1),
+        "mean_coverage": fixed(cell.mean_of(coverage).unwrap_or(f64::NAN), 4),
+        "rounds_incomplete": cell.incomplete_of(rounds),
+    }))
+    .object("multi_metric", obj! {
+        "total_trials": multi_trials, "seconds": fixed(multi_secs, 3),
+        "trials_per_sec": fixed(multi_trials as f64 / multi_secs, 1),
+    })
+    .object("two_scalar_sweeps", obj! {
+        "rounds_trials": rounds_only.total_trials(),
+        "messages_trials": messages_only.total_trials(),
+        "total_trials": scalar_trials, "seconds": fixed(rounds_secs + messages_secs, 3),
+    })
+    .object("headline", obj! {
+        "trial_savings": fixed(savings, 3), "serial_byte_identical": byte_identical,
+    })
+    .write();
 }

@@ -5,106 +5,22 @@
 //!
 //! * **disabled overhead** — the t13 delta-churn hot loop (event-driven
 //!   stepping + incremental adjacency apply) raw vs the same loop with
-//!   a disabled-registry span timer and counter on every round. The
-//!   guard *asserts* the min-time ratio stays within noise — in quick
-//!   mode too, so CI catches a regression that makes the off-switch
-//!   expensive.
+//!   a disabled-registry span timer and counter on every round
+//!   ([`dg_bench::guard_overhead`]). The guard *asserts* the min-time
+//!   ratio stays within noise — in quick mode too, so CI catches a
+//!   regression that makes the off-switch expensive.
 //! * **enabled overhead** — end-to-end engine flooding batches with
 //!   recording off vs on (span timers around every round phase, trial
 //!   counters, the works), asserted byte-identical and timed.
 //!
-//! Emits `BENCH_obs.json` at the repository root (quick mode:
-//! `target/BENCH_obs_quick.json`, for the CI artifact upload — quick
-//! outputs never land in the source tree), recording the host core
-//! count alongside every number.
+//! Writes `BENCH_obs.json` at the repository root (quick mode:
+//! `target/BENCH_obs_quick.json`).
 
-use std::fmt::Write as _;
-use std::path::Path;
-use std::thread::available_parallelism;
 use std::time::Instant;
 
+use dg_bench::{fixed, obj, GUARD_RATIO_MAX};
 use dg_edge_meg::SparseTwoStateEdgeMeg;
 use dynagraph::engine::Simulation;
-use dynagraph::{DynAdjacency, EdgeDelta, EvolvingGraph};
-
-/// Ratio ceiling for the disabled-instrumentation guard. The guarded
-/// loop adds one `Histogram::start` (a relaxed load, no `Instant`) and
-/// one `Counter::add` (another relaxed load) per ~microsecond round;
-/// anything past a third of the round cost means the off-switch broke.
-const DISABLED_RATIO_MAX: f64 = 1.30;
-
-struct DisabledOverhead {
-    n: usize,
-    q: f64,
-    rounds: usize,
-    reps: usize,
-    raw_ns_per_round: f64,
-    guarded_ns_per_round: f64,
-    ratio: f64,
-}
-
-/// Times the t13 hot loop raw, then with disabled recording calls in
-/// the loop body, taking the min over `reps` passes (min-time is the
-/// noise-robust statistic for a guard that must hold on shared CI
-/// runners).
-fn bench_disabled_overhead(n: usize, q: f64, rounds: usize, reps: usize) -> DisabledOverhead {
-    assert!(!dg_obs::enabled(), "guard must run with recording off");
-    let p = 1.0 / n as f64;
-    let seed = 0xB513;
-    let span_hist = dg_obs::Registry::global().histogram(
-        "t20_guard_seconds",
-        &dg_obs::exponential_bounds(1e-9, 10.0, 10),
-    );
-    let churn_counter = dg_obs::Registry::global().counter("t20_guard_churn_total");
-
-    let time_loop = |instrumented: bool| -> f64 {
-        let mut best = f64::INFINITY;
-        for rep in 0..reps {
-            let mut meg = SparseTwoStateEdgeMeg::stationary(n, p, q, seed + rep as u64).unwrap();
-            let mut adj = DynAdjacency::new(n);
-            let mut delta = EdgeDelta::new();
-            for _ in 0..50 {
-                meg.step_delta(&mut delta);
-                adj.apply(&delta);
-            }
-            let start = Instant::now();
-            if instrumented {
-                for _ in 0..rounds {
-                    let _span = span_hist.start();
-                    meg.step_delta(&mut delta);
-                    adj.apply(&delta);
-                    churn_counter.add(delta.churn() as u64);
-                }
-            } else {
-                for _ in 0..rounds {
-                    meg.step_delta(&mut delta);
-                    adj.apply(&delta);
-                }
-            }
-            let ns = start.elapsed().as_nanos() as f64 / rounds as f64;
-            best = best.min(ns);
-        }
-        best
-    };
-
-    let raw = time_loop(false);
-    let guarded = time_loop(true);
-    // Recording was off: nothing may have landed in the registry.
-    assert_eq!(
-        dg_obs::Registry::global().counter_value("t20_guard_churn_total"),
-        Some(0),
-        "disabled counter recorded"
-    );
-    DisabledOverhead {
-        n,
-        q,
-        rounds,
-        reps,
-        raw_ns_per_round: raw,
-        guarded_ns_per_round: guarded,
-        ratio: guarded / raw,
-    }
-}
 
 struct EngineOverhead {
     n: usize,
@@ -154,21 +70,29 @@ fn bench_engine(n: usize, q: f64, trials: usize, max_rounds: u32) -> EngineOverh
 fn main() {
     let quick = dg_bench::quick_mode();
     dg_obs::set_enabled(false);
-    let cores = available_parallelism().map(|c| c.get()).unwrap_or(1);
 
-    let overhead = if quick {
-        bench_disabled_overhead(256, 0.05, 300, 3)
-    } else {
-        bench_disabled_overhead(4096, 0.01, 1_500, 5)
-    };
-    println!(
-        "disabled guard n={:>5} q={:<5} {:>5} rounds x{}   raw {:>7.0} ns/round   guarded {:>7.0} ns/round   ratio {:.3}",
-        overhead.n, overhead.q, overhead.rounds, overhead.reps,
-        overhead.raw_ns_per_round, overhead.guarded_ns_per_round, overhead.ratio
+    // The disabled guard: one `Histogram::start` (a relaxed load, no
+    // `Instant`) and one `Counter::add` (another relaxed load) per round.
+    assert!(!dg_obs::enabled(), "guard must run with recording off");
+    let span_hist = dg_obs::Registry::global().histogram(
+        "t20_guard_seconds",
+        &dg_obs::exponential_bounds(1e-9, 10.0, 10),
+    );
+    let churn_counter = dg_obs::Registry::global().counter("t20_guard_churn_total");
+    let overhead = dg_bench::guard_overhead(0xB513, |churn| {
+        let _span = span_hist.start();
+        churn_counter.add(churn as u64);
+    });
+    println!("disabled guard {}", overhead.row());
+    // Recording was off: nothing may have landed in the registry.
+    assert_eq!(
+        dg_obs::Registry::global().counter_value("t20_guard_churn_total"),
+        Some(0),
+        "disabled counter recorded"
     );
     assert!(
-        overhead.ratio <= DISABLED_RATIO_MAX,
-        "disabled-instrumentation overhead {:.3} exceeds {DISABLED_RATIO_MAX}",
+        overhead.ratio <= GUARD_RATIO_MAX,
+        "disabled-instrumentation overhead {:.3} exceeds {GUARD_RATIO_MAX}",
         overhead.ratio
     );
 
@@ -194,49 +118,20 @@ fn main() {
     assert!(spans > 0, "instrumented runs recorded no spans");
     println!("recorded model-step spans: {spans}");
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"t20_obs\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"cores\": {cores},");
-    let _ = writeln!(
-        json,
-        "  \"description\": \"cost of dg-obs instrumentation: disabled-registry guard on the delta-churn hot loop, and instrumented vs uninstrumented engine flooding batches (asserted byte-identical)\","
-    );
-    let _ = writeln!(
-        json,
-        "  \"disabled_guard\": {{\"n\": {}, \"q\": {}, \"rounds\": {}, \"reps\": {}, \"raw_ns_per_round\": {:.1}, \"guarded_ns_per_round\": {:.1}, \"ratio\": {:.4}, \"assert_max\": {DISABLED_RATIO_MAX}}},",
-        overhead.n, overhead.q, overhead.rounds, overhead.reps,
-        overhead.raw_ns_per_round, overhead.guarded_ns_per_round, overhead.ratio
-    );
-    let _ = writeln!(json, "  \"engine\": [");
-    for (i, r) in engine.iter().enumerate() {
-        let comma = if i + 1 < engine.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"model\": \"sparse-two-state-edge-meg\", \"protocol\": \"flooding\", \"n\": {}, \"q\": {}, \"trials\": {}, \"off_ms\": {:.2}, \"on_ms\": {:.2}, \"ratio\": {:.4}}}{}",
-            r.n, r.q, r.trials, r.off_ms, r.on_ms, r.ratio, comma
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"headline\": {{\"byte_identical_on_vs_off\": true, \"disabled_guard_ratio\": {:.4}, \"recorded_model_step_spans\": {spans}}}",
-        overhead.ratio
-    );
-    let _ = writeln!(json, "}}");
-
-    // Quick mode is the CI smoke: write a separate artifact (uploaded
-    // by the workflow) instead of clobbering the committed full-scale
-    // record.
-    let name = if quick {
-        "../../target/BENCH_obs_quick.json"
-    } else {
-        "../../BENCH_obs.json"
-    };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(name);
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    dg_bench::Record::new(
+        env!("CARGO_CRATE_NAME"),
+        "obs",
+        "cost of dg-obs instrumentation: disabled-registry guard on the delta-churn hot loop, and instrumented vs uninstrumented engine flooding batches (asserted byte-identical)",
+    )
+    .object("disabled_guard", overhead.row())
+    .rows("engine", engine.iter().map(|r| obj! {
+        "model": "sparse-two-state-edge-meg", "protocol": "flooding", "n": r.n, "q": r.q,
+        "trials": r.trials, "off_ms": fixed(r.off_ms, 2), "on_ms": fixed(r.on_ms, 2),
+        "ratio": fixed(r.ratio, 4),
+    }))
+    .object("headline", obj! {
+        "byte_identical_on_vs_off": true, "disabled_guard_ratio": fixed(overhead.ratio, 4),
+        "recorded_model_step_spans": spans,
+    })
+    .write();
 }

@@ -5,99 +5,23 @@
 //!
 //! * **disarmed overhead** — the t13 delta-churn hot loop raw vs the
 //!   same loop with a disarmed [`dg_fault::should_fail`] probe on every
-//!   round. The guard *asserts* the min-time ratio stays within noise —
-//!   in quick mode too, so CI catches a regression that makes the
-//!   off-switch expensive — and that zero faults were injected.
+//!   round ([`dg_bench::guard_overhead`]). The guard *asserts* the
+//!   min-time ratio stays within noise — in quick mode too, so CI
+//!   catches a regression that makes the off-switch expensive — and
+//!   that zero faults were injected.
 //! * **recovery identity** — a sweep run clean vs the same sweep under
 //!   an armed plan (trial panics retried, checkpoint write faults), the
 //!   artifacts asserted byte-identical and both timed. Fault *recovery*
 //!   costs time; it must never cost correctness.
 //!
-//! Emits `BENCH_fault.json` at the repository root (quick mode:
-//! `target/BENCH_fault_quick.json`, for the CI artifact upload — quick
-//! outputs never land in the source tree).
+//! Writes `BENCH_fault.json` at the repository root (quick mode:
+//! `target/BENCH_fault_quick.json`).
 
-use std::fmt::Write as _;
-use std::path::Path;
-use std::thread::available_parallelism;
 use std::time::Instant;
 
-use dg_edge_meg::SparseTwoStateEdgeMeg;
+use dg_bench::{fixed, obj, GUARD_RATIO_MAX};
 use dg_fault::FaultPlan;
 use dg_sweep::{Axis, Grid, Sweep, TrialBudget, TrialPanic};
-use dynagraph::{DynAdjacency, EdgeDelta, EvolvingGraph};
-
-/// Ratio ceiling for the disarmed-hook guard. A disarmed probe is one
-/// relaxed atomic load per ~microsecond round; anything past a third of
-/// the round cost means the off-switch broke.
-const DISABLED_RATIO_MAX: f64 = 1.30;
-
-struct DisarmedOverhead {
-    n: usize,
-    q: f64,
-    rounds: usize,
-    reps: usize,
-    raw_ns_per_round: f64,
-    guarded_ns_per_round: f64,
-    ratio: f64,
-}
-
-/// Times the t13 hot loop raw, then with a disarmed `should_fail` probe
-/// in the loop body, taking the min over `reps` passes (min-time is the
-/// noise-robust statistic for a guard that must hold on shared CI
-/// runners).
-fn bench_disarmed_overhead(n: usize, q: f64, rounds: usize, reps: usize) -> DisarmedOverhead {
-    assert!(!dg_fault::enabled(), "guard must run with no plan armed");
-    let p = 1.0 / n as f64;
-    let seed = 0xB521;
-
-    let time_loop = |probed: bool| -> f64 {
-        let mut best = f64::INFINITY;
-        for rep in 0..reps {
-            let mut meg = SparseTwoStateEdgeMeg::stationary(n, p, q, seed + rep as u64).unwrap();
-            let mut adj = DynAdjacency::new(n);
-            let mut delta = EdgeDelta::new();
-            for _ in 0..50 {
-                meg.step_delta(&mut delta);
-                adj.apply(&delta);
-            }
-            let start = Instant::now();
-            if probed {
-                for _ in 0..rounds {
-                    assert!(!dg_fault::should_fail("bench.hot.loop"));
-                    meg.step_delta(&mut delta);
-                    adj.apply(&delta);
-                }
-            } else {
-                for _ in 0..rounds {
-                    meg.step_delta(&mut delta);
-                    adj.apply(&delta);
-                }
-            }
-            let ns = start.elapsed().as_nanos() as f64 / rounds as f64;
-            best = best.min(ns);
-        }
-        best
-    };
-
-    let before = dg_fault::injected_total();
-    let raw = time_loop(false);
-    let guarded = time_loop(true);
-    assert_eq!(
-        dg_fault::injected_total(),
-        before,
-        "disarmed probes must inject nothing"
-    );
-    DisarmedOverhead {
-        n,
-        q,
-        rounds,
-        reps,
-        raw_ns_per_round: raw,
-        guarded_ns_per_round: guarded,
-        ratio: guarded / raw,
-    }
-}
 
 struct RecoveryOverhead {
     cells: usize,
@@ -183,21 +107,23 @@ fn bench_recovery(cells_per_axis: usize, trials: usize) -> RecoveryOverhead {
 fn main() {
     let quick = dg_bench::quick_mode();
     dg_fault::set_plan(None);
-    let cores = available_parallelism().map(|c| c.get()).unwrap_or(1);
 
-    let overhead = if quick {
-        bench_disarmed_overhead(256, 0.05, 300, 3)
-    } else {
-        bench_disarmed_overhead(4096, 0.01, 1_500, 5)
-    };
-    println!(
-        "disarmed guard n={:>5} q={:<5} {:>5} rounds x{}   raw {:>7.0} ns/round   guarded {:>7.0} ns/round   ratio {:.3}",
-        overhead.n, overhead.q, overhead.rounds, overhead.reps,
-        overhead.raw_ns_per_round, overhead.guarded_ns_per_round, overhead.ratio
+    // The disarmed guard: one `should_fail` probe (a relaxed load) per
+    // round, which must inject nothing.
+    assert!(!dg_fault::enabled(), "guard must run with no plan armed");
+    let before = dg_fault::injected_total();
+    let overhead = dg_bench::guard_overhead(0xB521, |_| {
+        assert!(!dg_fault::should_fail("bench.hot.loop"));
+    });
+    println!("disarmed guard {}", overhead.row());
+    assert_eq!(
+        dg_fault::injected_total(),
+        before,
+        "disarmed probes must inject nothing"
     );
     assert!(
-        overhead.ratio <= DISABLED_RATIO_MAX,
-        "disarmed fault-hook overhead {:.3} exceeds {DISABLED_RATIO_MAX}",
+        overhead.ratio <= GUARD_RATIO_MAX,
+        "disarmed fault-hook overhead {:.3} exceeds {GUARD_RATIO_MAX}",
         overhead.ratio
     );
 
@@ -212,45 +138,21 @@ fn main() {
         recovery.injected, recovery.ratio
     );
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"t21_fault\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"cores\": {cores},");
-    let _ = writeln!(
-        json,
-        "  \"description\": \"cost of dg-fault hooks: disarmed-probe guard on the delta-churn hot loop, and a sweep recovering from injected trial panics + checkpoint write faults vs the same sweep clean (asserted byte-identical)\","
-    );
-    let _ = writeln!(
-        json,
-        "  \"disarmed_guard\": {{\"n\": {}, \"q\": {}, \"rounds\": {}, \"reps\": {}, \"raw_ns_per_round\": {:.1}, \"guarded_ns_per_round\": {:.1}, \"ratio\": {:.4}, \"assert_max\": {DISABLED_RATIO_MAX}}},",
-        overhead.n, overhead.q, overhead.rounds, overhead.reps,
-        overhead.raw_ns_per_round, overhead.guarded_ns_per_round, overhead.ratio
-    );
-    let _ = writeln!(
-        json,
-        "  \"recovery\": {{\"cells\": {}, \"trials_per_cell\": {}, \"injected_faults\": {}, \"clean_ms\": {:.2}, \"faulted_ms\": {:.2}, \"ratio\": {:.4}, \"byte_identical\": true}},",
-        recovery.cells, recovery.trials_per_cell, recovery.injected,
-        recovery.clean_ms, recovery.faulted_ms, recovery.ratio
-    );
-    let _ = writeln!(
-        json,
-        "  \"headline\": {{\"disarmed_guard_ratio\": {:.4}, \"recovery_ratio\": {:.4}}}",
-        overhead.ratio, recovery.ratio
-    );
-    let _ = writeln!(json, "}}");
-
-    // Quick mode is the CI smoke: write a separate artifact (uploaded
-    // by the workflow) instead of clobbering the committed full-scale
-    // record.
-    let name = if quick {
-        "../../target/BENCH_fault_quick.json"
-    } else {
-        "../../BENCH_fault.json"
-    };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(name);
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    dg_bench::Record::new(
+        env!("CARGO_CRATE_NAME"),
+        "fault",
+        "cost of dg-fault hooks: disarmed-probe guard on the delta-churn hot loop, and a sweep recovering from injected trial panics + checkpoint write faults vs the same sweep clean (asserted byte-identical)",
+    )
+    .object("disarmed_guard", overhead.row())
+    .object("recovery", obj! {
+        "cells": recovery.cells, "trials_per_cell": recovery.trials_per_cell,
+        "injected_faults": recovery.injected, "clean_ms": fixed(recovery.clean_ms, 2),
+        "faulted_ms": fixed(recovery.faulted_ms, 2), "ratio": fixed(recovery.ratio, 4),
+        "byte_identical": true,
+    })
+    .object("headline", obj! {
+        "disarmed_guard_ratio": fixed(overhead.ratio, 4),
+        "recovery_ratio": fixed(recovery.ratio, 4),
+    })
+    .write();
 }

@@ -345,8 +345,9 @@ where
     serve_with(addr, handler, DEFAULT_MAX_INFLIGHT)
 }
 
-/// Decrements the inflight count when a handler thread finishes — by
-/// any exit path, including a panic unwinding through the handler.
+/// Decrements the inflight count when dropped — by
+/// [`handle_connection`] once the response is written, or by a panic
+/// unwinding through the handler.
 struct InflightPermit(Arc<AtomicUsize>);
 
 impl Drop for InflightPermit {
@@ -397,10 +398,7 @@ where
             }
             let permit = InflightPermit(Arc::clone(&inflight));
             let handler = Arc::clone(&handler);
-            std::thread::spawn(move || {
-                let _permit = permit;
-                handle_connection(conn, &*handler);
-            });
+            std::thread::spawn(move || handle_connection(conn, &*handler, permit));
         }
     });
     Ok(ServerHandle {
@@ -420,7 +418,11 @@ fn shed_connection(conn: TcpStream) {
     let _ = Response::unavailable("server saturated; retry shortly").write_to(&mut conn);
 }
 
-fn handle_connection<H>(conn: TcpStream, handler: &H)
+/// Serves one connection under `permit`, which is released once the
+/// response is written and before the socket closes: a client that
+/// reads to EOF and reconnects at once must find the slot free. A
+/// panicking handler releases it by unwinding.
+fn handle_connection<H>(conn: TcpStream, handler: &H, permit: InflightPermit)
 where
     H: Fn(&Request) -> Response,
 {
@@ -439,6 +441,8 @@ where
     };
     let mut conn = reader.into_inner();
     let _ = response.write_to(&mut conn);
+    drop(permit);
+    drop(conn);
 }
 
 /// A one-shot HTTP/1.1 client request over a fresh connection — the

@@ -38,13 +38,11 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// The shape every workload trial function shares — what
-/// [`dg_sweep::Sweep::run`] schedules across its worker pool.
-type TrialFn = Arc<dyn Fn(&Cell, Trial) -> Option<f64> + Send + Sync>;
-
-/// The multi-metric form: one row per trial, one slot per metric the
-/// spec declares — what [`dg_sweep::Sweep::run_metrics`] schedules.
-type MetricRowFn = Arc<dyn Fn(&Cell, Trial, &[Metric]) -> Vec<Option<f64>> + Send + Sync>;
+/// The one shape every workload trial function has: one row per trial,
+/// one slot per metric the spec declares — what
+/// [`dg_sweep::Sweep::run_metrics`] schedules. A scalar spec is the
+/// row for `[Metric::new("rounds")]`.
+type TrialRowFn = Arc<dyn Fn(&Cell, Trial, &[Metric]) -> Vec<Option<f64>> + Send + Sync>;
 
 use dg_edge_meg::{check_rates, ShardedSparseEdgeMeg, SparseTwoStateEdgeMeg};
 use dg_sweep::{Cell, Metric, SweepSpec, Trial};
@@ -91,8 +89,7 @@ pub struct Workload {
     /// (`None`: the root itself).
     store_dir: Option<&'static str>,
     validate: fn(&SweepSpec) -> Result<(), String>,
-    trial: TrialFn,
-    metric_trial: MetricRowFn,
+    trial: TrialRowFn,
 }
 
 impl std::fmt::Debug for Workload {
@@ -133,11 +130,12 @@ impl Workload {
         (self.validate)(spec)
     }
 
-    /// A clone of the trial function, in the shape [`dg_sweep::Sweep::run`]
-    /// wants.
+    /// The scalar trial function, in the shape [`dg_sweep::Sweep::run`]
+    /// wants: slot 0 of the row for `[Metric::new("rounds")]`.
     pub fn trial_fn(&self) -> impl Fn(&Cell, Trial) -> Option<f64> + Send + Sync + 'static {
         let trial = Arc::clone(&self.trial);
-        move |cell, t| trial(cell, t)
+        let rounds = [Metric::new("rounds")];
+        move |cell, t| trial(cell, t, &rounds)[0]
     }
 
     /// The multi-metric trial function for a spec declaring `metrics`,
@@ -148,7 +146,7 @@ impl Workload {
         &self,
         metrics: Vec<Metric>,
     ) -> impl Fn(&Cell, Trial) -> Vec<Option<f64>> + Send + Sync + 'static {
-        let trial = Arc::clone(&self.metric_trial);
+        let trial = Arc::clone(&self.trial);
         move |cell, t| trial(cell, t, &metrics)
     }
 
@@ -213,10 +211,7 @@ impl Workload {
             },
             store_dir: (!exact_scan).then_some("flooding-2"),
             validate: validate_flooding,
-            trial: Arc::new(move |cell: &Cell, trial: Trial| {
-                flooding_record(cell, trial, exact_scan).time.map(f64::from)
-            }),
-            metric_trial: Arc::new(move |cell: &Cell, trial: Trial, metrics: &[Metric]| {
+            trial: Arc::new(move |cell: &Cell, trial: Trial, metrics: &[Metric]| {
                 trial_metrics(
                     &flooding_record(cell, trial, exact_scan),
                     cell.usize("n"),
@@ -230,29 +225,19 @@ impl Workload {
     /// returns a cheap pure function of `(cell, seed)`, censoring one
     /// seed in 13 to exercise the `null`-sample paths.
     pub fn synthetic() -> Self {
-        fn scalar(cell: &Cell, trial: Trial) -> Option<f64> {
-            (!trial.seed.is_multiple_of(13))
-                .then(|| cell.values().iter().sum::<f64>() + (trial.seed % 7) as f64)
-        }
         Workload {
             name: "synthetic",
             store_dir: Some("synthetic"),
             validate: |_| Ok(()),
-            trial: Arc::new(scalar),
-            // Slot 0 censors like the scalar path; later slots always
-            // complete, so multi-metric specs exercise *per-metric*
-            // censoring (one trial mixing null and numeric slots).
-            metric_trial: Arc::new(|cell: &Cell, trial: Trial, metrics: &[Metric]| {
+            // Slot 0 censors one seed in 13; later slots always complete,
+            // so multi-metric specs exercise *per-metric* censoring (one
+            // trial mixing null and numeric slots).
+            trial: Arc::new(|cell: &Cell, trial: Trial, metrics: &[Metric]| {
+                let sum = cell.values().iter().sum::<f64>();
                 (0..metrics.len())
                     .map(|m| {
-                        if m == 0 {
-                            scalar(cell, trial)
-                        } else {
-                            Some(
-                                cell.values().iter().sum::<f64>()
-                                    + (trial.seed % 7 + m as u64) as f64,
-                            )
-                        }
+                        (m > 0 || !trial.seed.is_multiple_of(13))
+                            .then(|| sum + (trial.seed % 7 + m as u64) as f64)
                     })
                     .collect()
             }),

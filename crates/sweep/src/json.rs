@@ -90,6 +90,7 @@ impl Json {
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 pub(crate) fn parse(text: &str) -> Result<Json, SweepError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -106,6 +107,7 @@ pub(crate) fn parse(text: &str) -> Result<Json, SweepError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -273,13 +275,20 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
+                    // Copy the plain run up to the next quote or escape in
+                    // one go. Both are ASCII, so the run ends on a char
+                    // boundary of the source text.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| SweepError::Parse("invalid utf-8".into()))?;
-                    let ch = s.chars().next().expect("peek saw a byte");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = self
+                        .text
+                        .get(self.pos..self.pos + len)
+                        .ok_or_else(|| SweepError::Parse("invalid utf-8".into()))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -385,6 +394,13 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("[1] extra").is_err());
         assert!(parse("{\"a\" 1}").is_err());
+    }
+
+    #[test]
+    fn multibyte_runs_next_to_escapes_decode() {
+        let doc = "\"αβ\\\"γ—\\n€x\\u00e9\\u2014z\"";
+        assert_eq!(parse(doc).unwrap().as_str().unwrap(), "αβ\"γ—\n€xé—z");
+        assert!(parse("\"αβ").is_err(), "unterminated string");
     }
 
     #[test]
