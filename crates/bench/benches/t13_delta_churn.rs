@@ -9,6 +9,10 @@
 //! on both pipelines, and writes `BENCH_delta.json` at the repository
 //! root (a [`dg_bench::Record`]) to track the perf trajectory.
 //!
+//! Every timed loop starts after [`WARM_UP`] untimed rounds, past the
+//! exact scan's first window: the step that closes it replays the
+//! `O(n²)` pair scan once, which is trial setup, not stepping.
+//!
 //! Quick mode (`DG_BENCH_QUICK=1`) shrinks every case so CI can smoke
 //! the harness in seconds, and writes `target/BENCH_delta_quick.json`.
 
@@ -17,6 +21,11 @@ use std::time::Instant;
 use dg_bench::{fixed, obj};
 use dg_edge_meg::SparseTwoStateEdgeMeg;
 use dynagraph::{DynAdjacency, EdgeDelta, EvolvingGraph};
+
+/// Untimed rounds before every timed loop: the exact scan's first window
+/// ([`SparseTwoStateEdgeMeg::FIRST_WINDOW`]), which also faults in
+/// buffers and caches.
+const WARM_UP: u64 = SparseTwoStateEdgeMeg::FIRST_WINDOW;
 
 struct SteppingResult {
     n: usize,
@@ -39,8 +48,8 @@ fn bench_stepping(n: usize, q: f64, rounds: usize, headline: bool) -> SteppingRe
 
     // Full-rebuild path: every round materializes the CSR snapshot.
     let mut rebuild = SparseTwoStateEdgeMeg::stationary(n, p, q, seed).unwrap();
-    for _ in 0..50 {
-        rebuild.step(); // untimed warm-up: fault in buffers and caches
+    for _ in 0..WARM_UP {
+        rebuild.step();
     }
     let mut edges_total = 0usize;
     let start = Instant::now();
@@ -55,7 +64,7 @@ fn bench_stepping(n: usize, q: f64, rounds: usize, headline: bool) -> SteppingRe
     let mut native = SparseTwoStateEdgeMeg::stationary(n, p, q, seed).unwrap();
     let mut adj = DynAdjacency::new(n);
     let mut delta = EdgeDelta::new();
-    for _ in 0..50 {
+    for _ in 0..WARM_UP {
         native.step_delta(&mut delta);
         adj.apply(&delta);
     }
@@ -115,16 +124,25 @@ impl<G: EvolvingGraph> EvolvingGraph for HideDeltas<G> {
 
 /// Times one long flooding realization end to end on both sweeps
 /// (frontier/delta vs snapshot rebuild + informed scan). Model
-/// construction — identical RNG work on both paths — is excluded so the
-/// row measures the stepping pipeline, and the runs are asserted equal.
+/// construction and the first [`WARM_UP`] rounds with their scan replay
+/// — identical RNG work on both paths — are excluded so the row measures
+/// the stepping pipeline; flooding starts at round [`WARM_UP`] of the
+/// stationary process, and the runs are asserted equal.
 fn bench_flooding(n: usize, p: f64, q: f64, max_rounds: u32) -> FloodingResult {
     let seed = 0xF100D;
-    let mut native = SparseTwoStateEdgeMeg::stationary(n, p, q, seed).unwrap();
+    let warmed = || {
+        let mut g = SparseTwoStateEdgeMeg::stationary(n, p, q, seed).unwrap();
+        for _ in 0..WARM_UP {
+            g.step();
+        }
+        g
+    };
+    let mut native = warmed();
     let start = Instant::now();
     let delta_run = dynagraph::flooding::flood(&mut native, 0, max_rounds);
     let delta_ms = start.elapsed().as_secs_f64() * 1e3;
 
-    let mut hidden = HideDeltas(SparseTwoStateEdgeMeg::stationary(n, p, q, seed).unwrap());
+    let mut hidden = HideDeltas(warmed());
     let start = Instant::now();
     let snapshot_run = dynagraph::flooding::flood(&mut hidden, 0, max_rounds);
     let snapshot_ms = start.elapsed().as_secs_f64() * 1e3;

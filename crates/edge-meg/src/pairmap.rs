@@ -1,52 +1,87 @@
-//! A linear-probe hash map from pair indices to `u32` slots.
+//! A linear-probe hash map from pair indices to `u32` slots, hashed by
+//! position in a known key range.
 //!
 //! Each lane of [`crate::ShardedSparseEdgeMeg`] tracks one occupancy
 //! entry per on-pair (a dying pair is retired from the map), and every
 //! trial reset re-inserts the whole on-set. `std::collections::HashMap`'s
 //! SipHash plus per-entry overhead makes those inserts the dominant
 //! term of trial setup at large `n`, so this map trades generality for
-//! the three things the occupancy store needs: `u64` keys (triangular
-//! pair indices, below `2^63` for any pair of `u32` node ids),
-//! Fibonacci multiply hashing (a couple of cycles), and flat open
-//! addressing with backward-shift deletion (no tombstone rot under the
-//! retire-on-death workload).
+//! what the occupancy store needs:
+//!
+//! * **`u64` keys** (triangular pair indices, below `2^63` for any pair
+//!   of `u32` node ids) from one range `[start, end)`, fixed when the
+//!   map is built: a lane owns a contiguous slice of the pair index.
+//! * **A range hash.** A key's home slot is its relative position in the
+//!   range scaled onto the whole table, `((key − start)·scale) >> 60`
+//!   with `scale = cap·2⁶⁰/span`. The hash preserves key order, so the
+//!   ascending walks of a lane (reset's skip-sample inserts, the birth
+//!   sweep's lookups) move through the table front to back. Order is
+//!   no hazard here: every pair of a lane is on independently with the
+//!   same law at every round, so the tracked keys are a uniform random
+//!   subset of the range, spread evenly over all the slots, and expected
+//!   probe lengths are at most those of random hashing at the same load.
+//!   That needs the range spread over *every* slot, also when the table
+//!   has more slots than the range has keys (a lane with most pairs on,
+//!   or a tiny lane): hence 4 integer bits in the scale. A scale capped
+//!   at one slot per key would pack a dense lane's keys into the first
+//!   `span` slots, where most of them form one run, and every
+//!   backward-shift delete would scan the run. Keys outside the range
+//!   are still stored exactly (the home is masked onto the table); they
+//!   only lose the spread.
+//! * **Flat open addressing** with backward-shift deletion (no tombstone
+//!   rot under the retire-on-death workload), keys and values in
+//!   separate arrays: 12 bytes a slot instead of a padded 16-byte
+//!   `(u64, u32)`, and a cleared map rewrites only its keys.
 //!
 //! The map is never iterated, so realizations cannot depend on its
-//! layout; the exhaustive property test pins its semantics against
+//! layout; the randomized property test pins its semantics against
 //! `std::collections::HashMap`.
+
+use std::ops::Range;
 
 /// Sentinel key marking an empty slot.
 const EMPTY: u64 = u64::MAX;
 
 /// A `u64 -> u32` open-addressing map for pair indices (`key <
-/// u64::MAX`).
+/// u64::MAX`), spread for keys in one range.
 #[derive(Debug, Clone)]
 pub(crate) struct PairMap {
-    /// `(key, value)` pairs; `key == EMPTY` marks a free slot. Length is
-    /// always a power of two.
-    slots: Vec<(u64, u32)>,
+    /// Slot keys; `EMPTY` marks a free slot. Length is always a power of
+    /// two.
+    keys: Vec<u64>,
+    /// Slot values, meaningful where the key is not `EMPTY`.
+    vals: Vec<u32>,
+    /// First key of the hashed range.
+    start: u64,
+    /// Keys in the hashed range (at least 1).
+    span: u64,
+    /// Maps `key − start` onto the table (see [`PairMap::scale_for`]).
+    scale: u64,
     mask: usize,
     len: usize,
 }
 
-impl Default for PairMap {
-    fn default() -> Self {
-        PairMap::new()
-    }
-}
-
 impl PairMap {
     const MIN_CAPACITY: usize = 16;
+    /// Fraction bits of the range hash's scale.
+    const SCALE_BITS: u32 = 60;
 
-    pub(crate) fn new() -> Self {
-        Self::with_capacity(0)
+    /// An empty map for keys in `range`.
+    pub(crate) fn new(range: Range<u64>) -> Self {
+        Self::with_capacity(range, 0)
     }
 
-    /// A map pre-sized to hold `expected` entries without growing.
-    pub(crate) fn with_capacity(expected: usize) -> Self {
+    /// A map for keys in `range`, pre-sized to hold `expected` entries
+    /// without growing.
+    fn with_capacity(range: Range<u64>, expected: usize) -> Self {
         let cap = Self::capacity_for(expected);
+        let span = range.end.saturating_sub(range.start).max(1);
         PairMap {
-            slots: vec![(EMPTY, 0); cap],
+            keys: vec![EMPTY; cap],
+            vals: vec![0; cap],
+            start: range.start,
+            span,
+            scale: Self::scale_for(cap, span),
             mask: cap - 1,
             len: 0,
         }
@@ -59,18 +94,28 @@ impl PairMap {
         (expected * 2).next_power_of_two().max(Self::MIN_CAPACITY)
     }
 
+    /// `cap·2⁶⁰/span`, rounded down: slots per key of the range as a
+    /// fixed-point number with [`Self::SCALE_BITS`] fraction bits, so the
+    /// home of every key `start + o`, `o < span`, is below `cap`. Tables
+    /// of up to 16 slots per key are spread exactly; past that (in a
+    /// lane, only a one-key range in a minimum-size table) the scale
+    /// saturates at `u64::MAX`, and homes stay below `16·span ≤ cap`.
+    fn scale_for(cap: usize, span: u64) -> u64 {
+        (((cap as u128) << Self::SCALE_BITS) / span as u128).min(u64::MAX as u128) as u64
+    }
+
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// Fibonacci multiply hash onto the table's power-of-two size.
+    /// Range hash: the key's position in the range, scaled onto the
+    /// table. In range, the product stays below `cap·2⁶⁰`, so the mask
+    /// only matters for keys outside it.
     #[inline]
     fn home(&self, key: u64) -> usize {
-        // 2^64 / phi, odd; the multiply pushes entropy into the high
-        // bits, the xor folds it back down before masking.
-        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((h ^ (h >> 32)) as usize) & self.mask
+        let offset = key.wrapping_sub(self.start);
+        ((offset as u128 * self.scale as u128) >> Self::SCALE_BITS) as usize & self.mask
     }
 
     #[inline]
@@ -78,9 +123,9 @@ impl PairMap {
         debug_assert_ne!(key, EMPTY);
         let mut i = self.home(key);
         loop {
-            let (k, v) = self.slots[i];
+            let k = self.keys[i];
             if k == key {
-                return Some(v);
+                return Some(self.vals[i]);
             }
             if k == EMPTY {
                 return None;
@@ -89,9 +134,22 @@ impl PairMap {
         }
     }
 
+    /// [`PairMap::get`] without the value: the birth sweep's lookups
+    /// probe the key array alone.
     #[inline]
     pub(crate) fn contains(&self, key: u64) -> bool {
-        self.get(key).is_some()
+        debug_assert_ne!(key, EMPTY);
+        let mut i = self.home(key);
+        loop {
+            let k = self.keys[i];
+            if k == key {
+                return true;
+            }
+            if k == EMPTY {
+                return false;
+            }
+            i = (i + 1) & self.mask;
+        }
     }
 
     /// Inserts or overwrites.
@@ -99,19 +157,16 @@ impl PairMap {
         debug_assert_ne!(key, EMPTY);
         // Grow at 1/2 load: linear probe chains stay a couple of slots
         // long, and the resize cost amortizes over the fill.
-        if (self.len + 1) * 2 > self.slots.len() {
+        if (self.len + 1) * 2 > self.keys.len() {
             self.grow();
         }
         let mut i = self.home(key);
         loop {
-            let (k, _) = self.slots[i];
-            if k == key {
-                self.slots[i].1 = value;
-                return;
-            }
-            if k == EMPTY {
-                self.slots[i] = (key, value);
-                self.len += 1;
+            let k = self.keys[i];
+            if k == key || k == EMPTY {
+                self.len += (k == EMPTY) as usize;
+                self.keys[i] = key;
+                self.vals[i] = value;
                 return;
             }
             i = (i + 1) & self.mask;
@@ -124,7 +179,7 @@ impl PairMap {
         debug_assert_ne!(key, EMPTY);
         let mut i = self.home(key);
         loop {
-            let (k, _) = self.slots[i];
+            let k = self.keys[i];
             if k == EMPTY {
                 return;
             }
@@ -139,7 +194,7 @@ impl PairMap {
         let mut j = i;
         loop {
             j = (j + 1) & self.mask;
-            let (k, _) = self.slots[j];
+            let k = self.keys[j];
             if k == EMPTY {
                 break;
             }
@@ -153,41 +208,79 @@ impl PairMap {
                 home > hole || home <= j
             };
             if !reachable {
-                self.slots[hole] = self.slots[j];
+                self.keys[hole] = k;
+                self.vals[hole] = self.vals[j];
                 hole = j;
             }
         }
-        self.slots[hole] = (EMPTY, 0);
+        self.keys[hole] = EMPTY;
     }
 
     /// Empties the map and makes room for `expected` entries without
-    /// growing, keeping any larger capacity (the reset path: a trial
-    /// reset re-inserts a same-order working set with zero growth).
+    /// growing, keeping its range and any larger capacity (the reset
+    /// path: a trial reset re-inserts a same-order working set with zero
+    /// growth).
     ///
-    /// Each call writes every slot once, right before the caller's
-    /// inserts: a map too small is replaced by a freshly written one. So
-    /// a lane model built with tiny maps sizes and writes each lane's
-    /// table once, in its first reset, while the table is about to be
-    /// filled and still in cache.
+    /// Each call writes every key once, right before the caller's
+    /// inserts (values of free slots are never read, so they stay): a
+    /// map too small is replaced by a freshly written one. So a lane
+    /// model built with tiny maps sizes and writes each lane's table
+    /// once, in its first reset, while the table is about to be filled
+    /// and still in cache.
     pub(crate) fn clear_for(&mut self, expected: usize) {
-        if Self::capacity_for(expected) > self.slots.len() {
-            *self = Self::with_capacity(expected);
+        if Self::capacity_for(expected) > self.keys.len() {
+            let range = self.start..self.start + self.span;
+            *self = Self::with_capacity(range, expected);
         } else {
-            self.slots.fill((EMPTY, 0));
+            self.keys.fill(EMPTY);
             self.len = 0;
         }
     }
 
     fn grow(&mut self) {
-        let new_cap = self.slots.len() * 2;
-        let old = std::mem::replace(&mut self.slots, vec![(EMPTY, 0); new_cap]);
+        let new_cap = self.keys.len() * 2;
+        let keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_cap]);
+        let vals = std::mem::replace(&mut self.vals, vec![0; new_cap]);
+        self.scale = Self::scale_for(new_cap, self.span);
         self.mask = new_cap - 1;
         self.len = 0;
-        for (k, v) in old {
+        for (k, v) in keys.into_iter().zip(vals) {
             if k != EMPTY {
                 self.insert(k, v);
             }
         }
+    }
+
+    /// Mean distance of the stored entries from their home slots (0 for
+    /// an empty map): the expected extra probes of a successful lookup.
+    #[cfg(test)]
+    pub(crate) fn mean_displacement(&self) -> f64 {
+        let total: usize = (0..self.keys.len())
+            .filter(|&i| self.keys[i] != EMPTY)
+            .map(|i| i.wrapping_sub(self.home(self.keys[i])) & self.mask)
+            .sum();
+        total as f64 / self.len.max(1) as f64
+    }
+
+    /// Mean slots a lookup of an absent key scans, over all home slots:
+    /// 1 plus the rest of the run of full slots it starts in. Random
+    /// hashing at load `a` gives `(1 + 1/(1 − a)²)/2`, 2.5 at 1/2 load;
+    /// it is also what a backward-shift delete scans.
+    #[cfg(test)]
+    pub(crate) fn mean_miss_probes(&self) -> f64 {
+        let cap = self.keys.len();
+        let free = (0..cap)
+            .find(|&i| self.keys[i] == EMPTY)
+            .expect("load <= 1/2");
+        // Walk backwards from a free slot: a full slot scans one more
+        // than its successor.
+        let (mut total, mut next) = (0usize, 1usize);
+        for step in 0..cap {
+            let i = (free + cap - step) & self.mask;
+            next = if self.keys[i] == EMPTY { 1 } else { next + 1 };
+            total += next;
+        }
+        total as f64 / cap as f64
     }
 }
 
@@ -200,7 +293,7 @@ mod tests {
 
     #[test]
     fn basic_ops() {
-        let mut m = PairMap::new();
+        let mut m = PairMap::new(0..100);
         assert_eq!(m.get(3), None);
         m.insert(3, 7);
         m.insert(4, 8);
@@ -222,22 +315,23 @@ mod tests {
 
     #[test]
     fn clear_for_sizes_once_and_keeps_a_larger_capacity() {
-        let mut m = PairMap::new();
+        let mut m = PairMap::new(0..700);
         m.clear_for(100);
-        assert_eq!(m.slots.len(), 256);
+        assert_eq!(m.keys.len(), 256);
         for k in 0..100u64 {
             m.insert(k * 7, k as u32);
         }
-        assert_eq!(m.slots.len(), 256, "sized for 100 entries: no growth");
+        assert_eq!(m.keys.len(), 256, "sized for 100 entries: no growth");
         m.clear_for(10);
-        assert_eq!(m.slots.len(), 256, "a larger capacity is kept");
-        assert!(m.slots.iter().all(|&(k, _)| k == EMPTY));
+        assert_eq!(m.keys.len(), 256, "a larger capacity is kept");
+        assert!(m.keys.iter().all(|&k| k == EMPTY));
         assert_eq!((m.len(), m.get(7)), (0, None));
+        assert_eq!((m.start, m.span), (0, 700), "the range is kept");
     }
 
     #[test]
     fn grows_past_initial_capacity() {
-        let mut m = PairMap::new();
+        let mut m = PairMap::new(0..10_000);
         for k in 0..10_000u64 {
             m.insert(k, (k as u32).wrapping_mul(3));
         }
@@ -246,13 +340,16 @@ mod tests {
             assert_eq!(m.get(k), Some((k as u32).wrapping_mul(3)), "key {k}");
         }
         assert_eq!(m.get(10_000), None);
+        // The whole range is on: the range hash puts every key at its
+        // home, with no probing at all.
+        assert_eq!(m.mean_displacement(), 0.0);
     }
 
     #[test]
     fn wide_keys_past_u32() {
         // Million-node pair indices live well past u32::MAX; the hash
         // must spread them and lookups must stay exact.
-        let mut m = PairMap::new();
+        let mut m = PairMap::new(0..500_000_000_000);
         let base = 499_999_500_000u64; // ~pair_count(10^6)
         for i in 0..5_000u64 {
             m.insert(base + i * 997, i as u32);
@@ -263,21 +360,51 @@ mod tests {
         assert_eq!(m.get(base + 1), None);
     }
 
+    /// The key layouts [`randomized_against_std_hashmap`] hammers: the
+    /// map's range, and the keys drawn from it.
+    #[derive(Debug, Clone, Copy)]
+    enum Keys {
+        /// Uniform over the whole range (the lane workload).
+        Uniform,
+        /// A small sub-range at the top of the range: every home is the
+        /// last slot, so chains run long and wrap around to slot 0.
+        ClusteredAtTop,
+        /// A small sub-range in the middle: long chains without a wrap.
+        ClusteredInside,
+        /// Keys outside the range (only the mask keeps homes in the
+        /// table).
+        OutOfRange,
+    }
+
     #[test]
     fn randomized_against_std_hashmap() {
         // The backward-shift deletion is the subtle part: hammer it with
         // random interleaved insert/remove/get/clear and demand exact
         // agreement with std's HashMap at every step.
         let mut rng = SmallRng::seed_from_u64(0x9A1);
-        for round in 0..50 {
-            let mut ours = PairMap::new();
+        let mut wrapped = 0usize;
+        for round in 0..80 {
+            let layout = [
+                Keys::Uniform,
+                Keys::ClusteredAtTop,
+                Keys::ClusteredInside,
+                Keys::OutOfRange,
+            ][round % 4];
+            // Half the rounds run in the high-key region to exercise
+            // 64-bit offsets.
+            let base = if round % 8 < 4 { 0 } else { u64::MAX / 3 };
+            let span = 1u64 << (4 + round % 17);
+            let cluster = 1u64 << (2 + round % 8);
+            let keys = match layout {
+                Keys::Uniform => base..base + span,
+                Keys::ClusteredAtTop => base + span.saturating_sub(cluster)..base + span,
+                Keys::ClusteredInside => base + span / 2..base + span / 2 + cluster,
+                Keys::OutOfRange => base + span..base + span + cluster,
+            };
+            let mut ours = PairMap::new(base..base + span);
             let mut reference: HashMap<u64, u32> = HashMap::new();
-            let key_space = 1u64 << (2 + round % 8); // clustered keys probe long chains
-                                                     // Half the rounds run in the high-key region to exercise
-                                                     // 64-bit hashing; clustering is preserved by the offset.
-            let offset = if round % 2 == 0 { 0 } else { u64::MAX / 3 };
             for _ in 0..2_000 {
-                let key = offset + rng.gen_range(0..key_space);
+                let key = rng.gen_range(keys.clone());
                 match rng.gen_range(0..10) {
                     0..=4 => {
                         let value = rng.gen::<u32>();
@@ -290,6 +417,7 @@ mod tests {
                     }
                     8 => {
                         assert_eq!(ours.get(key), reference.get(&key).copied());
+                        assert_eq!(ours.contains(key), reference.contains_key(&key));
                     }
                     _ => {
                         if rng.gen_range(0..100) == 0 {
@@ -300,9 +428,13 @@ mod tests {
                 }
                 assert_eq!(ours.len(), reference.len());
             }
+            wrapped += (0..ours.keys.len())
+                .filter(|&i| ours.keys[i] != EMPTY && i < ours.home(ours.keys[i]))
+                .count();
             for (&k, &v) in &reference {
-                assert_eq!(ours.get(k), Some(v), "round {round} key {k}");
+                assert_eq!(ours.get(k), Some(v), "round {round} ({layout:?}) key {k}");
             }
         }
+        assert!(wrapped > 0, "no chain ever wrapped past the last slot");
     }
 }

@@ -61,6 +61,27 @@ fn index_of((u, v): Edge) -> u64 {
     tri(v as u64) + u as u64
 }
 
+/// The pair `gap` indices past the pair `prev`, whose index is `idx`.
+///
+/// The reset's skip-sample and the birth sweep walk ascending indices,
+/// so a small step is one add plus at most one row carry: row `v` holds
+/// `v` pairs, so for `gap < v` the target lies in row `v` or `v + 1`.
+/// Larger steps fall back to [`edge_pair`] (a square root).
+#[inline]
+fn step_pair((u, v): Edge, gap: u64, idx: u64) -> Edge {
+    debug_assert_eq!(index_of((u, v)) + gap, idx);
+    if gap < v as u64 {
+        let u = u as u64 + gap;
+        if u < v as u64 {
+            (u as u32, v)
+        } else {
+            ((u - v as u64) as u32, v + 1)
+        }
+    } else {
+        edge_pair(idx)
+    }
+}
+
 /// Bound on alive-list positions, which the occupancy map stores as `u32`.
 const OFF: u32 = u32::MAX;
 
@@ -71,6 +92,9 @@ struct Lane {
     /// Owned pair range `[start, end)`.
     start: u64,
     end: u64,
+    /// The pair at index `start`, where the ascending sweeps begin
+    /// decoding (see [`step_pair`]).
+    first: Edge,
     birth: f64,
     death: f64,
     log1m_birth: f64,
@@ -135,10 +159,13 @@ impl Lane {
         //    birth times exactly Geometric(p). The newborn join `alive`
         //    after the death positions were drawn, so they live through
         //    this round.
+        //    Newborn pairs are decoded by stepping from the last one.
+        let (mut at, mut pair) = (self.start, self.first);
         let mut idx = self.start + geometric(&mut self.rng, self.birth, self.log1m_birth) - 1;
         while idx < self.end {
             if !self.occ.contains(idx) {
-                let pair = edge_pair(idx);
+                pair = step_pair(pair, idx - at, idx);
+                at = idx;
                 self.turn_on(idx, pair);
                 births += 1;
                 if let Some(d) = delta.as_deref_mut() {
@@ -251,6 +278,7 @@ impl ShardedSparseEdgeMeg {
                 Lane {
                     start,
                     end,
+                    first: (0, lo.max(1) as u32),
                     birth: chain.birth(),
                     death: chain.death(),
                     log1m_birth,
@@ -258,7 +286,7 @@ impl ShardedSparseEdgeMeg {
                     alive: Vec::new(),
                     // Sized and written by the first `reset`, lane by
                     // lane, just before its inserts.
-                    occ: PairMap::new(),
+                    occ: PairMap::new(start..end),
                     retire_buf: Vec::new(),
                     rng: SmallRng::seed_from_u64(0),
                 }
@@ -341,10 +369,13 @@ impl EvolvingGraph for ShardedSparseEdgeMeg {
             // Skip-sample the lane's slice of the stationary on-set:
             // successive on-pairs are Geometric(alpha) apart in the pair
             // index, so only the ≈ alpha·(end - start) live pairs are
-            // visited, one draw and one map insert each.
+            // visited, one draw, one pair step and one map insert each.
+            let (mut at, mut pair) = (lane.start, lane.first);
             let mut idx = lane.start + geometric(&mut lane.rng, alpha, log1m_alpha) - 1;
             while idx < lane.end {
-                lane.turn_on(idx, edge_pair(idx));
+                pair = step_pair(pair, idx - at, idx);
+                at = idx;
+                lane.turn_on(idx, pair);
                 idx += geometric(&mut lane.rng, alpha, log1m_alpha);
             }
         }
@@ -604,6 +635,69 @@ mod tests {
         let (n, p, q) = (64, 0.1, 0.3);
         let make = |s| ShardedSparseEdgeMeg::stationary(n, p, q, s).unwrap();
         crate::sparse::tests::assert_degree_moments(make, p / (p + q), 30);
+    }
+
+    #[test]
+    fn step_pair_matches_edge_pair() {
+        // Every gap from 0 to past the row length, from every position of
+        // a few rows: in-row steps, one-row carries, and the edge_pair
+        // fallback at gaps >= v.
+        for v in [1u32, 2, 3, 7, 64, 4095, 70_000] {
+            for u in (0..v).step_by((v as usize / 16).max(1)).chain([v - 1]) {
+                let from = index_of((u, v));
+                for gap in (0..=2 * v as u64 + 3).chain([10 * v as u64, 1 << 40]) {
+                    let idx = from + gap;
+                    assert_eq!(
+                        step_pair((u, v), gap, idx),
+                        edge_pair(idx),
+                        "({u}, {v}) + {gap}"
+                    );
+                }
+            }
+        }
+        // And along a lane's ascending walk past u32 pair indices.
+        let mut rng = SmallRng::seed_from_u64(5);
+        let (mut at, mut pair) = (1u64 << 33, edge_pair(1 << 33));
+        for _ in 0..100_000 {
+            let gap = geometric(&mut rng, 1e-4, (1.0 - 1e-4f64).ln());
+            pair = step_pair(pair, gap, at + gap);
+            at += gap;
+            assert_eq!(pair, edge_pair(at), "index {at}");
+        }
+    }
+
+    #[test]
+    fn lanes_probe_near_home() {
+        // The range hash is safe because a lane's on-set is a uniform
+        // random subset of its range, spread over every slot: every
+        // lane's entries sit at most ~1 slot from home on average (random
+        // hashing at 1/2 load: 1/2), and a miss (or a delete) scans at
+        // most ~3 slots (2.5), after the reset's ascending inserts and
+        // after rounds of births and retirements. Cells: the served
+        // flooding cell, and dense ones where most of a lane is on and
+        // its table has more slots than its range has keys.
+        for (n, p, q) in [
+            (4096, 1.5 / 4096.0, 0.01),
+            (512, 0.09, 0.01),
+            (512, 1.0, 0.3),
+            (512, 1.0, 0.01),
+        ] {
+            let mut g = ShardedSparseEdgeMeg::stationary(n, p, q, 0x5E4E).unwrap();
+            let check = |g: &ShardedSparseEdgeMeg, when: &str| {
+                for (l, lane) in g.lanes.iter().enumerate() {
+                    let (d, m) = (lane.occ.mean_displacement(), lane.occ.mean_miss_probes());
+                    assert!(
+                        d <= 1.0 && m <= 3.0,
+                        "(n, p, q) = ({n}, {p}, {q}), {when}: lane {l} mean displacement {d:.3}, miss probes {m:.3}"
+                    );
+                }
+            };
+            check(&g, "after reset");
+            for _ in 0..50 {
+                let _ = g.step();
+            }
+            check(&g, "after 50 rounds");
+        }
     }
 
     #[test]

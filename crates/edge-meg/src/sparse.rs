@@ -191,12 +191,34 @@ pub(crate) fn geometric(rng: &mut SmallRng, prob: f64, log1m: f64) -> u64 {
     geometric_at(rng.gen_range(f64::MIN_POSITIVE..1.0), log1m)
 }
 
-/// The value [`geometric`] returns for the uniform `u`.
+/// The value [`geometric`] returns for the uniform `u`: `⌈ln u / ln(1 −
+/// prob)⌉`, at least 1.
+///
+/// The ceiling is taken in integers, because `f64::ceil` is an
+/// out-of-line libm call on the baseline x86-64 target. `y as i64`
+/// truncates, and one compare adds the missing unit when `y` had a
+/// fraction. This is exact for every draw the samplers make: `u ≥
+/// f64::MIN_POSITIVE` gives `|ln u| < 708.4`, and [`check_rates`] forces
+/// `|ln(1 − prob)| ≥ 1.1e-16`, so `y ≤ 6.4e18 < 2^63`, where the
+/// conversion is exact on integers and truncates otherwise. (`i64`, not
+/// `u64`: x86-64 converts `i64` in one instruction and `u64` in a branchy
+/// sequence.) From `2^63` up every `f64` is an integer, so `y as u64` is
+/// the float ceiling's cast there; that keeps `y = +∞`, which `u = 0`
+/// gives and [`window_cut`] can return for rates near 1, saturating to
+/// `u64::MAX`. The result equals `(y.ceil() as u64).max(1)` for every
+/// `y`.
 #[inline]
 fn geometric_at(u: f64, log1m: f64) -> u64 {
-    let k = (u.ln() / log1m).ceil();
-    (k as u64).max(1)
+    let y = u.ln() / log1m;
+    if y >= I64_LIMIT {
+        return y as u64;
+    }
+    let t = y as i64;
+    (t + ((t as f64) < y) as i64).max(1) as u64
 }
+
+/// `2^63`, the first `f64` that `as i64` cannot hold.
+const I64_LIMIT: f64 = (1u64 << 63) as f64;
 
 /// [`geometric`] split at a window: the same draw, but the logarithm is
 /// taken only when the draw can fall below the window. `Ok(k)` carries
@@ -275,6 +297,12 @@ pub struct SparseTwoStateEdgeMeg {
 }
 
 impl SparseTwoStateEdgeMeg {
+    /// Rounds of the first window: only first toggles due before this
+    /// round are scheduled by the reset's scan, and the step that enters
+    /// it replays the `O(n²)` scan once to schedule the rest. A timing
+    /// of the stepping alone starts after this many steps.
+    pub const FIRST_WINDOW: u64 = FIRST_WINDOW;
+
     /// Creates a stationary sparse edge-MEG (each edge on independently
     /// with probability `p/(p+q)` at round 0).
     ///
@@ -655,6 +683,83 @@ pub(crate) mod tests {
             realization_fingerprint(128, 1.0 / 128.0, 0.02, 3, 300),
             0x9d96_3269_b099_2de9
         );
+    }
+
+    /// The float-ceiling expression [`geometric_at`] replaced, kept as
+    /// its oracle.
+    fn geometric_at_float_ceil(u: f64, log1m: f64) -> u64 {
+        let k = (u.ln() / log1m).ceil();
+        (k as u64).max(1)
+    }
+
+    #[test]
+    fn integer_ceiling_matches_float_ceiling() {
+        // ~10^8 seeded uniforms in release (10^6 in debug builds, where
+        // the same loop takes minutes), half drawn as the samplers draw
+        // them and half log-uniform down to f64::MIN_POSITIVE, over rates
+        // from 1e-16 to 1 − 1e-12; then every `(1−r)^k` boundary within
+        // ±4 ulps, and the largest draw an admitted rate can make.
+        let per_rate: u64 = if cfg!(debug_assertions) {
+            10_000
+        } else {
+            1_000_000
+        };
+        let small =
+            std::iter::successors(Some(1e-16_f64), |r| Some(r * 1.6)).take_while(|&r| r < 0.9);
+        let near_one = (1..=12).map(|k| 1.0 - 10f64.powi(-k));
+        let rates: Vec<f64> = small.chain(near_one).collect();
+        assert!(rates.len() >= 90, "{} rates", rates.len());
+        let mut rng = SmallRng::seed_from_u64(0xCE11);
+        let mut checked = 0u64;
+        for &rate in &rates {
+            assert!(check_rates(rate, 0.5).is_ok(), "rate {rate}");
+            let log1m = (1.0 - rate).ln();
+            let mut check = |u: f64| {
+                assert_eq!(
+                    geometric_at(u, log1m),
+                    geometric_at_float_ceil(u, log1m),
+                    "rate {rate}, u {u:e}"
+                );
+                checked += 1;
+            };
+            for _ in 0..per_rate / 2 {
+                check(rng.gen_range(f64::MIN_POSITIVE..1.0));
+                let scale = 2f64.powi(-rng.gen_range(0..1022));
+                check(rng.gen_range(f64::MIN_POSITIVE..1.0) * scale + f64::MIN_POSITIVE);
+            }
+            // u = (1−r)^k is where the ceiling steps from k to k + 1.
+            let ks = (1..=64u64).chain((0..40).map(|e| 1u64 << (e + 7)));
+            for k in ks {
+                let boundary = (k as f64 * log1m).exp();
+                if boundary < f64::MIN_POSITIVE {
+                    break;
+                }
+                for ulps in -4i64..=4 {
+                    let u = f64::from_bits((boundary.to_bits() as i64 + ulps) as u64);
+                    if (f64::MIN_POSITIVE..1.0).contains(&u) {
+                        check(u);
+                    }
+                }
+            }
+        }
+        assert!(checked >= rates.len() as u64 * per_rate);
+        // The smallest admitted rate: `1 − r` rounds to `1 − 2⁻⁵³`, the
+        // largest `f64` below 1, so `ln(1 − r)` has its smallest
+        // magnitude, and the smallest uniform makes the largest draw —
+        // still below 2^63, where the i64 conversion is exact.
+        let rate = 2f64.powi(-54) * (1.0 + 1e-9);
+        assert!(check_rates(rate, 0.5).is_ok());
+        let log1m = (1.0 - rate).ln();
+        assert_eq!(1.0 - rate, 1.0 - f64::EPSILON / 2.0);
+        let largest = f64::MIN_POSITIVE.ln() / log1m;
+        assert!(largest < 2f64.powi(63), "largest draw {largest:e}");
+        assert_eq!(
+            geometric_at(f64::MIN_POSITIVE, log1m),
+            geometric_at_float_ceil(f64::MIN_POSITIVE, log1m)
+        );
+        // u = 0 (a window cut that underflowed) saturates on both.
+        assert_eq!(geometric_at(0.0, log1m), u64::MAX);
+        assert_eq!(geometric_at_float_ceil(0.0, log1m), u64::MAX);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * `flooding/2` ([`Workload::flooding`], the default) realizes every
 //!   cell with stationary edge density `α = p/(p+q)` at most 1/2 on the
 //!   lane model, `ShardedSparseEdgeMeg`: `O(α·n²)` setup instead of
-//!   `O(n²)`, so a served miss at `n = 4096`, `q = 0.01` is about 3.5×
+//!   `O(n²)`, so a served miss at `n = 4096`, `q = 0.01` is about 4.4×
 //!   cheaper than on `flooding/1` (`BENCH_serve.json`). Denser cells up
 //!   to `n = 92 682` stay on the exact scan, whose per-pair table is
 //!   smaller than the lane model's per-on-edge one once most pairs are
@@ -71,13 +71,15 @@ const SHARDED_FLOODING_N: usize = 92_682;
 
 /// Densest stationary edge density `α = p/(p+q)` that `flooding/2` runs
 /// on the lane model at or below [`SHARDED_FLOODING_N`]. The lane model
-/// keeps ~40–72 bytes per on-edge (2–4 `PairMap` slots and an alive
-/// entry), the exact scan ~4 bytes per pair plus its due toggles. At
-/// `n = 4096` (one-thread 1-trial sweeps, 2-vCPU host) the lane model
-/// was faster at every measured `α ≤ 1/2` (~4× at the sparse served
-/// cell, 1.1× at 1/2) with no more peak memory at 1/2; from `α = 0.77`
-/// up its peak memory was 1.2–1.6× the exact scan's, and from `α = 0.9`
-/// it was also up to 1.5× slower.
+/// keeps ~32–56 bytes per on-edge (2–4 twelve-byte `PairMap` slots and
+/// an 8-byte alive entry), the exact scan ~4 bytes per pair plus its due
+/// toggles. At `n = 4096` (one-thread 1-trial flooding trials, 2-vCPU
+/// host) the lane model is faster than the exact scan at every measured
+/// density (~4× at the sparse served cell, ~1.9× at `α = 1/2`, ~1.4× at
+/// 0.9, ~1.5× at 0.99), with less peak memory at 1/2 (175 vs 180 MB) but
+/// more from `α = 0.77` up (1.03× at 0.77, 1.22× at 0.9, 1.24× at
+/// 0.99). Moving this bound would change the stored bytes of the dense
+/// `flooding/2` cells, so it stays.
 const LANE_MAX_ALPHA: f64 = 0.5;
 
 /// One family of measurements: a named trial function plus the
