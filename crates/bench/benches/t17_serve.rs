@@ -13,13 +13,12 @@
 //! * **served misses per flooding workload** — a never-seen 1-cell,
 //!   1-trial spec: `POST`, wait for the job, `GET` the artifact, on a
 //!   one-worker daemon of `flooding/1` (exact scan) and one of
-//!   `flooding/2`, ops alternating between the two. Three cells at
-//!   `n = 4096`: the served cell (`q = 0.01`, `p = 1.5/n`), the densest
-//!   cell `flooding/2` runs on the lane model (`p = q = 0.01`,
-//!   `α = 1/2`), and a dense one it leaves on the exact scan
-//!   (`p = 0.09`, `q = 0.01`, `α = 0.9`). Before any timing, each
-//!   daemon's served bytes at every cell are asserted equal to a direct
-//!   one-thread sweep of its workload.
+//!   `flooding/2` (lane model), ops alternating between the two. Three
+//!   cells at `n = 4096`: the served cell (`q = 0.01`, `p = 1.5/n`) and
+//!   two dense ones, `p = q = 0.01` (`α = 1/2`) and `p = 0.09`,
+//!   `q = 0.01` (`α = 0.9`). Before any timing, each daemon's served
+//!   bytes at every cell are asserted equal to a direct one-thread sweep
+//!   of its workload.
 //!
 //! Writes `BENCH_serve.json` at the repository root (quick mode,
 //! `DG_BENCH_QUICK=1`: `target/BENCH_serve_quick.json`).
@@ -75,28 +74,20 @@ impl MissCell {
     fn p_json(&self) -> String {
         self.p.map_or("\"1.5/n\"".to_string(), |p| p.to_string())
     }
-
-    /// The model `workload` runs this cell on.
-    fn model(&self, workload: &Workload) -> &'static str {
-        let p = self.p.unwrap_or(1.5 / MISS_N as f64);
-        if workload.name() == "flooding/1" || p / (p + self.q) > 0.5 {
-            "exact scan"
-        } else {
-            "lane model, one shard"
-        }
-    }
 }
 
 /// A one-worker daemon over its own store, behind `http::serve`.
 struct Served {
     workload: Workload,
+    /// The model the workload runs every cell at `n = 4096` on.
+    model: &'static str,
     daemon: Arc<Daemon>,
     server: http::ServerHandle,
     addr: SocketAddr,
 }
 
 impl Served {
-    fn start(root: &Path, workload: Workload) -> Served {
+    fn start(root: &Path, (workload, model): (Workload, &'static str)) -> Served {
         let store = ArtifactStore::open(workload.store_root(root)).expect("bench store");
         let daemon = Arc::new(Daemon::start(store, workload.clone(), 1).unwrap());
         let handler = Arc::clone(&daemon);
@@ -104,6 +95,7 @@ impl Served {
         let addr = server.addr();
         Served {
             workload,
+            model,
             daemon,
             server,
             addr,
@@ -206,8 +198,11 @@ fn main() {
 
     // Served misses: both flooding workloads, ops alternating.
     let miss_root = root.join("misses");
-    let served =
-        [Workload::flooding_v1(), Workload::flooding()].map(|w| Served::start(&miss_root, w));
+    let served = [
+        (Workload::flooding_v1(), "exact scan"),
+        (Workload::flooding(), "lane model, one shard"),
+    ]
+    .map(|w| Served::start(&miss_root, w));
     for (c, cell) in MISS_CELLS.iter().enumerate() {
         for (i, s) in served.iter().enumerate() {
             let (spec, body) = s.miss(cell, 0x5E4E_0000 + (2 * c + i) as u64);
@@ -242,14 +237,14 @@ fn main() {
         }
         for (s, ms) in served.iter().zip(ms) {
             let (median, min) = median_min(ms);
-            let model = cell.model(&s.workload);
             println!(
-                "served miss {} {:<17} {model:<22} median {median:>7.1} ms   min {min:>7.1} ms   {:.2} ops/s",
+                "served miss {} {:<17} {:<22} median {median:>7.1} ms   min {min:>7.1} ms   {:.2} ops/s",
                 s.workload.name(),
                 cell.label,
+                s.model,
                 1e3 / median
             );
-            rows.push((cell, s.workload.name(), model, ops, median, min));
+            rows.push((cell, s.workload.name(), s.model, ops, median, min));
         }
     }
     for s in served {
@@ -267,7 +262,7 @@ fn main() {
     dg_bench::Record::new(
         env!("CARGO_CRATE_NAME"),
         "serve",
-        &format!("served misses per flooding workload: POST a never-seen 1-cell, 1-trial spec at n = {MISS_N}, wait for the job, GET the artifact, on an in-process one-worker daemon over loopback TCP; ops alternate between a flooding/1 daemon (exact-scan model) and a flooding/2 daemon (lane model up to alpha = p/(p+q) = 1/2, exact scan above). Cells: the served cell (p = 1.5/n, q = 0.01), p = q = 0.01 (alpha 1/2) and p = 0.09, q = 0.01 (alpha 0.9). Each daemon's served bytes at every cell are asserted equal to a direct one-thread sweep of its workload before timing. median_ms and min_ms are per op (POST + wait + GET), ops_per_s = 1000 / median_ms."),
+        &format!("served misses per flooding workload: POST a never-seen 1-cell, 1-trial spec at n = {MISS_N}, wait for the job, GET the artifact, on an in-process one-worker daemon over loopback TCP; ops alternate between a flooding/1 daemon (exact-scan model) and a flooding/2 daemon (lane model, one shard). Cells: the served cell (p = 1.5/n, q = 0.01), p = q = 0.01 (alpha 1/2) and p = 0.09, q = 0.01 (alpha 0.9). Each daemon's served bytes at every cell are asserted equal to a direct one-thread sweep of its workload before timing. median_ms and min_ms are per op (POST + wait + GET), ops_per_s = 1000 / median_ms."),
     )
     .rows("workloads", rows.iter().map(|(cell, name, model, ops, median, min)| obj! {
         "cell": cell.label, "workload": name, "model": model, "n": MISS_N, "p": Raw(cell.p_json()),

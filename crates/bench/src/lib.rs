@@ -429,7 +429,10 @@ pub fn guard_overhead(seed: u64, probe: impl FnMut(usize)) -> Guard {
 }
 
 /// Min over `reps` of the ns per round of `rounds` delta-churn rounds,
-/// after 50 untimed warm-up rounds.
+/// after [`SparseTwoStateEdgeMeg::FIRST_WINDOW`] untimed warm-up rounds:
+/// the step that closes the exact scan's first window replays its
+/// `O(n²)` pair scan, which would otherwise land in the timed loop and
+/// dilute the ratio.
 fn time_rounds(
     n: usize,
     q: f64,
@@ -444,7 +447,7 @@ fn time_rounds(
             .expect("valid rates");
         let mut adj = DynAdjacency::new(n);
         let mut delta = EdgeDelta::new();
-        for _ in 0..50 {
+        for _ in 0..SparseTwoStateEdgeMeg::FIRST_WINDOW {
             meg.step_delta(&mut delta);
             adj.apply(&delta);
         }

@@ -22,10 +22,12 @@
 //! The committed grid covers the sparse regime, `q ≥ np`, slow churn
 //! (floods of tens to hundreds of rounds, where `p` and `α` differ most),
 //! the served cell `n = 4096, q = 0.01`, where every trial floods in
-//! exactly 3 rounds, and the two no-draw branches: death rate `q = 1`
+//! exactly 3 rounds, the two no-draw branches: death rate `q = 1`
 //! (every on-edge dies after one round) and birth rate `p = 1` (every
 //! off-edge is born the next round, so every flood ends by round 2 and
-//! only `P(T = 1) = α^(n−1)` is left to check). Each cell compares engine flooding times on the
+//! only `P(T = 1) = α^(n−1)` is left to check), and a dense cell with
+//! `p < 1` (`n = 16`, `α = 0.9`, so `P(T = 1) = 0.9^15 ≈ 0.21`), where
+//! both draw branches run. Each cell compares engine flooding times on the
 //! exact-scan model (`SparseTwoStateEdgeMeg`) and on the lane model
 //! (`ShardedSparseEdgeMeg`) with the chain by a two-sample
 //! Kolmogorov–Smirnov test.
@@ -35,12 +37,13 @@
 //! would fail it on a fresh set of seeds: each comparison rejects at the
 //! asymptotic level `0.001`, which the KS test only over-states for
 //! integer-valued samples (it is conservative on discrete laws), and
-//! there are 12 comparisons, so by the union bound the suite's
-//! false-alarm probability is at most 1.2%.
+//! there are 14 comparisons, so by the union bound the suite's
+//! false-alarm probability is at most 1.4%.
 //!
 //! **Power.** Biasing either model's birth rate by 10% (its geometric
 //! birth draws at `1.1·p`) fails the sparse, `q ≥ np` and slow churn
-//! cells for that model, with `D` 3.6–7× the critical value.
+//! cells for that model, with `D` 3.6–7× the critical value. No power is
+//! claimed for the dense cell.
 //!
 //! Debug builds run every cell with an eighth of the samples, so the
 //! tier-1 `cargo test` stays quick; CI runs the full suite in release.
@@ -73,7 +76,7 @@ struct LawCell {
 }
 
 /// The committed grid.
-fn grid() -> [LawCell; 6] {
+fn grid() -> [LawCell; 7] {
     [
         LawCell {
             name: "sparse",
@@ -120,6 +123,14 @@ fn grid() -> [LawCell; 6] {
             n: 6,
             p: 1.0,
             q: 0.5,
+            engine_trials: 2_000,
+            chain_trials: 40_000,
+        },
+        LawCell {
+            name: "dense",
+            n: 16,
+            p: 0.09,
+            q: 0.01,
             engine_trials: 2_000,
             chain_trials: 40_000,
         },
@@ -278,6 +289,11 @@ fn birth_rate_one_flooding_time_follows_the_count_chain() {
     {
         assert!(times.iter().all(|&t| t <= 2), "{source}: {times:?}");
     }
+}
+
+#[test]
+fn dense_flooding_time_follows_the_count_chain() {
+    check_cell(6);
 }
 
 #[test]

@@ -18,10 +18,11 @@
 //! * [`http`] — the hand-rolled HTTP/1.1 layer (std `TcpListener`; this
 //!   crate takes no dependencies beyond the workspace);
 //! * [`Workload`] — the one trial-function family a daemon serves (the
-//!   paper's edge-MEG flooding phase diagram: `flooding/2` on the lane
-//!   model by default, `flooding/1` as the exact-scan reproducer of older
-//!   artifacts), with the admission rule that keeps worker threads
-//!   panic-free and the store directory that keeps workloads apart.
+//!   paper's edge-MEG flooding phase diagram: `flooding/2`, the lane
+//!   model at every cell, by default, `flooding/1` as the exact-scan
+//!   reproducer of older artifacts), with the admission rule that keeps
+//!   worker threads panic-free and bounds each trial's expected on-edge
+//!   count, and the store directory that keeps workloads apart.
 //!
 //! The load-bearing invariant is inherited from `dg-sweep` and extended
 //! over the wire: the bytes `GET /sweep/<fp>` serves are byte-identical

@@ -8,9 +8,8 @@
 //! ```
 //!
 //! `--workload` defaults to `flooding`, which means `flooding/2` (the
-//! flooding workload on the lane model, dense cells with
-//! `α = p/(p+q) > 1/2` on the exact scan). `flooding/1` is the
-//! exact-scan reproducer of artifacts stored before `flooding/2`
+//! flooding workload on the lane model, at every cell). `flooding/1` is
+//! the exact-scan reproducer of artifacts stored before `flooding/2`
 //! existed. The store lives under the root as [`Workload::store_root`]
 //! says: `flooding/1` keeps its artifacts in `DIR/store/`, `flooding/2`
 //! in `DIR/flooding-2/store/` and `synthetic` in
@@ -121,7 +120,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "dg-serve [--root DIR] [--addr HOST:PORT] [--workers N] [--workload flooding|flooding/2|flooding/1|synthetic] [--max-queue N] [--max-attempts N]\n\n\
-                     --workload flooding means flooding/2 (lane model; store in DIR/flooding-2/);\n\
+                     --workload flooding means flooding/2 (lane model at every cell; store in DIR/flooding-2/);\n\
                      flooding/1 is the exact-scan reproducer (store in DIR/);\n\
                      synthetic is a model-free test workload (store in DIR/synthetic/)"
                 );

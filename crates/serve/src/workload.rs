@@ -14,19 +14,16 @@
 //! same specs:
 //!
 //! * `flooding/2` ([`Workload::flooding`], the default) realizes every
-//!   cell with stationary edge density `α = p/(p+q)` at most 1/2 on the
-//!   lane model, `ShardedSparseEdgeMeg`: `O(α·n²)` setup instead of
-//!   `O(n²)`, so a served miss at `n = 4096`, `q = 0.01` is about 4.4×
-//!   cheaper than on `flooding/1` (`BENCH_serve.json`). Denser cells up
-//!   to `n = 92 682` stay on the exact scan, whose per-pair table is
-//!   smaller than the lane model's per-on-edge one once most pairs are
-//!   on;
+//!   cell on the lane model, `ShardedSparseEdgeMeg`: `O(α·n²)` setup for
+//!   stationary edge density `α = p/(p+q)` instead of `O(n²)`, so a
+//!   served miss at `n = 4096`, `q = 0.01` is about 4.4× cheaper than on
+//!   `flooding/1` (`BENCH_serve.json`);
 //! * `flooding/1` ([`Workload::flooding_v1`]) keeps the exact-scan model
 //!   at every density up to `n = 92 682`, so artifacts stored before
 //!   `flooding/2` existed regenerate byte for byte.
 //!
 //! The two draw the same flooding-time law, from different random
-//! streams on sparse cells.
+//! streams.
 //!
 //! The workload also carries the validator that stands between the wire
 //! and the worker pool: [`dg_sweep::SweepSpec::from_json`] guarantees a
@@ -60,27 +57,19 @@ const MAX_FLOODING_N: usize = 1_048_576;
 
 /// At or below this `n` a flooding trial runs on one thread, so a served
 /// job is one compute thread; above it, on all cores. It is the old
-/// `floor(sqrt(2^53))` admission cap, and `flooding/1` also keeps the
+/// `floor(sqrt(2^53))` admission cap, and `flooding/1` keeps the
 /// exact-scan model up to it, so every spec a pre-sharding daemon could
 /// have stored reproduces its artifact bytes. The exact scan costs
 /// `O(n²)` RNG draws per trial but schedules only the toggles due in its
-/// first 64 rounds up front; `flooding/2` keeps it only for cells denser
-/// than [`LANE_MAX_ALPHA`], and above this `n` both versions run the
-/// lane model, whatever the density.
+/// first 64 rounds up front.
 const SHARDED_FLOODING_N: usize = 92_682;
 
-/// Densest stationary edge density `α = p/(p+q)` that `flooding/2` runs
-/// on the lane model at or below [`SHARDED_FLOODING_N`]. The lane model
-/// keeps ~32–56 bytes per on-edge (2–4 twelve-byte `PairMap` slots and
-/// an 8-byte alive entry), the exact scan ~4 bytes per pair plus its due
-/// toggles. At `n = 4096` (one-thread 1-trial flooding trials, 2-vCPU
-/// host) the lane model is faster than the exact scan at every measured
-/// density (~4× at the sparse served cell, ~1.9× at `α = 1/2`, ~1.4× at
-/// 0.9, ~1.5× at 0.99), with less peak memory at 1/2 (175 vs 180 MB) but
-/// more from `α = 0.77` up (1.03× at 0.77, 1.22× at 0.9, 1.24× at
-/// 0.99). Moving this bound would change the stored bytes of the dense
-/// `flooding/2` cells, so it stays.
-const LANE_MAX_ALPHA: f64 = 0.5;
+/// Largest expected stationary on-edge count `α·n(n−1)/2` a flooding
+/// cell may have, `α = p/(p+q)`. A trial holds every on-edge of its
+/// stationary graph, at ~39 bytes per on-edge on the lane model (dense
+/// cells at `n = 4096`), so the cap is ~2.6 GB; a larger allocation
+/// would abort the daemon, which `catch_unwind` cannot isolate.
+const MAX_EXPECTED_ON_EDGES: u64 = 1 << 26;
 
 /// One family of measurements: a named trial function plus the
 /// admission rule for specs it can run.
@@ -154,8 +143,7 @@ impl Workload {
 
     /// The paper's phase-diagram workload, `flooding/2` (the default):
     /// flooding time on a stationary sparse edge-MEG, realized by the
-    /// lane model ([`ShardedSparseEdgeMeg`]) on every cell with
-    /// `α = p/(p+q) ≤ 1/2` and on every cell with `n` above 92 682.
+    /// lane model ([`ShardedSparseEdgeMeg`]) on every cell.
     ///
     /// Axes (any other name is rejected):
     ///
@@ -172,12 +160,8 @@ impl Workload {
     /// or 200 000), and reports the flooding time — `None` when the cap
     /// censors the trial. Cells with `n` up to 92 682 run on one thread,
     /// so a served job is one compute thread; larger cells run across
-    /// all cores. The samples do not depend on the thread count. On the
-    /// lane model setup is one geometric draw per initial on-edge
-    /// (`α·n²/2` of them). Denser cells with `n` up to 92 682 run on the
-    /// exact-scan model ([`SparseTwoStateEdgeMeg`]), exactly as in
-    /// [`Workload::flooding_v1`]: once most pairs are on, the lane
-    /// model's per-on-edge table outgrows the scan's per-pair one.
+    /// all cores. The samples do not depend on the thread count. Setup
+    /// is one geometric draw per initial on-edge (`α·n²/2` of them).
     ///
     /// Only the law of the flooding time is part of this workload's
     /// contract, and `crates/edge-meg/tests/flooding_law.rs` checks it
@@ -201,9 +185,8 @@ impl Workload {
         Self::flooding_on(true)
     }
 
-    /// The flooding workload on the exact scan up to
-    /// [`SHARDED_FLOODING_N`] (`flooding/1`) or only on its cells denser
-    /// than [`LANE_MAX_ALPHA`] (`flooding/2`).
+    /// The flooding workload, on the exact scan up to
+    /// [`SHARDED_FLOODING_N`] when `exact_scan` (`flooding/1`).
     fn flooding_on(exact_scan: bool) -> Self {
         Workload {
             name: if exact_scan {
@@ -314,12 +297,26 @@ fn validate_flooding(spec: &SweepSpec) -> Result<(), String> {
     if ps.is_empty() {
         ps = values("n").iter().map(|&n| 1.5 / n).collect();
     }
+    let qs = values("q");
     for &p in &ps {
-        for &q in &values("q") {
+        for &q in &qs {
             check_rates(p, q).map_err(|e| {
                 format!("the edge-MEG cannot sample the cell p = {p}, q = {q}: {e}")
             })?;
         }
+    }
+    // The expected on-edge count grows with n and p and falls with q,
+    // also under p = 1.5/n, so the costliest cell pairs the largest n
+    // with the largest p and the smallest q.
+    let n = values("n").into_iter().fold(0.0, f64::max);
+    let p = values("p").into_iter().reduce(f64::max).unwrap_or(1.5 / n);
+    let q = qs.into_iter().fold(1.0, f64::min);
+    let on_edges = p / (p + q) * n * (n - 1.0) / 2.0;
+    if on_edges > MAX_EXPECTED_ON_EDGES as f64 {
+        return Err(format!(
+            "the cell n = {n}, p = {p}, q = {q} expects {on_edges:.3e} stationary on-edges \
+             (alpha * n(n-1)/2), over the cap of {MAX_EXPECTED_ON_EDGES}"
+        ));
     }
     if let Some(metrics) = spec.metrics() {
         for m in metrics {
@@ -335,9 +332,9 @@ fn validate_flooding(spec: &SweepSpec) -> Result<(), String> {
 }
 
 /// One flooding trial of `cell`: on the exact-scan model up to
-/// [`SHARDED_FLOODING_N`] when `exact_scan` (`flooding/1`) or when the
-/// cell is denser than [`LANE_MAX_ALPHA`], otherwise on the lane model,
-/// one thread up to [`SHARDED_FLOODING_N`] and all cores above it.
+/// [`SHARDED_FLOODING_N`] when `exact_scan` (`flooding/1`), otherwise on
+/// the lane model, one thread up to [`SHARDED_FLOODING_N`] and all cores
+/// above it.
 fn flooding_record(cell: &Cell, trial: Trial, exact_scan: bool) -> TrialRecord {
     let n = cell.usize("n");
     let q = cell.get("q");
@@ -346,7 +343,7 @@ fn flooding_record(cell: &Cell, trial: Trial, exact_scan: bool) -> TrialRecord {
     let engine = Simulation::builder()
         .max_rounds(max_rounds)
         .base_seed(trial.cell_seed);
-    if n <= SHARDED_FLOODING_N && (exact_scan || p / (p + q) > LANE_MAX_ALPHA) {
+    if exact_scan && n <= SHARDED_FLOODING_N {
         engine
             .model(move |seed| {
                 SparseTwoStateEdgeMeg::stationary(n, p, q, seed)
@@ -422,6 +419,55 @@ mod tests {
         for axes in bad {
             assert!(w.validate(&spec(axes.clone())).is_err(), "{axes:?}");
         }
+    }
+
+    #[test]
+    fn flooding_admission_caps_the_expected_on_edge_count() {
+        let w = Workload::flooding();
+        // Admitted: the served cell, the sparse million-node cell and a
+        // dense cell at n = 4096 (α = 10/13, ~6.4e6 on-edges).
+        for axes in [
+            vec![Axis::ints("n", [4096]), Axis::explicit("q", [0.01])],
+            vec![Axis::ints("n", [1_048_576]), Axis::explicit("q", [0.1])],
+            vec![
+                Axis::ints("n", [4096]),
+                Axis::explicit("q", [0.3]),
+                Axis::explicit("p", [1.0]),
+            ],
+        ] {
+            assert!(w.validate(&spec(axes.clone())).is_ok(), "{axes:?}");
+        }
+        // Rejected: n = 2^20 under p = 1.5/n with q = 1e-6 (~3.2e11
+        // on-edges) or q = 1e-3 (~7.9e8); a grid with a dense n = 92 682
+        // cell; and a grid whose costliest cell joins values of
+        // different cells' axes (n = 2^20 from one, q = 1e-3 from
+        // another).
+        for axes in [
+            vec![Axis::ints("n", [1_048_576]), Axis::explicit("q", [1e-6])],
+            vec![Axis::ints("n", [1_048_576]), Axis::explicit("q", [1e-3])],
+            vec![
+                Axis::ints("n", [92_682]),
+                Axis::explicit("q", [0.5]),
+                Axis::explicit("p", [1e-6, 1.0]),
+            ],
+            vec![
+                Axis::ints("n", [16, 1_048_576]),
+                Axis::explicit("q", [1e-3, 0.5]),
+            ],
+        ] {
+            let err = w.validate(&spec(axes.clone())).unwrap_err();
+            assert!(
+                err.contains("on-edges") && err.contains(&MAX_EXPECTED_ON_EDGES.to_string()),
+                "{axes:?}: {err}"
+            );
+        }
+        let err = Workload::flooding_v1()
+            .validate(&spec(vec![
+                Axis::ints("n", [1_048_576]),
+                Axis::explicit("q", [1e-6]),
+            ]))
+            .unwrap_err();
+        assert!(err.contains("3.2"), "the count is stated: {err}");
     }
 
     #[test]
@@ -540,44 +586,30 @@ mod tests {
         let direct =
             pin_record(move |seed| ShardedSparseEdgeMeg::stationary(24, p, 0.3, seed).unwrap());
         assert_eq!(report.cell(0).samples[1], vec![direct.time.map(f64::from)]);
-    }
-
-    #[test]
-    fn flooding_v2_runs_only_cells_denser_than_one_half_on_the_exact_scan() {
-        // n = 24, q = 0.3: p = 0.3 is α = 1/2 exactly (lane model),
-        // p = 0.5 is α = 0.625 (exact scan, the flooding/1 bytes). Both
-        // flood in a round or two, so the rows carry the message count,
+        // A dense cell (p = 0.5, α = 0.625) runs on the lane model too. It
+        // floods in a round or two, so the row carries the message count,
         // which tells the realizations apart.
         let metrics = vec![Metric::new("rounds"), Metric::observe("messages")];
-        for (p, exact) in [(0.3, false), (0.5, true)] {
-            let s = SweepSpec::new(
-                vec![
-                    Axis::ints("n", [24]),
-                    Axis::explicit("q", [0.3]),
-                    Axis::explicit("p", [p]),
-                ],
-                0xFEED,
-                TrialBudget::fixed(2),
-            )
-            .with_metrics(metrics.clone());
-            let run = |w: Workload| {
-                s.sweep()
-                    .run_metrics(w.metric_trial_fn(metrics.clone()))
-                    .unwrap()
-            };
-            let (v1, v2) = (run(Workload::flooding_v1()), run(Workload::flooding()));
-            let direct = if exact {
-                pin_record(move |seed| SparseTwoStateEdgeMeg::stationary(24, p, 0.3, seed).unwrap())
-            } else {
-                pin_record(move |seed| ShardedSparseEdgeMeg::stationary(24, p, 0.3, seed).unwrap())
-            };
-            assert_eq!(
-                v2.cell(0).samples[1],
-                vec![direct.time.map(f64::from), Some(direct.messages as f64)],
-                "p = {p}"
-            );
-            assert_eq!(v1.to_json() == v2.to_json(), exact, "p = {p}");
-        }
+        let dense = SweepSpec::new(
+            vec![
+                Axis::ints("n", [24]),
+                Axis::explicit("q", [0.3]),
+                Axis::explicit("p", [0.5]),
+            ],
+            0xFEED,
+            TrialBudget::fixed(2),
+        )
+        .with_metrics(metrics.clone());
+        let report = dense
+            .sweep()
+            .run_metrics(Workload::flooding().metric_trial_fn(metrics))
+            .unwrap();
+        let direct =
+            pin_record(|seed| ShardedSparseEdgeMeg::stationary(24, 0.5, 0.3, seed).unwrap());
+        assert_eq!(
+            report.cell(0).samples[1],
+            vec![direct.time.map(f64::from), Some(direct.messages as f64)]
+        );
     }
 
     #[test]

@@ -11,17 +11,14 @@
 //! birth or death rates equal to one (the no-draw branch) and small
 //! ones.
 //!
-//! **`flooding/2`** ([`Workload::flooding`], the default). Cells with
-//! `α = p/(p+q) ≤ 1/2` run on the lane model, denser ones on the exact
-//! scan. Its files (`flooding2_*.json`) pin the served cell, a
-//! slow-churn grid and the small grid above (its `q = 1` cells on the
-//! lane model, its `α > 1/2` cells on the exact scan), so a stream drift
-//! in the lane model or a change of routing shows up as a diff in
-//! served bytes, not only in the models' own pins. The served cell
-//! floods in exactly 3 rounds on every trial of either workload, so its
-//! `flooding/2` spec also records the message count, which does depend
-//! on the realization. Every `p = 1` cell has `α > 1/2`, so `flooding/2`
-//! answers the birth-rate-one grid with `flooding/1`'s stored bytes.
+//! **`flooding/2`** ([`Workload::flooding`], the default). Every cell
+//! runs on the lane model. Its files (`flooding2_*.json`) pin the served
+//! cell, a slow-churn grid, the small grid above and the birth-rate-one
+//! grid, so a stream drift in the lane model shows up as a diff in
+//! served bytes, not only in the model's own pins. The served cell
+//! floods in exactly 3 rounds and every birth-rate-one cell in 2 on
+//! every trial of either workload, so their `flooding/2` specs also
+//! record the message count, which does depend on the realization.
 
 use dg_serve::Workload;
 use dg_sweep::{Axis, Metric, SweepSpec, TrialBudget};
@@ -73,6 +70,12 @@ fn birth_rate_one_spec() -> SweepSpec {
 /// flooding time.
 fn miss_cell_metrics_spec() -> SweepSpec {
     miss_cell_spec().with_metrics(vec![Metric::new("rounds"), Metric::observe("messages")])
+}
+
+/// The birth-rate-one grid with a message-count metric beside the
+/// flooding time.
+fn birth_rate_one_metrics_spec() -> SweepSpec {
+    birth_rate_one_spec().with_metrics(vec![Metric::new("rounds"), Metric::observe("messages")])
 }
 
 /// A slow-churn grid for `flooding/2`: sparse stationary graphs whose
@@ -166,11 +169,11 @@ fn v2_small_grid_artifact_is_byte_identical() {
 }
 
 #[test]
-fn v2_birth_rate_one_cells_run_on_the_exact_scan() {
+fn v2_birth_rate_one_artifact_is_byte_identical() {
     assert_golden(
         &Workload::flooding(),
-        "flooding_p1.json",
-        &birth_rate_one_spec(),
+        "flooding2_p1.json",
+        &birth_rate_one_metrics_spec(),
     );
 }
 
@@ -190,6 +193,7 @@ fn regenerate_golden_flooding() {
         (&v2, "flooding2_n4096_q0.01.json", miss_cell_metrics_spec()),
         (&v2, "flooding2_slow_churn.json", slow_churn_spec()),
         (&v2, "flooding2_small_grid.json", small_grid_spec()),
+        (&v2, "flooding2_p1.json", birth_rate_one_metrics_spec()),
     ];
     for (workload, name, spec) in files {
         std::fs::write(dir.join(name), run(workload, &spec)).unwrap();
