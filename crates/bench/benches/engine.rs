@@ -49,7 +49,8 @@ fn main() {
     // Parallel-vs-serial engine on a trial batch large enough to matter.
     let n = 192;
     let p = 1.5 / n as f64;
-    for (label, parallel) in [("serial", false), ("parallel", true)] {
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    for (label, threads) in [("serial", 1), ("parallel", cores)] {
         h.bench(&format!("engine/trial_batch_16/{label}"), || {
             Simulation::builder()
                 .model(move |seed| {
@@ -58,7 +59,7 @@ fn main() {
                 .trials(16)
                 .max_rounds(500_000)
                 .base_seed(tape.next_seed())
-                .parallel(parallel)
+                .threads(threads)
                 .run()
                 .mean()
         });

@@ -107,7 +107,7 @@ where
         Sweep::over(grid())
             .budget(TrialBudget::fixed(budget))
             .base_seed(seed)
-            .parallel(false)
+            .threads(1)
             .run(|cell, trial| flood_trial_fresh(|s| make(cell, s), warm(cell), trial))
             .unwrap()
     };
@@ -115,7 +115,7 @@ where
         Sweep::over(grid())
             .budget(TrialBudget::fixed(budget))
             .base_seed(seed)
-            .parallel(false)
+            .threads(1)
             .run_with_state(Worker::new, |cell, trial, worker| {
                 let warm = warm(cell);
                 let builder = Simulation::builder()
@@ -236,7 +236,7 @@ fn main() {
                 })
                 .trials(trials)
                 .max_rounds(200_000)
-                .parallel(false)
+                .threads(1)
                 .base_seed(0x7170 + rep)
         };
         let mut fresh_best = f64::INFINITY;

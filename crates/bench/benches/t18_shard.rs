@@ -43,7 +43,7 @@ fn measure(
             })
             .trials(trials)
             .max_rounds(200_000)
-            .parallel(false)
+            .threads(1)
             .base_seed(0x7180)
             .stepping(stepping)
             .shards(shards)

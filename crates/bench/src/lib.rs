@@ -403,20 +403,33 @@ impl Guard {
 }
 
 /// Times the t13 delta-churn hot loop (exact-scan edge-MEG stepping
-/// plus incremental adjacency apply, `p = 1/n`) raw, then with
+/// plus incremental adjacency apply, `p = 1/n`) raw and with
 /// `probe(churn)` called after every round, each as the min over reps
 /// (min-time is the noise-robust statistic for a guard that must hold
-/// on shared CI runners). Sizes: `n = 4096`, `q = 0.01`, 1500 rounds ×
-/// 5 reps; in [`quick_mode`] `n = 256`, `q = 0.05`, 300 rounds × 3.
-/// The caller asserts the ratio and its probe's own invariants.
-pub fn guard_overhead(seed: u64, probe: impl FnMut(usize)) -> Guard {
+/// on shared CI runners). The reps run as raw/guarded pairs on one
+/// seed, and the pairs alternate which side runs first, so host drift
+/// lands on both sides instead of on whichever block ran second.
+/// Sizes: `n = 4096`, `q = 0.01`, 1500 rounds × 5 reps; in
+/// [`quick_mode`] `n = 256`, `q = 0.05`, 300 rounds × 3. The caller
+/// asserts the ratio and its probe's own invariants.
+pub fn guard_overhead(seed: u64, mut probe: impl FnMut(usize)) -> Guard {
     let (n, q, rounds, reps) = if quick_mode() {
         (256, 0.05, 300, 3)
     } else {
         (4096, 0.01, 1_500, 5)
     };
-    let raw = time_rounds(n, q, rounds, reps, seed, |_| {});
-    let guarded = time_rounds(n, q, rounds, reps, seed, probe);
+    let (mut raw, mut guarded) = (f64::INFINITY, f64::INFINITY);
+    for rep in 0..reps {
+        let seed = seed + rep as u64;
+        let raw_first = rep % 2 == 0;
+        if raw_first {
+            raw = raw.min(time_rounds(n, q, rounds, seed, |_| {}));
+        }
+        guarded = guarded.min(time_rounds(n, q, rounds, seed, &mut probe));
+        if !raw_first {
+            raw = raw.min(time_rounds(n, q, rounds, seed, |_| {}));
+        }
+    }
     Guard {
         n,
         q,
@@ -428,38 +441,27 @@ pub fn guard_overhead(seed: u64, probe: impl FnMut(usize)) -> Guard {
     }
 }
 
-/// Min over `reps` of the ns per round of `rounds` delta-churn rounds,
-/// after [`SparseTwoStateEdgeMeg::FIRST_WINDOW`] untimed warm-up rounds:
-/// the step that closes the exact scan's first window replays its
-/// `O(n²)` pair scan, which would otherwise land in the timed loop and
-/// dilute the ratio.
-fn time_rounds(
-    n: usize,
-    q: f64,
-    rounds: usize,
-    reps: usize,
-    seed: u64,
-    mut probe: impl FnMut(usize),
-) -> f64 {
-    let mut best = f64::INFINITY;
-    for rep in 0..reps {
-        let mut meg = SparseTwoStateEdgeMeg::stationary(n, 1.0 / n as f64, q, seed + rep as u64)
-            .expect("valid rates");
-        let mut adj = DynAdjacency::new(n);
-        let mut delta = EdgeDelta::new();
-        for _ in 0..SparseTwoStateEdgeMeg::FIRST_WINDOW {
-            meg.step_delta(&mut delta);
-            adj.apply(&delta);
-        }
-        let start = Instant::now();
-        for _ in 0..rounds {
-            meg.step_delta(&mut delta);
-            adj.apply(&delta);
-            probe(delta.churn());
-        }
-        best = best.min(start.elapsed().as_nanos() as f64 / rounds as f64);
+/// The ns per round of `rounds` delta-churn rounds, after
+/// [`SparseTwoStateEdgeMeg::FIRST_WINDOW`] untimed warm-up rounds: the
+/// step that closes the exact scan's first window replays its `O(n²)`
+/// pair scan, which would otherwise land in the timed loop and dilute
+/// the ratio.
+fn time_rounds(n: usize, q: f64, rounds: usize, seed: u64, mut probe: impl FnMut(usize)) -> f64 {
+    let mut meg =
+        SparseTwoStateEdgeMeg::stationary(n, 1.0 / n as f64, q, seed).expect("valid rates");
+    let mut adj = DynAdjacency::new(n);
+    let mut delta = EdgeDelta::new();
+    for _ in 0..SparseTwoStateEdgeMeg::FIRST_WINDOW {
+        meg.step_delta(&mut delta);
+        adj.apply(&delta);
     }
-    best
+    let start = Instant::now();
+    for _ in 0..rounds {
+        meg.step_delta(&mut delta);
+        adj.apply(&delta);
+        probe(delta.churn());
+    }
+    start.elapsed().as_nanos() as f64 / rounds as f64
 }
 
 /// Minimal bench runner: filters by substring, times adaptively.

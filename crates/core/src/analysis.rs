@@ -21,7 +21,6 @@ use crate::flooding::FloodRun;
 /// assert_eq!(curve.doubling_rounds(), vec![1, 2, 3, 4]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GrowthCurve {
     sizes: Vec<u32>,
     node_count: usize,

@@ -17,10 +17,11 @@
 //! [`Simulation::builder`] owns everything the old ad-hoc loops
 //! duplicated: per-trial seed derivation (`mix_seed(base_seed, trial)`),
 //! warm-up to stationarity, the synchronous round loop, round caps,
-//! quiescence detection, and trial aggregation. With the `parallel`
-//! feature (default) trials run on all cores; results are byte-identical
-//! to the serial engine because every trial is a pure function of its
-//! derived seed and aggregation is ordered by trial index.
+//! quiescence detection, and trial aggregation. Trials run on all cores
+//! by default ([`SimulationBuilder::threads`] caps the count; `threads(1)`
+//! is the serial engine); results are byte-identical at every count
+//! because every trial is a pure function of its derived seed and
+//! aggregation is ordered by trial index.
 //!
 //! # Quickstart
 //!
@@ -83,8 +84,9 @@
 //!
 //! # Migrating from the pre-engine API
 //!
-//! The legacy single-run primitives survive as reference
-//! implementations; every Monte-Carlo loop goes through the builder:
+//! Every Monte-Carlo loop goes through the builder. The legacy gossip
+//! primitives are gone from the API; they live on as the test oracles
+//! (`tests/support`) the engine suite pins the protocols to:
 //!
 //! | old                                               | new                                        |
 //! |---------------------------------------------------|--------------------------------------------|

@@ -280,9 +280,9 @@ impl Protocol for Flooding {
 /// Randomized push gossip (§5): each informed node transmits to at most
 /// `fanout` distinct random current neighbours per round.
 ///
-/// With the same per-trial seed this reproduces
-/// [`crate::gossip::push_spread`] exactly (same partial Fisher–Yates
-/// draws in the same order).
+/// With the same per-trial seed this reproduces the workspace's
+/// single-run `push_spread` test oracle exactly (same partial
+/// Fisher–Yates draws in the same order).
 #[derive(Debug, Clone)]
 pub struct PushGossip {
     fanout: usize,
@@ -322,8 +322,8 @@ impl PushGossip {
     /// is never made — only the at most `fanout` displaced entries are
     /// tracked, so a high-degree informed node costs `O(fanout²)`
     /// bookkeeping instead of an `O(degree)` buffer fill. Byte-identical
-    /// to the buffered implementation (and hence to the legacy
-    /// `gossip::push_spread`) by construction; the engine suite pins it.
+    /// to the buffered implementation (and hence to the `push_spread`
+    /// test oracle) by construction; the engine suite pins it.
     fn push_targets(&mut self, neigh: &[u32], out: &mut Transmissions<'_>) {
         if neigh.len() <= self.fanout {
             for &v in neigh {
@@ -360,7 +360,7 @@ impl Protocol for PushGossip {
     }
 
     fn begin_trial(&mut self, _n: usize, seed: u64) {
-        // Same stream derivation as the legacy `gossip::push_spread`, so
+        // Same stream derivation as the `push_spread` test oracle, so
         // the engine reproduces it bit for bit given the same seed.
         self.rng = SmallRng::seed_from_u64(mix_seed(seed, 0x905517));
     }
@@ -394,8 +394,8 @@ impl Protocol for PushGossip {
 /// relays only during the `ttl` rounds after becoming informed, then
 /// falls silent.
 ///
-/// Matches [`crate::gossip::parsimonious_flood`] run for run, including
-/// the early stop once every relay has expired.
+/// Matches the workspace's single-run `parsimonious_flood` test oracle
+/// run for run, including the early stop once every relay has expired.
 ///
 /// `informed_at` is nondecreasing along `informed_list`, so expired
 /// relays always form a prefix; a cursor to the first live relay keeps

@@ -4,7 +4,6 @@ use dg_stats::{Quantiles, Summary};
 
 /// The outcome of one engine trial.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrialRecord {
     /// Trial index (also the seed stream index).
     pub trial: usize,
@@ -27,7 +26,6 @@ pub struct TrialRecord {
 /// index — so two runs with the same seeds compare equal regardless of
 /// thread scheduling.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimulationReport {
     node_count: usize,
     records: Vec<TrialRecord>,

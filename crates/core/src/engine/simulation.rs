@@ -45,8 +45,8 @@ fn no_observers(_trial: usize) {}
 impl Simulation {
     /// Starts configuring a simulation. Defaults: [`Flooding`] protocol,
     /// 30 trials, `max_rounds = 100_000`, no warm-up, source node 0,
-    /// base seed `0xD15E_A5E0`, no observers, parallel execution (when
-    /// the `parallel` feature is on), per-worker model reuse.
+    /// base seed `0xD15E_A5E0`, no observers, one worker per available
+    /// core, per-worker model reuse.
     ///
     /// [`Flooding`]: crate::engine::Flooding
     pub fn builder() -> SimulationBuilder<NoModel, crate::engine::Flooding, fn(usize)> {
@@ -59,7 +59,6 @@ impl Simulation {
             warm_up: 0,
             base_seed: 0xD15E_A5E0,
             sources: vec![0],
-            parallel: true,
             threads: None,
             stepping: Stepping::Auto,
             shards: Shards::Fixed(1),
@@ -120,7 +119,7 @@ impl TrialScratch {
 /// factory, the protocol RNG, and nothing else consume randomness from
 /// it. Aggregation is ordered by trial index, so [`SimulationBuilder::run`]
 /// returns identical reports for identical configurations regardless of
-/// the `parallel` setting or thread scheduling.
+/// the [`SimulationBuilder::threads`] cap or thread scheduling.
 #[derive(Debug, Clone)]
 pub struct SimulationBuilder<M, P, F> {
     model: M,
@@ -131,7 +130,6 @@ pub struct SimulationBuilder<M, P, F> {
     warm_up: usize,
     base_seed: u64,
     sources: Vec<u32>,
-    parallel: bool,
     threads: Option<usize>,
     stepping: Stepping,
     shards: Shards,
@@ -170,7 +168,6 @@ impl<M, P, F> SimulationBuilder<M, P, F> {
             warm_up: self.warm_up,
             base_seed: self.base_seed,
             sources: self.sources,
-            parallel: self.parallel,
             threads: self.threads,
             stepping: self.stepping,
             shards: self.shards,
@@ -189,7 +186,6 @@ impl<M, P, F> SimulationBuilder<M, P, F> {
             warm_up: self.warm_up,
             base_seed: self.base_seed,
             sources: self.sources,
-            parallel: self.parallel,
             threads: self.threads,
             stepping: self.stepping,
             shards: self.shards,
@@ -213,7 +209,6 @@ impl<M, P, F> SimulationBuilder<M, P, F> {
             warm_up: self.warm_up,
             base_seed: self.base_seed,
             sources: self.sources,
-            parallel: self.parallel,
             threads: self.threads,
             stepping: self.stepping,
             shards: self.shards,
@@ -274,14 +269,8 @@ impl<M, P, F> SimulationBuilder<M, P, F> {
         self
     }
 
-    /// Enables/disables parallel trial execution (default enabled; a
-    /// no-op unless the `parallel` feature is compiled in).
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
-    /// Caps the worker-thread count (default: all available cores).
+    /// Caps the worker-thread count (default: all available cores);
+    /// `threads(1)` runs every trial on the calling thread.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
@@ -509,20 +498,13 @@ where
         if threads <= 1 {
             run_worker(&mut slots, 0);
         } else {
-            #[cfg(feature = "parallel")]
-            {
-                let chunk_size = trials.div_ceil(threads).max(1);
-                let run_worker = &run_worker;
-                std::thread::scope(|scope| {
-                    for (chunk_idx, chunk) in slots.chunks_mut(chunk_size).enumerate() {
-                        scope.spawn(move || run_worker(chunk, chunk_idx * chunk_size));
-                    }
-                });
-            }
-            #[cfg(not(feature = "parallel"))]
-            {
-                run_worker(&mut slots, 0);
-            }
+            let chunk_size = trials.div_ceil(threads).max(1);
+            let run_worker = &run_worker;
+            std::thread::scope(|scope| {
+                for (chunk_idx, chunk) in slots.chunks_mut(chunk_size).enumerate() {
+                    scope.spawn(move || run_worker(chunk, chunk_idx * chunk_size));
+                }
+            });
         }
 
         let mut records = Vec::with_capacity(trials);
@@ -538,7 +520,7 @@ where
     }
 
     fn worker_count(&self) -> usize {
-        if !cfg!(feature = "parallel") || !self.parallel || self.trials <= 1 {
+        if self.trials <= 1 {
             return 1;
         }
         let available = std::thread::available_parallelism()
@@ -800,16 +782,16 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial() {
-        let make = |parallel| {
+        let make = |threads| {
             Simulation::builder()
                 .model(|_| StaticEvolvingGraph::new(generators::complete(16)))
                 .protocol(PushGossip::new(1))
                 .trials(9)
                 .max_rounds(10_000)
-                .parallel(parallel)
+                .threads(threads)
                 .run()
         };
-        assert_eq!(make(true), make(false));
+        assert_eq!(make(4), make(1));
     }
 
     #[test]

@@ -22,7 +22,6 @@ use crate::EvolvingGraph;
 /// The outcome of one flooding run: who got informed when, and how the
 /// informed set grew.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FloodRun {
     source: u32,
     informed_at: Vec<u32>,
@@ -36,22 +35,6 @@ impl FloodRun {
     /// `Vec<Option<u32>>` was 8 MB — and round numbers can never reach
     /// it (`max_rounds < u32::MAX`).
     pub const UNINFORMED: u32 = u32::MAX;
-
-    /// Assembles a run record from raw parts (used by protocol variants in
-    /// [`crate::gossip`] that share the flooding bookkeeping).
-    pub(crate) fn from_parts(
-        source: u32,
-        informed_at: Vec<u32>,
-        sizes: Vec<u32>,
-        completed_at: Option<u32>,
-    ) -> Self {
-        FloodRun {
-            source,
-            informed_at,
-            sizes,
-            completed_at,
-        }
-    }
 
     /// The source node `s`.
     pub fn source(&self) -> u32 {

@@ -43,9 +43,10 @@
 //! * [`node_meg`] — the node-Markovian evolving graphs of §4: one hidden
 //!   Markov chain per node plus a symmetric connection map, with *exact*
 //!   computation of `P_NM`, `P_NM²` and `η` for finite chains;
-//! * [`gossip`] — the §5 extension: randomized push protocols reduced to
-//!   flooding on a "virtual" thinned dynamic graph, plus the parsimonious
-//!   flooding of \[4\]; the [`ThinnedEvolvingGraph`] /
+//! * the §5 extension — randomized push protocols
+//!   ([`engine::PushGossip`]) reduced to flooding on a "virtual" thinned
+//!   dynamic graph, plus the parsimonious flooding of \[4\]
+//!   ([`engine::ParsimoniousFlooding`]); the [`ThinnedEvolvingGraph`] /
 //!   [`JammedEvolvingGraph`] wrappers behind the reduction are
 //!   delta-native (no per-round CSR), byte-identical on both stepping
 //!   paths;
@@ -124,7 +125,6 @@ pub mod delta;
 pub mod engine;
 mod error;
 pub mod flooding;
-pub mod gossip;
 pub mod interval;
 pub mod node_meg;
 mod process;

@@ -20,7 +20,6 @@
 /// assert!(!s.has_edge(0, 3));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Snapshot {
     node_count: usize,
     offsets: Vec<u32>,

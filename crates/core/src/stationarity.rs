@@ -21,7 +21,6 @@ use crate::{mix_seed, EvolvingGraph, Snapshot};
 
 /// Configuration for the `(α, β)` estimator.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AlphaBetaConfig {
     /// Epoch length `M`: rounds between observed snapshots.
     pub epoch: usize,
@@ -59,7 +58,6 @@ impl Default for AlphaBetaConfig {
 
 /// Empirical `(α, β)` estimates.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AlphaBetaEstimate {
     /// Minimum edge probability over probed pairs — the empirical `α`.
     pub alpha_min: f64,

@@ -19,17 +19,12 @@
 //! | `daemon.worker.crash` | daemon worker panics at job start          |
 //! | `http.conn.stall`     | connection handler stalls before reading   |
 //!
-//! # Double gating
+//! # Runtime gating
 //!
-//! Like `dg-obs`, injection is gated twice:
-//!
-//! * **Compile time** — without the `enabled` cargo feature (on by
-//!   default) every hook is an empty `#[inline]` body and
-//!   [`should_fail`] is a constant `false`.
-//! * **Run time** — even when compiled in, no site fires until a plan
-//!   is armed via the `DG_FAULT` environment variable (parsed lazily on
-//!   first evaluation) or [`set_plan`]/[`scoped`]. An unarmed site
-//!   costs one relaxed atomic load.
+//! No site fires until a plan is armed via the `DG_FAULT` environment
+//! variable (parsed lazily on first evaluation) or [`set_plan`]/
+//! [`scoped`]. An unarmed site costs one relaxed atomic load; the
+//! `t21_fault` bench guards that overhead.
 //!
 //! # Determinism
 //!
@@ -64,32 +59,22 @@ mod plan;
 
 pub use plan::{FaultPlan, FaultRule};
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-
-#[cfg(feature = "enabled")]
-use std::sync::atomic::AtomicU8;
-#[cfg(feature = "enabled")]
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Process-wide count of injected faults, independent of `dg-obs`
 /// runtime gating — the cheap assertion handle for chaos tests and the
 /// t21 bench guard.
 static INJECTED: AtomicU64 = AtomicU64::new(0);
 
-#[cfg(feature = "enabled")]
 static STATUS: AtomicU8 = AtomicU8::new(UNSET);
-#[cfg(feature = "enabled")]
 const UNSET: u8 = 0;
-#[cfg(feature = "enabled")]
 const OFF: u8 = 1;
-#[cfg(feature = "enabled")]
 const ON: u8 = 2;
 
-#[cfg(feature = "enabled")]
 static PLAN: Mutex<Option<Arc<ActivePlan>>> = Mutex::new(None);
 
-#[cfg(feature = "enabled")]
 struct ActiveRule {
     site: String,
     prob: f64,
@@ -100,13 +85,11 @@ struct ActiveRule {
     hits: AtomicU64,
 }
 
-#[cfg(feature = "enabled")]
 struct ActivePlan {
     seed: u64,
     rules: Vec<ActiveRule>,
 }
 
-#[cfg(feature = "enabled")]
 impl ActivePlan {
     fn of(plan: &FaultPlan) -> ActivePlan {
         ActivePlan {
@@ -126,36 +109,25 @@ impl ActivePlan {
     }
 }
 
-/// Whether a fault plan is currently armed. Always `false` without the
-/// `enabled` cargo feature. The fast path is one relaxed atomic load.
+/// Whether a fault plan is currently armed. The fast path is one relaxed
+/// atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        match STATUS.load(Ordering::Relaxed) {
-            ON => true,
-            OFF => false,
-            _ => init_from_env(),
-        }
+    match STATUS.load(Ordering::Relaxed) {
+        ON => true,
+        OFF => false,
+        _ => init_from_env(),
     }
-    #[cfg(not(feature = "enabled"))]
-    false
 }
 
 /// Arms `plan` for the whole process (replacing any current plan; rule
 /// counters start at zero), or disarms injection with `None`.
-/// Overrides whatever `DG_FAULT` said. A no-op without the `enabled`
-/// cargo feature.
+/// Overrides whatever `DG_FAULT` said.
 pub fn set_plan(plan: Option<FaultPlan>) {
-    #[cfg(feature = "enabled")]
-    {
-        let active = plan.as_ref().map(|p| Arc::new(ActivePlan::of(p)));
-        let armed = active.is_some();
-        *lock_plan() = active;
-        STATUS.store(if armed { ON } else { OFF }, Ordering::Relaxed);
-    }
-    #[cfg(not(feature = "enabled"))]
-    let _ = plan;
+    let active = plan.as_ref().map(|p| Arc::new(ActivePlan::of(p)));
+    let armed = active.is_some();
+    *lock_plan() = active;
+    STATUS.store(if armed { ON } else { OFF }, Ordering::Relaxed);
 }
 
 /// Arms `plan` until the returned guard drops, which disarms injection
@@ -179,12 +151,10 @@ impl Drop for ScopedPlan {
     }
 }
 
-#[cfg(feature = "enabled")]
 fn lock_plan() -> std::sync::MutexGuard<'static, Option<Arc<ActivePlan>>> {
     PLAN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-#[cfg(feature = "enabled")]
 #[cold]
 fn init_from_env() -> bool {
     match std::env::var("DG_FAULT") {
@@ -215,21 +185,9 @@ fn init_from_env() -> bool {
 /// nothing is armed.
 #[inline]
 pub fn should_fail(site: &str) -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        if !enabled() {
-            return false;
-        }
-        evaluate(site)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = site;
-        false
-    }
+    enabled() && evaluate(site)
 }
 
-#[cfg(feature = "enabled")]
 #[cold]
 fn evaluate(site: &str) -> bool {
     let plan = lock_plan().clone();
@@ -259,7 +217,6 @@ fn evaluate(site: &str) -> bool {
 /// Deterministic per-evaluation draw: FNV-1a over the site name mixed
 /// with the plan seed and the evaluation index through the SplitMix64
 /// finalizer (the same mixer as `dg_sweep::mix_seed`).
-#[cfg(feature = "enabled")]
 fn draw(seed: u64, site: &str, k: u64, prob: f64) -> bool {
     if prob >= 1.0 {
         return true;
@@ -364,7 +321,7 @@ pub fn retry<T, E>(
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Mutex as StdMutex;

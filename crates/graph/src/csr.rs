@@ -24,7 +24,6 @@ use crate::NodeId;
 /// assert!(!g.has_edge(0, 2));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Graph {
     offsets: Vec<u32>,
     targets: Vec<NodeId>,

@@ -66,7 +66,6 @@ pub fn diameter_double_sweep(g: &Graph) -> Option<u32> {
 
 /// Degree statistics of a graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DegreeStats {
     /// Minimum degree.
     pub min: usize,

@@ -31,7 +31,6 @@ const ROW_TOL: f64 = 1e-9;
 /// assert!(tmix > 0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DenseChain {
     k: usize,
     /// Row-major `k × k` transition probabilities.

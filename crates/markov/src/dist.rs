@@ -20,7 +20,6 @@ const SUM_TOL: f64 = 1e-9;
 /// assert!((p.tv_distance(&q) - 0.25).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProbDist {
     probs: Vec<f64>,
 }

@@ -15,7 +15,6 @@ use crate::{DenseChain, MarkovError, ProbDist};
 
 /// Spectral summary of a reversible ergodic chain.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Spectrum {
     /// Second-largest eigenvalue magnitude `λ*` of the chain.
     pub lambda_star: f64,

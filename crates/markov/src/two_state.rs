@@ -23,7 +23,6 @@ use crate::{DenseChain, MarkovError};
 /// assert!(c.mixing_time(0.01).unwrap() >= 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TwoStateChain {
     birth: f64,
     death: f64,

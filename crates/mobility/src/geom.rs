@@ -2,7 +2,6 @@
 
 /// A point in the plane.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Horizontal coordinate.
     pub x: f64,

@@ -12,22 +12,16 @@
 //!
 //! # Zero perturbation
 //!
-//! Instrumentation must never change simulation results, so recording is
-//! double-gated:
+//! Instrumentation must never change simulation results. Recording is off
+//! until the process opts in via the `DG_OBS=1` environment variable or
+//! [`set_enabled`]`(true)`; a disabled recording site costs one relaxed
+//! atomic load, and no clock is read.
 //!
-//! * **Compile time** — without the `enabled` cargo feature (on by default)
-//!   every primitive is a zero-sized type whose methods are empty `#[inline]`
-//!   bodies: hot loops compile exactly as if the instrumentation were not
-//!   there.
-//! * **Run time** — even when compiled in, recording is off until the
-//!   process opts in via the `DG_OBS=1` environment variable or
-//!   [`set_enabled`]`(true)`. A disabled recording site costs one relaxed
-//!   atomic load.
-//!
-//! Neither gate may affect results: metrics only *read* timings and tallies,
-//! never RNG streams or trial data. The workspace-level `obs_identity` test
-//! suite pins byte identity of engine records, sweep artifacts, and
-//! fingerprints with metrics on vs off.
+//! The switch may not affect results: metrics only *read* timings and
+//! tallies, never RNG streams or trial data. The workspace-level
+//! `obs_identity` test suite pins byte identity of engine records, sweep
+//! artifacts, and fingerprints with metrics on vs off, and the `t20_obs`
+//! bench guards the disabled overhead.
 //!
 //! # Example
 //!
@@ -56,50 +50,34 @@ mod registry;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Span};
 pub use registry::Registry;
 
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicU8, Ordering};
 
-#[cfg(feature = "enabled")]
 static RUNTIME: AtomicU8 = AtomicU8::new(UNSET);
-#[cfg(feature = "enabled")]
 const UNSET: u8 = 0;
-#[cfg(feature = "enabled")]
 const OFF: u8 = 1;
-#[cfg(feature = "enabled")]
 const ON: u8 = 2;
 
 /// Whether metric recording is currently active.
 ///
 /// Lazily initialised from the `DG_OBS` environment variable (`1`, `true`,
 /// `on`, or `yes` — case-insensitive — switch it on); overridable at any time
-/// with [`set_enabled`]. Always `false` when the `enabled` cargo feature is
-/// off. The fast path is a single relaxed atomic load.
+/// with [`set_enabled`]. The fast path is a single relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        match RUNTIME.load(Ordering::Relaxed) {
-            ON => true,
-            OFF => false,
-            _ => init_from_env(),
-        }
+    match RUNTIME.load(Ordering::Relaxed) {
+        ON => true,
+        OFF => false,
+        _ => init_from_env(),
     }
-    #[cfg(not(feature = "enabled"))]
-    false
 }
 
 /// Switch metric recording on or off for the whole process.
 ///
-/// Overrides whatever `DG_OBS` said. A no-op when the `enabled` cargo
-/// feature is off.
+/// Overrides whatever `DG_OBS` said.
 pub fn set_enabled(on: bool) {
-    #[cfg(feature = "enabled")]
     RUNTIME.store(if on { ON } else { OFF }, Ordering::Relaxed);
-    #[cfg(not(feature = "enabled"))]
-    let _ = on;
 }
 
-#[cfg(feature = "enabled")]
 #[cold]
 fn init_from_env() -> bool {
     let on = std::env::var("DG_OBS")

@@ -3,18 +3,13 @@
 //! All primitives are cheap `Clone` handles onto shared atomic state; clones
 //! observe the same underlying metric. Every recording method first checks
 //! [`crate::enabled`] so a disabled process pays one relaxed load per site.
-//! Without the `enabled` cargo feature the types are zero-sized and every
-//! method body is empty.
 
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::Arc;
 
 /// A monotonically increasing `u64` counter.
 #[derive(Clone, Debug, Default)]
 pub struct Counter {
-    #[cfg(feature = "enabled")]
     cell: Arc<AtomicU64>,
 }
 
@@ -34,23 +29,15 @@ impl Counter {
     /// Increment by `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "enabled")]
         if crate::enabled() {
             self.cell.fetch_add(n, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
     }
 
-    /// Current value (0 when the feature is off).
+    /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.cell.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        0
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
@@ -58,7 +45,6 @@ impl Counter {
 /// work, utilisation permille).
 #[derive(Clone, Debug, Default)]
 pub struct Gauge {
-    #[cfg(feature = "enabled")]
     cell: Arc<AtomicI64>,
 }
 
@@ -72,38 +58,26 @@ impl Gauge {
     /// Set the gauge to `v`.
     #[inline]
     pub fn set(&self, v: i64) {
-        #[cfg(feature = "enabled")]
         if crate::enabled() {
             self.cell.store(v, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
     }
 
     /// Add `d` (may be negative).
     #[inline]
     pub fn add(&self, d: i64) {
-        #[cfg(feature = "enabled")]
         if crate::enabled() {
             self.cell.fetch_add(d, Ordering::Relaxed);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = d;
     }
 
-    /// Current value (0 when the feature is off).
+    /// Current value.
     #[inline]
     pub fn get(&self) -> i64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.cell.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        0
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
-#[cfg(feature = "enabled")]
 #[derive(Debug)]
 struct HistogramInner {
     /// Strictly increasing finite upper bounds; an implicit `+Inf` overflow
@@ -123,7 +97,6 @@ struct HistogramInner {
 /// bounds with [`crate::exponential_bounds`] or [`crate::linear_bounds`].
 #[derive(Clone, Debug, Default)]
 pub struct Histogram {
-    #[cfg(feature = "enabled")]
     inner: Option<Arc<HistogramInner>>,
 }
 
@@ -138,26 +111,20 @@ impl Histogram {
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly increasing"
         );
-        #[cfg(feature = "enabled")]
-        {
-            let buckets = (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect();
-            Self {
-                inner: Some(Arc::new(HistogramInner {
-                    bounds: bounds.to_vec(),
-                    buckets,
-                    count: AtomicU64::new(0),
-                    sum_bits: AtomicU64::new(0f64.to_bits()),
-                })),
-            }
+        let buckets = (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect();
+        Self {
+            inner: Some(Arc::new(HistogramInner {
+                bounds: bounds.to_vec(),
+                buckets,
+                count: AtomicU64::new(0),
+                sum_bits: AtomicU64::new(0f64.to_bits()),
+            })),
         }
-        #[cfg(not(feature = "enabled"))]
-        Self {}
     }
 
     /// Record one observation.
     #[inline]
     pub fn observe(&self, v: f64) {
-        #[cfg(feature = "enabled")]
         if crate::enabled() {
             if let Some(inner) = &self.inner {
                 let idx = inner
@@ -182,8 +149,6 @@ impl Histogram {
                 }
             }
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
     }
 
     /// Record a [`std::time::Duration`] in seconds.
@@ -197,42 +162,26 @@ impl Histogram {
     /// disabled the guard is inert and no clock is read.
     #[inline]
     pub fn start(&self) -> Span<'_> {
-        #[cfg(feature = "enabled")]
-        {
-            Span {
-                start: if crate::enabled() {
-                    Some(std::time::Instant::now())
-                } else {
-                    None
-                },
-                hist: self,
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
         Span {
-            _marker: std::marker::PhantomData,
+            start: crate::enabled().then(std::time::Instant::now),
+            hist: self,
         }
     }
 
-    /// A consistent-enough snapshot of the current state, or `None` when the
-    /// feature is off.
+    /// A consistent-enough snapshot of the current state, or `None` for a
+    /// boundless [`Histogram::default`].
     pub fn snapshot(&self) -> Option<HistogramSnapshot> {
-        #[cfg(feature = "enabled")]
-        {
-            let inner = self.inner.as_ref()?;
-            Some(HistogramSnapshot {
-                bounds: inner.bounds.clone(),
-                counts: inner
-                    .buckets
-                    .iter()
-                    .map(|b| b.load(Ordering::Relaxed))
-                    .collect(),
-                sum: f64::from_bits(inner.sum_bits.load(Ordering::Relaxed)),
-                count: inner.count.load(Ordering::Relaxed),
-            })
-        }
-        #[cfg(not(feature = "enabled"))]
-        None
+        let inner = self.inner.as_ref()?;
+        Some(HistogramSnapshot {
+            bounds: inner.bounds.clone(),
+            counts: inner
+                .buckets
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect(),
+            sum: f64::from_bits(inner.sum_bits.load(Ordering::Relaxed)),
+            count: inner.count.load(Ordering::Relaxed),
+        })
     }
 }
 
@@ -241,18 +190,13 @@ impl Histogram {
 #[must_use = "a span records on drop; binding it to `_` drops it immediately"]
 #[derive(Debug)]
 pub struct Span<'a> {
-    #[cfg(feature = "enabled")]
     start: Option<std::time::Instant>,
-    #[cfg(feature = "enabled")]
     hist: &'a Histogram,
-    #[cfg(not(feature = "enabled"))]
-    _marker: std::marker::PhantomData<&'a Histogram>,
 }
 
 impl Drop for Span<'_> {
     #[inline]
     fn drop(&mut self) {
-        #[cfg(feature = "enabled")]
         if let Some(t0) = self.start {
             self.hist.observe(t0.elapsed().as_secs_f64());
         }

@@ -2,12 +2,9 @@
 
 use crate::{Counter, Gauge, Histogram, HistogramSnapshot};
 
-#[cfg(feature = "enabled")]
 use std::collections::BTreeMap;
-#[cfg(feature = "enabled")]
 use std::sync::Mutex;
 
-#[cfg(feature = "enabled")]
 #[derive(Clone, Debug)]
 enum Slot {
     Counter(Counter),
@@ -26,7 +23,6 @@ enum Slot {
 /// Most code uses the process-wide default, [`Registry::global`].
 #[derive(Debug, Default)]
 pub struct Registry {
-    #[cfg(feature = "enabled")]
     slots: Mutex<BTreeMap<String, Slot>>,
 }
 
@@ -36,7 +32,6 @@ impl Registry {
     /// An empty registry.
     pub const fn new() -> Self {
         Self {
-            #[cfg(feature = "enabled")]
             slots: Mutex::new(BTreeMap::new()),
         }
     }
@@ -48,120 +43,67 @@ impl Registry {
 
     /// Get or create the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        #[cfg(feature = "enabled")]
+        let mut slots = self.slots.lock().unwrap();
+        match slots
+            .entry(name.to_string())
+            .or_insert_with(|| Slot::Counter(Counter::new()))
         {
-            let mut slots = self.slots.lock().unwrap();
-            match slots
-                .entry(name.to_string())
-                .or_insert_with(|| Slot::Counter(Counter::new()))
-            {
-                Slot::Counter(c) => c.clone(),
-                _ => panic!("metric `{name}` already registered as a non-counter"),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = name;
-            Counter::new()
+            Slot::Counter(c) => c.clone(),
+            _ => panic!("metric `{name}` already registered as a non-counter"),
         }
     }
 
     /// Get or create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        #[cfg(feature = "enabled")]
+        let mut slots = self.slots.lock().unwrap();
+        match slots
+            .entry(name.to_string())
+            .or_insert_with(|| Slot::Gauge(Gauge::new()))
         {
-            let mut slots = self.slots.lock().unwrap();
-            match slots
-                .entry(name.to_string())
-                .or_insert_with(|| Slot::Gauge(Gauge::new()))
-            {
-                Slot::Gauge(g) => g.clone(),
-                _ => panic!("metric `{name}` already registered as a non-gauge"),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = name;
-            Gauge::new()
+            Slot::Gauge(g) => g.clone(),
+            _ => panic!("metric `{name}` already registered as a non-gauge"),
         }
     }
 
     /// Get or create the histogram `name` with the given upper bounds.
     /// If `name` already exists its original bounds are kept.
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
-        #[cfg(feature = "enabled")]
+        let mut slots = self.slots.lock().unwrap();
+        match slots
+            .entry(name.to_string())
+            .or_insert_with(|| Slot::Histogram(Histogram::with_bounds(bounds)))
         {
-            let mut slots = self.slots.lock().unwrap();
-            match slots
-                .entry(name.to_string())
-                .or_insert_with(|| Slot::Histogram(Histogram::with_bounds(bounds)))
-            {
-                Slot::Histogram(h) => h.clone(),
-                _ => panic!("metric `{name}` already registered as a non-histogram"),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (name, bounds);
-            Histogram::default()
+            Slot::Histogram(h) => h.clone(),
+            _ => panic!("metric `{name}` already registered as a non-histogram"),
         }
     }
 
     /// All registered metric names, sorted.
     pub fn names(&self) -> Vec<String> {
-        #[cfg(feature = "enabled")]
-        {
-            self.slots.lock().unwrap().keys().cloned().collect()
-        }
-        #[cfg(not(feature = "enabled"))]
-        Vec::new()
+        self.slots.lock().unwrap().keys().cloned().collect()
     }
 
     /// Current value of the counter `name`, if registered as a counter.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        #[cfg(feature = "enabled")]
-        {
-            match self.slots.lock().unwrap().get(name)? {
-                Slot::Counter(c) => Some(c.get()),
-                _ => None,
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = name;
-            None
+        match self.slots.lock().unwrap().get(name)? {
+            Slot::Counter(c) => Some(c.get()),
+            _ => None,
         }
     }
 
     /// Current value of the gauge `name`, if registered as a gauge.
     pub fn gauge_value(&self, name: &str) -> Option<i64> {
-        #[cfg(feature = "enabled")]
-        {
-            match self.slots.lock().unwrap().get(name)? {
-                Slot::Gauge(g) => Some(g.get()),
-                _ => None,
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = name;
-            None
+        match self.slots.lock().unwrap().get(name)? {
+            Slot::Gauge(g) => Some(g.get()),
+            _ => None,
         }
     }
 
     /// Snapshot of the histogram `name`, if registered as a histogram.
     pub fn histogram_snapshot(&self, name: &str) -> Option<HistogramSnapshot> {
-        #[cfg(feature = "enabled")]
-        {
-            match self.slots.lock().unwrap().get(name)? {
-                Slot::Histogram(h) => h.snapshot(),
-                _ => None,
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = name;
-            None
+        match self.slots.lock().unwrap().get(name)? {
+            Slot::Histogram(h) => h.snapshot(),
+            _ => None,
         }
     }
 
@@ -171,85 +113,79 @@ impl Registry {
     /// plus `_sum` and `_count`. Output is sorted by name, so identical
     /// state renders identical bytes.
     pub fn render_prometheus(&self) -> String {
-        #[cfg(feature = "enabled")]
+        // Group label variants under their family so each family gets a
+        // single TYPE line with all its samples together.
+        let mut families: BTreeMap<String, Vec<(String, Slot)>> = BTreeMap::new();
         {
-            // Group label variants under their family so each family gets a
-            // single TYPE line with all its samples together.
-            let mut families: BTreeMap<String, Vec<(String, Slot)>> = BTreeMap::new();
-            {
-                let slots = self.slots.lock().unwrap();
-                for (name, slot) in slots.iter() {
-                    let (family, labels) = match name.find('{') {
-                        Some(i) => (
-                            name[..i].to_string(),
-                            name[i + 1..name.len() - 1].to_string(),
-                        ),
-                        None => (name.clone(), String::new()),
-                    };
-                    families
-                        .entry(family)
-                        .or_default()
-                        .push((labels, slot.clone()));
-                }
-            }
-            let mut out = String::new();
-            for (family, variants) in &families {
-                let kind = match &variants[0].1 {
-                    Slot::Counter(_) => "counter",
-                    Slot::Gauge(_) => "gauge",
-                    Slot::Histogram(_) => "histogram",
+            let slots = self.slots.lock().unwrap();
+            for (name, slot) in slots.iter() {
+                let (family, labels) = match name.find('{') {
+                    Some(i) => (
+                        name[..i].to_string(),
+                        name[i + 1..name.len() - 1].to_string(),
+                    ),
+                    None => (name.clone(), String::new()),
                 };
-                out.push_str(&format!("# TYPE {family} {kind}\n"));
-                for (labels, slot) in variants {
-                    match slot {
-                        Slot::Counter(c) => {
-                            out.push_str(&sample(family, labels, &c.get().to_string()));
-                        }
-                        Slot::Gauge(g) => {
-                            out.push_str(&sample(family, labels, &g.get().to_string()));
-                        }
-                        Slot::Histogram(h) => {
-                            let Some(snap) = h.snapshot() else { continue };
-                            let mut cum = 0u64;
-                            for (i, c) in snap.counts.iter().enumerate() {
-                                cum += c;
-                                let le = match snap.bounds.get(i) {
-                                    Some(b) => format!("{b}"),
-                                    None => "+Inf".to_string(),
-                                };
-                                let with_le = if labels.is_empty() {
-                                    format!("le=\"{le}\"")
-                                } else {
-                                    format!("{labels},le=\"{le}\"")
-                                };
-                                out.push_str(&sample(
-                                    &format!("{family}_bucket"),
-                                    &with_le,
-                                    &cum.to_string(),
-                                ));
-                            }
+                families
+                    .entry(family)
+                    .or_default()
+                    .push((labels, slot.clone()));
+            }
+        }
+        let mut out = String::new();
+        for (family, variants) in &families {
+            let kind = match &variants[0].1 {
+                Slot::Counter(_) => "counter",
+                Slot::Gauge(_) => "gauge",
+                Slot::Histogram(_) => "histogram",
+            };
+            out.push_str(&format!("# TYPE {family} {kind}\n"));
+            for (labels, slot) in variants {
+                match slot {
+                    Slot::Counter(c) => {
+                        out.push_str(&sample(family, labels, &c.get().to_string()));
+                    }
+                    Slot::Gauge(g) => {
+                        out.push_str(&sample(family, labels, &g.get().to_string()));
+                    }
+                    Slot::Histogram(h) => {
+                        let Some(snap) = h.snapshot() else { continue };
+                        let mut cum = 0u64;
+                        for (i, c) in snap.counts.iter().enumerate() {
+                            cum += c;
+                            let le = match snap.bounds.get(i) {
+                                Some(b) => format!("{b}"),
+                                None => "+Inf".to_string(),
+                            };
+                            let with_le = if labels.is_empty() {
+                                format!("le=\"{le}\"")
+                            } else {
+                                format!("{labels},le=\"{le}\"")
+                            };
                             out.push_str(&sample(
-                                &format!("{family}_sum"),
-                                labels,
-                                &format!("{}", snap.sum),
-                            ));
-                            out.push_str(&sample(
-                                &format!("{family}_count"),
-                                labels,
-                                &snap.count.to_string(),
+                                &format!("{family}_bucket"),
+                                &with_le,
+                                &cum.to_string(),
                             ));
                         }
+                        out.push_str(&sample(
+                            &format!("{family}_sum"),
+                            labels,
+                            &format!("{}", snap.sum),
+                        ));
+                        out.push_str(&sample(
+                            &format!("{family}_count"),
+                            labels,
+                            &snap.count.to_string(),
+                        ));
                     }
                 }
             }
-            out
         }
-        #[cfg(not(feature = "enabled"))]
-        String::new()
+        out
     }
 }
 
-#[cfg(feature = "enabled")]
 fn sample(name: &str, labels: &str, value: &str) -> String {
     if labels.is_empty() {
         format!("{name} {value}\n")
@@ -258,7 +194,7 @@ fn sample(name: &str, labels: &str, value: &str) -> String {
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -17,8 +17,9 @@
 //! grid, so a stream drift in the lane model shows up as a diff in
 //! served bytes, not only in the model's own pins. The served cell
 //! floods in exactly 3 rounds and every birth-rate-one cell in 2 on
-//! every trial of either workload, so their `flooding/2` specs also
-//! record the message count, which does depend on the realization.
+//! every trial of either workload, and so do the small grid's dense
+//! `p = 0.05, q = 0.02` cells, so `flooding/2` also records those specs
+//! with the message count, which does depend on the realization.
 
 use dg_serve::Workload;
 use dg_sweep::{Axis, Metric, SweepSpec, TrialBudget};
@@ -70,6 +71,13 @@ fn birth_rate_one_spec() -> SweepSpec {
 /// flooding time.
 fn miss_cell_metrics_spec() -> SweepSpec {
     miss_cell_spec().with_metrics(vec![Metric::new("rounds"), Metric::observe("messages")])
+}
+
+/// The small grid with a message-count metric beside the flooding time:
+/// its dense cells flood in 2 rounds on either model, so only the count
+/// pins their realizations.
+fn small_grid_metrics_spec() -> SweepSpec {
+    small_grid_spec().with_metrics(vec![Metric::new("rounds"), Metric::observe("messages")])
 }
 
 /// The birth-rate-one grid with a message-count metric beside the
@@ -169,6 +177,15 @@ fn v2_small_grid_artifact_is_byte_identical() {
 }
 
 #[test]
+fn v2_small_grid_messages_artifact_is_byte_identical() {
+    assert_golden(
+        &Workload::flooding(),
+        "flooding2_small_grid_messages.json",
+        &small_grid_metrics_spec(),
+    );
+}
+
+#[test]
 fn v2_birth_rate_one_artifact_is_byte_identical() {
     assert_golden(
         &Workload::flooding(),
@@ -193,6 +210,11 @@ fn regenerate_golden_flooding() {
         (&v2, "flooding2_n4096_q0.01.json", miss_cell_metrics_spec()),
         (&v2, "flooding2_slow_churn.json", slow_churn_spec()),
         (&v2, "flooding2_small_grid.json", small_grid_spec()),
+        (
+            &v2,
+            "flooding2_small_grid_messages.json",
+            small_grid_metrics_spec(),
+        ),
         (&v2, "flooding2_p1.json", birth_rate_one_metrics_spec()),
     ];
     for (workload, name, spec) in files {

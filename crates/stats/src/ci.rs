@@ -4,7 +4,6 @@ use crate::Summary;
 
 /// A two-sided confidence interval around a sample mean.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConfidenceInterval {
     /// Point estimate (sample mean).
     pub mean: f64,

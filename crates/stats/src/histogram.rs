@@ -15,7 +15,6 @@
 /// assert_eq!(h.counts()[1], 2); // 2.5 and 2.6 fall in [2, 4)
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -142,7 +141,6 @@ impl Histogram {
 /// assert_eq!(g.count(1, 1), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Grid2d {
     side: f64,
     cells: usize,

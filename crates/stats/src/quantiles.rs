@@ -22,7 +22,6 @@
 /// assert!((q.quantile(0.95) - 4.8).abs() < 1e-12); // linear interpolation
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Quantiles {
     sorted: Vec<f64>,
 }

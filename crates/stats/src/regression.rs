@@ -16,7 +16,6 @@
 /// assert!(fit.r2 > 0.9999);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinearFit {
     /// Fitted slope.
     pub slope: f64,

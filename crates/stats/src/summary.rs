@@ -24,7 +24,6 @@ use core::fmt;
 /// assert_eq!(s.max(), 9.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     count: u64,
     mean: f64,

@@ -88,7 +88,6 @@ pub struct Sweep {
     grid: Grid,
     budget: TrialBudget,
     base_seed: u64,
-    parallel: bool,
     threads: Option<usize>,
     lookahead: usize,
     run_budget: Option<usize>,
@@ -99,7 +98,7 @@ pub struct Sweep {
 impl Sweep {
     /// Starts configuring a sweep over `grid`. Defaults: adaptive budget
     /// (8–64 trials per cell, 5% relative CI target), base seed
-    /// `0xD15E_A5E1`, parallel execution on all available cores,
+    /// `0xD15E_A5E1`, one worker per available core,
     /// speculation lookahead 2, no run budget, no checkpoint, panics
     /// propagate ([`TrialPanic::Propagate`]).
     pub fn over(grid: Grid) -> Sweep {
@@ -107,7 +106,6 @@ impl Sweep {
             grid,
             budget: TrialBudget::adaptive(8, 64, crate::CiTarget::Relative(0.05)),
             base_seed: 0xD15E_A5E1,
-            parallel: true,
             threads: None,
             lookahead: 2,
             run_budget: None,
@@ -129,14 +127,9 @@ impl Sweep {
         self
     }
 
-    /// Enables/disables the worker pool (default enabled; results are
-    /// byte-identical either way).
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
-    /// Sets the exact worker count (default: all available cores).
+    /// Sets the exact worker count (default: all available cores);
+    /// `threads(1)` runs every trial on the calling thread. Results are
+    /// byte-identical at every count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
@@ -418,9 +411,6 @@ impl Sweep {
     }
 
     fn worker_count(&self, cells: usize) -> usize {
-        if !self.parallel {
-            return 1;
-        }
         let available = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
@@ -937,20 +927,19 @@ mod tests {
 
     #[test]
     fn serial_parallel_and_lookahead_agree_byte_for_byte() {
-        let run = |parallel: bool, threads: usize, lookahead: usize| {
+        let run = |threads: usize, lookahead: usize| {
             Sweep::over(grid())
                 .budget(TrialBudget::adaptive(3, 32, CiTarget::Absolute(0.5)))
                 .base_seed(99)
-                .parallel(parallel)
                 .threads(threads)
                 .lookahead(lookahead)
                 .run(synthetic)
                 .unwrap()
                 .to_json()
         };
-        let serial = run(false, 1, 0);
-        assert_eq!(serial, run(true, 4, 2));
-        assert_eq!(serial, run(true, 7, 5));
+        let serial = run(1, 0);
+        assert_eq!(serial, run(4, 2));
+        assert_eq!(serial, run(7, 5));
     }
 
     #[test]
@@ -1019,7 +1008,7 @@ mod tests {
         let stateless = Sweep::over(grid())
             .budget(TrialBudget::adaptive(3, 32, CiTarget::Absolute(0.5)))
             .base_seed(99)
-            .parallel(false)
+            .threads(1)
             .run(synthetic)
             .unwrap()
             .to_json();
@@ -1171,7 +1160,7 @@ mod tests {
     fn mismatched_row_width_panics() {
         let _ = Sweep::over(metric_grid())
             .budget(TrialBudget::fixed(2))
-            .parallel(false)
+            .threads(1)
             .run_metrics(|_, _| vec![Some(1.0)]);
     }
 
@@ -1244,7 +1233,7 @@ mod tests {
     fn censor_policy_records_fully_censored_trials() {
         let report = Sweep::over(grid())
             .budget(TrialBudget::fixed(4))
-            .parallel(false)
+            .threads(1)
             .on_trial_panic(TrialPanic::Censor)
             .run(|cell, trial| {
                 if trial.index == 1 {
@@ -1269,7 +1258,7 @@ mod tests {
     fn retry_exhaustion_propagates_the_last_panic() {
         let _ = Sweep::over(grid())
             .budget(TrialBudget::fixed(2))
-            .parallel(false)
+            .threads(1)
             .on_trial_panic(TrialPanic::Retry { max: 2 })
             .run(|_, _| -> Option<f64> { panic!("persistent boom") });
     }

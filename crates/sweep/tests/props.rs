@@ -41,18 +41,17 @@ fn configured(s: Sweep) -> Sweep {
 
 #[test]
 fn multi_metric_artifacts_identical_across_schedules() {
-    let run = |parallel: bool, threads: usize, lookahead: usize| {
+    let run = |threads: usize, lookahead: usize| {
         configured(Sweep::over(metric_grid()))
-            .parallel(parallel)
             .threads(threads)
             .lookahead(lookahead)
             .run_metrics(metric_trial)
             .unwrap()
             .to_json()
     };
-    let serial = run(false, 1, 0);
-    assert_eq!(serial, run(true, 4, 2));
-    assert_eq!(serial, run(true, 7, 5));
+    let serial = run(1, 0);
+    assert_eq!(serial, run(4, 2));
+    assert_eq!(serial, run(7, 5));
 }
 
 #[test]

@@ -64,7 +64,8 @@
 //! | hand-rolled per-trial loops + `Summary`        | `.observers(…)` / `SimulationReport` aggregation |
 //!
 //! Single-run primitives (`flooding::flood`, `flooding::flood_multi`)
-//! are unchanged.
+//! are unchanged. The two gossip primitives left the public API; they
+//! survive as the test oracles in `tests/support`.
 //!
 //! ## Delta-native stepping
 //!

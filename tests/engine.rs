@@ -4,8 +4,8 @@
 //!   and parallel execution is byte-identical to serial;
 //! * protocol equivalence — the engine's `Flooding`, `PushGossip` and
 //!   `ParsimoniousFlooding` reproduce the legacy single-run primitives
-//!   (`flooding::flood`, `gossip::push_spread`,
-//!   `gossip::parsimonious_flood`) trial for trial on both a static
+//!   (`flooding::flood` and the test oracles `support::push_spread`,
+//!   `support::parsimonious_flood`) trial for trial on both a static
 //!   process and a genuinely dynamic edge-MEG;
 //! * observers stream what the run records say.
 
@@ -16,8 +16,10 @@ use dynspread::dynagraph::engine::{
     Simulation, Stepping,
 };
 use dynspread::dynagraph::flooding::{flood, flood_multi};
-use dynspread::dynagraph::gossip::{parsimonious_flood, push_spread};
 use dynspread::dynagraph::{mix_seed, EvolvingGraph, StaticEvolvingGraph};
+
+mod support;
+use support::{parsimonious_flood, push_spread};
 
 const BASE_SEED: u64 = 0xE16;
 const TRIALS: usize = 12;
@@ -34,18 +36,18 @@ fn static_grid(_seed: u64) -> StaticEvolvingGraph {
 
 #[test]
 fn parallel_and_serial_reports_are_byte_identical() {
-    let run = |parallel: bool| {
+    let run = |threads: usize| {
         Simulation::builder()
             .model(sparse_meg)
             .protocol(PushGossip::new(2))
             .trials(TRIALS)
             .max_rounds(MAX_ROUNDS)
             .base_seed(BASE_SEED)
-            .parallel(parallel)
+            .threads(threads)
             .run()
     };
-    let par = run(true);
-    let ser = run(false);
+    let par = run(4);
+    let ser = run(1);
     assert_eq!(par, ser);
     // Byte-identical summaries, not just semantically equal ones.
     assert_eq!(format!("{par:?}"), format!("{ser:?}"));
@@ -280,7 +282,7 @@ fn delta_path_matches_snapshot_path_for_flooding() {
     // delta path; Stepping::Snapshot is the classic full-rebuild
     // pipeline. Records — times, informed counts, executed rounds, and
     // message tallies — must be byte-identical, serial and parallel.
-    for parallel in [false, true] {
+    for threads in [1usize, 4] {
         let run = |stepping: Stepping| {
             Simulation::builder()
                 .model(sparse_meg)
@@ -288,22 +290,22 @@ fn delta_path_matches_snapshot_path_for_flooding() {
                 .max_rounds(MAX_ROUNDS)
                 .warm_up(8)
                 .base_seed(BASE_SEED)
-                .parallel(parallel)
+                .threads(threads)
                 .stepping(stepping)
                 .run()
         };
         let snapshot = run(Stepping::Snapshot);
         let delta = run(Stepping::Delta);
         let auto = run(Stepping::Auto);
-        assert_eq!(snapshot, delta, "parallel = {parallel}");
-        assert_eq!(snapshot, auto, "parallel = {parallel}");
+        assert_eq!(snapshot, delta, "threads = {threads}");
+        assert_eq!(snapshot, auto, "threads = {threads}");
         assert_eq!(snapshot.incomplete(), 0);
     }
 }
 
 #[test]
 fn delta_path_matches_snapshot_path_for_push_gossip() {
-    for parallel in [false, true] {
+    for threads in [1usize, 4] {
         let run = |stepping: Stepping| {
             Simulation::builder()
                 .model(sparse_meg)
@@ -311,21 +313,21 @@ fn delta_path_matches_snapshot_path_for_push_gossip() {
                 .trials(TRIALS)
                 .max_rounds(MAX_ROUNDS)
                 .base_seed(BASE_SEED)
-                .parallel(parallel)
+                .threads(threads)
                 .stepping(stepping)
                 .run()
         };
         assert_eq!(
             run(Stepping::Snapshot),
             run(Stepping::Delta),
-            "parallel = {parallel}"
+            "threads = {threads}"
         );
     }
 }
 
 #[test]
 fn delta_path_matches_snapshot_path_for_parsimonious_flooding() {
-    for parallel in [false, true] {
+    for threads in [1usize, 4] {
         for ttl in [1u32, 4] {
             let run = |stepping: Stepping| {
                 Simulation::builder()
@@ -334,14 +336,14 @@ fn delta_path_matches_snapshot_path_for_parsimonious_flooding() {
                     .trials(TRIALS)
                     .max_rounds(MAX_ROUNDS)
                     .base_seed(BASE_SEED)
-                    .parallel(parallel)
+                    .threads(threads)
                     .stepping(stepping)
                     .run()
             };
             assert_eq!(
                 run(Stepping::Snapshot),
                 run(Stepping::Delta),
-                "parallel = {parallel}, ttl = {ttl}"
+                "threads = {threads}, ttl = {ttl}"
             );
         }
     }

@@ -315,7 +315,7 @@ proptest! {
         let serial = Sweep::over(grid())
             .budget(budget)
             .base_seed(base_seed)
-            .parallel(false)
+            .threads(1)
             .run(trial_fn)
             .unwrap();
         let parallel = Sweep::over(grid())

@@ -1,0 +1,181 @@
+//! Test oracles: independent single-run implementations of the engine's
+//! gossip protocols.
+//!
+//! [`push_spread`] and [`parsimonious_flood`] step one realization by
+//! hand, with none of the engine's scratch, stepping paths or sharding.
+//! The engine suite pins `PushGossip` and `ParsimoniousFlooding` to them
+//! trial for trial, and the §5 reduction suite uses them directly.
+
+use dynspread::dynagraph::flooding::FloodRun;
+use dynspread::dynagraph::{mix_seed, EvolvingGraph};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+/// One oracle run: who was informed in which round, how the informed
+/// set grew, and when it completed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GossipRun {
+    /// Round each node was informed (`0` for the source),
+    /// [`FloodRun::UNINFORMED`] if never.
+    informed_at: Vec<u32>,
+    sizes: Vec<u32>,
+    completed_at: Option<u32>,
+}
+
+impl GossipRun {
+    /// The round everyone was informed, or `None` if the run stopped
+    /// first (round cap, or every relay expired).
+    pub fn flooding_time(&self) -> Option<u32> {
+        self.completed_at
+    }
+
+    /// `|I_t|` for `t = 0, 1, …` over the executed rounds.
+    pub fn sizes(&self) -> &[u32] {
+        &self.sizes
+    }
+
+    /// Nodes informed by the end of the run.
+    pub fn informed_count(&self) -> usize {
+        *self.sizes.last().expect("sizes always has |I_0|") as usize
+    }
+}
+
+/// Runs the push-`fanout` protocol from `source`: each round, each
+/// informed node picks `min(fanout, deg)` distinct random current
+/// neighbours and transmits to them. With `fanout >= n` this is plain
+/// flooding.
+///
+/// # Panics
+///
+/// Panics if `source` is out of range or `fanout == 0`.
+pub fn push_spread<G: EvolvingGraph + ?Sized>(
+    g: &mut G,
+    source: u32,
+    fanout: usize,
+    max_rounds: u32,
+    seed: u64,
+) -> GossipRun {
+    assert!(fanout > 0, "fanout must be positive");
+    let n = g.node_count();
+    assert!((source as usize) < n, "source {source} out of range");
+    let mut rng = SmallRng::seed_from_u64(mix_seed(seed, 0x905517));
+    let mut informed = vec![false; n];
+    let mut informed_at = vec![FloodRun::UNINFORMED; n];
+    let mut informed_list = vec![source];
+    informed[source as usize] = true;
+    informed_at[source as usize] = 0;
+    let mut sizes = vec![1u32];
+    let mut completed_at = if n == 1 { Some(0) } else { None };
+    let mut new_nodes: Vec<u32> = Vec::new();
+    let mut pick_buf: Vec<u32> = Vec::new();
+    let mut t = 0u32;
+    while completed_at.is_none() && t < max_rounds {
+        let snap = g.step();
+        new_nodes.clear();
+        for &u in &informed_list {
+            let neigh = snap.neighbors(u);
+            if neigh.is_empty() {
+                continue;
+            }
+            if neigh.len() <= fanout {
+                for &v in neigh {
+                    if !informed[v as usize] {
+                        informed[v as usize] = true;
+                        new_nodes.push(v);
+                    }
+                }
+            } else {
+                // Partial Fisher-Yates: draw `fanout` distinct targets.
+                pick_buf.clear();
+                pick_buf.extend_from_slice(neigh);
+                for i in 0..fanout {
+                    let j = rng.gen_range(i..pick_buf.len());
+                    pick_buf.swap(i, j);
+                    let v = pick_buf[i];
+                    if !informed[v as usize] {
+                        informed[v as usize] = true;
+                        new_nodes.push(v);
+                    }
+                }
+            }
+        }
+        t += 1;
+        for &v in &new_nodes {
+            informed_at[v as usize] = t;
+        }
+        informed_list.extend_from_slice(&new_nodes);
+        sizes.push(informed_list.len() as u32);
+        if informed_list.len() == n {
+            completed_at = Some(t);
+        }
+    }
+    GossipRun {
+        informed_at,
+        sizes,
+        completed_at,
+    }
+}
+
+/// Runs **parsimonious flooding** from `source` (Baumann–Crescenzi–
+/// Fraigniaud, reference \[4\] of the paper): a node relays only during
+/// the `ttl` rounds following the round it became informed, then falls
+/// silent. The run stops early once every relay has expired. With
+/// `ttl >= max_rounds` this is plain flooding.
+///
+/// # Panics
+///
+/// Panics if `source` is out of range or `ttl == 0`.
+pub fn parsimonious_flood<G: EvolvingGraph + ?Sized>(
+    g: &mut G,
+    source: u32,
+    ttl: u32,
+    max_rounds: u32,
+) -> GossipRun {
+    assert!(ttl > 0, "ttl must be positive");
+    let n = g.node_count();
+    assert!((source as usize) < n, "source {source} out of range");
+    let mut informed = vec![false; n];
+    let mut informed_at = vec![FloodRun::UNINFORMED; n];
+    // Nodes currently relaying.
+    let mut active: Vec<u32> = vec![source];
+    let mut informed_count = 1usize;
+    informed[source as usize] = true;
+    informed_at[source as usize] = 0;
+    let mut sizes = vec![1u32];
+    let mut completed_at = if n == 1 { Some(0) } else { None };
+    let mut new_nodes: Vec<u32> = Vec::new();
+    let mut t = 0u32;
+    while completed_at.is_none() && t < max_rounds && !active.is_empty() {
+        let snap = g.step();
+        new_nodes.clear();
+        for &u in &active {
+            for &v in snap.neighbors(u) {
+                if !informed[v as usize] {
+                    informed[v as usize] = true;
+                    new_nodes.push(v);
+                }
+            }
+        }
+        t += 1;
+        for &v in &new_nodes {
+            informed_at[v as usize] = t;
+        }
+        informed_count += new_nodes.len();
+        // Retire nodes whose TTL expired; admit the newly informed.
+        active.retain(|&u| {
+            let at = informed_at[u as usize];
+            debug_assert_ne!(at, FloodRun::UNINFORMED, "active nodes are informed");
+            t < at + ttl
+        });
+        active.extend_from_slice(&new_nodes);
+        sizes.push(informed_count as u32);
+        if informed_count == n {
+            completed_at = Some(t);
+        }
+    }
+    GossipRun {
+        informed_at,
+        sizes,
+        completed_at,
+    }
+}
