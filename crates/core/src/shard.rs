@@ -17,8 +17,8 @@
 //!
 //! 1. **Lane advance** — every lane advances one round without recording
 //!    churn ([`ShardLane::advance_quiet`]) and reports its churn count.
-//! 2. **Lane scan** — every lane scans its own on-set against the
-//!    informed bitset of `I_t` ([`ShardLane::scan`]): an edge with one
+//! 2. **Lane scan** — every lane's on-edges ([`ShardLane::edges`]) are
+//!    scanned against the informed bitset of `I_t`: an edge with one
 //!    informed endpoint yields the other as a candidate, routed into a
 //!    per-destination-node-shard bucket, and each informed endpoint adds
 //!    one message.
@@ -92,7 +92,7 @@
 //! `crates/edge-meg/tests/scan_identity.rs`, the sharded-engine suite
 //! and `benches/t18_shard`.
 
-use crate::delta::{DynAdjacency, EdgeDelta};
+use crate::delta::{DynAdjacency, Edge, EdgeDelta};
 use crate::engine::instrument::{engine_obs, shard_obs};
 
 /// Sentinel in the executor's informed-at array (same value as
@@ -125,9 +125,8 @@ pub trait ShardLane: Send {
     /// the number of edges it turned on plus the number it turned off.
     fn advance_quiet(&mut self) -> u64;
 
-    /// Feeds every currently-on edge of this lane to `sink`
-    /// ([`ScanSink::edge`]), in any order.
-    fn scan(&self, sink: &mut ScanSink<'_>);
+    /// Every currently-on edge of this lane, in any order.
+    fn edges(&self) -> &[Edge];
 }
 
 /// One lane's output of a scan round, kept across rounds so steady-state
@@ -144,41 +143,28 @@ pub(crate) struct LaneScan {
 }
 
 impl LaneScan {
-    fn begin_round(&mut self, shards: usize) {
+    /// Scans `edges` (one lane's `E_t`) against the informed bitset of
+    /// `I_t`, routing candidates to node shards `span` nodes wide: each
+    /// endpoint in `I_t` sends one message along its edge, and an edge
+    /// with exactly one informed endpoint informs the other.
+    fn scan(&mut self, edges: &[Edge], informed: &[u64], span: usize, shards: usize) {
         self.buckets.resize_with(shards, Vec::new);
         self.buckets.truncate(shards);
         for b in &mut self.buckets {
             b.clear();
         }
-        self.messages = 0;
-        self.edges = 0;
-    }
-}
-
-/// What a lane's [`ShardLane::scan`] writes into: the informed bitset of
-/// `I_t` to test endpoints against, and the lane's scan output
-/// (candidates by node shard, message partial, edges scanned).
-pub struct ScanSink<'a> {
-    informed: &'a [u64],
-    /// Node-shard width, for routing candidates to their buckets.
-    span: usize,
-    out: &'a mut LaneScan,
-}
-
-impl ScanSink<'_> {
-    /// Scans one on-edge `{u, v}` of `E_t`: each endpoint in `I_t` sends
-    /// one message along it, and an edge with exactly one informed
-    /// endpoint informs the other.
-    #[inline]
-    pub fn edge(&mut self, u: u32, v: u32) {
-        let informed = |x: u32| self.informed[x as usize / 64] >> (x % 64) & 1 == 1;
-        let (iu, iv) = (informed(u), informed(v));
-        self.out.edges += 1;
-        self.out.messages += iu as u64 + iv as u64;
-        if iu != iv {
-            let w = if iu { v } else { u };
-            self.out.buckets[w as usize / self.span].push(w);
+        let informed = |x: u32| informed[x as usize / 64] >> (x % 64) & 1 == 1;
+        let mut messages = 0u64;
+        for &(u, v) in edges {
+            let (iu, iv) = (informed(u), informed(v));
+            messages += iu as u64 + iv as u64;
+            if iu != iv {
+                let w = if iu { v } else { u };
+                self.buckets[w as usize / span].push(w);
+            }
         }
+        self.messages = messages;
+        self.edges = edges.len() as u64;
     }
 }
 
@@ -461,14 +447,7 @@ pub(crate) fn flood_sharded_core(
                 run_parallel(
                     threads,
                     access.lanes().into_iter().zip(&mut scratch.lane_scans),
-                    |(lane, out)| {
-                        out.begin_round(shards);
-                        lane.scan(&mut ScanSink {
-                            informed,
-                            span,
-                            out,
-                        });
-                    },
+                    |(lane, out)| out.scan(lane.edges(), informed, span, shards),
                 );
             }
             // Phase 3: commit the lanes' candidates per node shard.
@@ -751,6 +730,8 @@ mod tests {
     struct ToyLane {
         pairs: Vec<(u32, u32)>,
         on: Vec<bool>,
+        /// The on pairs, in pair order.
+        alive: Vec<(u32, u32)>,
         p: f64,
         q: f64,
         state: u64,
@@ -768,11 +749,13 @@ mod tests {
                     let mut lane = ToyLane {
                         pairs: c.to_vec(),
                         on: Vec::new(),
+                        alive: Vec::new(),
                         p,
                         q,
                         state: seed ^ (l as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                     };
                     lane.on = (0..c.len()).map(|_| lane.uniform() < alpha).collect();
+                    lane.sync_alive();
                     lane
                 })
                 .collect();
@@ -803,7 +786,14 @@ mod tests {
                     }
                 }
             }
+            self.sync_alive();
             churn
+        }
+
+        fn sync_alive(&mut self) {
+            self.alive.clear();
+            let on = self.pairs.iter().zip(&self.on).filter(|p| *p.1);
+            self.alive.extend(on.map(|p| *p.0));
         }
     }
 
@@ -825,12 +815,8 @@ mod tests {
             self.advance(None)
         }
 
-        fn scan(&self, sink: &mut ScanSink<'_>) {
-            for (i, &(u, v)) in self.pairs.iter().enumerate() {
-                if self.on[i] {
-                    sink.edge(u, v);
-                }
-            }
+        fn edges(&self) -> &[Edge] {
+            &self.alive
         }
     }
 

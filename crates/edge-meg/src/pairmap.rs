@@ -3,8 +3,8 @@
 //!
 //! Each lane of [`crate::ShardedSparseEdgeMeg`] tracks one occupancy
 //! entry per on-pair (a dying pair is retired from the map), and every
-//! trial reset re-inserts the whole on-set. `std::collections::HashMap`'s
-//! SipHash plus per-entry overhead makes those inserts the dominant
+//! trial reset re-indexes the whole on-set. `std::collections::HashMap`'s
+//! SipHash plus per-entry overhead would make those inserts the dominant
 //! term of trial setup at large `n`, so this map trades generality for
 //! what the occupancy store needs:
 //!
@@ -14,7 +14,7 @@
 //! * **A range hash.** A key's home slot is its relative position in the
 //!   range scaled onto the whole table, `((key − start)·scale) >> 60`
 //!   with `scale = cap·2⁶⁰/span`. The hash preserves key order, so the
-//!   ascending walks of a lane (reset's skip-sample inserts, the birth
+//!   ascending walks of a lane (reset's one-pass rebuild, the birth
 //!   sweep's lookups) move through the table front to back. Order is
 //!   no hazard here: every pair of a lane is on independently with the
 //!   same law at every round, so the tracked keys are a uniform random
@@ -31,7 +31,7 @@
 //! * **Flat open addressing** with backward-shift deletion (no tombstone
 //!   rot under the retire-on-death workload), keys and values in
 //!   separate arrays: 12 bytes a slot instead of a padded 16-byte
-//!   `(u64, u32)`, and a cleared map rewrites only its keys.
+//!   `(u64, u32)`.
 //!
 //! The map is never iterated, so realizations cannot depend on its
 //! layout; the randomized property test pins its semantics against
@@ -68,13 +68,7 @@ impl PairMap {
 
     /// An empty map for keys in `range`.
     pub(crate) fn new(range: Range<u64>) -> Self {
-        Self::with_capacity(range, 0)
-    }
-
-    /// A map for keys in `range`, pre-sized to hold `expected` entries
-    /// without growing.
-    fn with_capacity(range: Range<u64>, expected: usize) -> Self {
-        let cap = Self::capacity_for(expected);
+        let cap = Self::MIN_CAPACITY;
         let span = range.end.saturating_sub(range.start).max(1);
         PairMap {
             keys: vec![EMPTY; cap],
@@ -216,24 +210,50 @@ impl PairMap {
         self.keys[hole] = EMPTY;
     }
 
-    /// Empties the map and makes room for `expected` entries without
-    /// growing, keeping its range and any larger capacity (the reset
-    /// path: a trial reset re-inserts a same-order working set with zero
-    /// growth).
+    /// Replaces the map's contents with `keys[i] -> i` for ascending keys
+    /// in the range, sized for at least `reserve` entries and keeping any
+    /// larger capacity (the reset path: the lane's alive list, indexed in
+    /// one pass).
     ///
-    /// Each call writes every key once, right before the caller's
-    /// inserts (values of free slots are never read, so they stay): a
-    /// map too small is replaced by a freshly written one. So a lane
-    /// model built with tiny maps sizes and writes each lane's table
-    /// once, in its first reset, while the table is about to be filled
-    /// and still in cache.
-    pub(crate) fn clear_for(&mut self, expected: usize) {
-        if Self::capacity_for(expected) > self.keys.len() {
-            let range = self.start..self.start + self.span;
-            *self = Self::with_capacity(range, expected);
+    /// The range hash is monotone in the key, so ascending keys fill the
+    /// table front to back: each key lands at `max(home, cursor)`, the
+    /// first slot at or past its home that the keys before it left free,
+    /// with no probe read. That is a valid probe layout: the slots between
+    /// a key's home and its slot hold the run of smaller keys it queued
+    /// behind. Keys whose run reaches past the last slot go through
+    /// [`PairMap::insert`], which wraps to the front. The free slots are
+    /// marked by one bulk fill first: writing each gap as the pass reaches
+    /// it costs a data-dependent loop per key, measured ~2.5× slower on
+    /// the served flooding cell's lanes.
+    pub(crate) fn rebuild(&mut self, keys: impl ExactSizeIterator<Item = u64>, reserve: usize) {
+        let cap = Self::capacity_for(keys.len().max(reserve)).max(self.keys.len());
+        if cap > self.keys.len() {
+            self.keys = vec![EMPTY; cap];
+            self.vals = vec![0; cap];
         } else {
+            // Values of free slots are never read.
             self.keys.fill(EMPTY);
-            self.len = 0;
+        }
+        self.scale = Self::scale_for(cap, self.span);
+        self.mask = cap - 1;
+        self.len = 0;
+        let mut keys = keys.enumerate();
+        let mut cursor = 0;
+        for (i, key) in &mut keys {
+            debug_assert!(key.wrapping_sub(self.start) < self.span);
+            let slot = self.home(key).max(cursor);
+            if slot == cap {
+                // This run, and every later key's, reaches past the end.
+                self.insert(key, i as u32);
+                break;
+            }
+            self.keys[slot] = key;
+            self.vals[slot] = i as u32;
+            self.len += 1;
+            cursor = slot + 1;
+        }
+        for (i, key) in keys {
+            self.insert(key, i as u32);
         }
     }
 
@@ -308,25 +328,28 @@ mod tests {
         assert_eq!(m.len(), 1);
         m.remove(3); // absent: no-op
         assert_eq!(m.len(), 1);
-        m.clear_for(1);
+        m.rebuild(std::iter::empty(), 1);
         assert_eq!(m.len(), 0);
         assert_eq!(m.get(4), None);
     }
 
     #[test]
-    fn clear_for_sizes_once_and_keeps_a_larger_capacity() {
+    fn rebuild_sizes_once_and_keeps_a_larger_capacity() {
         let mut m = PairMap::new(0..700);
-        m.clear_for(100);
-        assert_eq!(m.keys.len(), 256);
-        for k in 0..100u64 {
+        m.rebuild((0..10u32).map(|k| k as u64 * 7), 100);
+        assert_eq!(m.keys.len(), 256, "sized for the reserve");
+        for k in 10..100u64 {
             m.insert(k * 7, k as u32);
         }
         assert_eq!(m.keys.len(), 256, "sized for 100 entries: no growth");
-        m.clear_for(10);
+        m.rebuild((0..3u32).map(|k| k as u64 * 300), 10);
         assert_eq!(m.keys.len(), 256, "a larger capacity is kept");
-        assert!(m.keys.iter().all(|&k| k == EMPTY));
-        assert_eq!((m.len(), m.get(7)), (0, None));
+        assert_eq!(m.keys.iter().filter(|&&k| k != EMPTY).count(), 3);
+        assert_eq!((m.len(), m.get(7), m.get(600)), (3, None, Some(2)));
         assert_eq!((m.start, m.span), (0, 700), "the range is kept");
+        // Past the reserve, the table is sized for the keys.
+        m.rebuild((0..300u32).map(u64::from), 10);
+        assert_eq!((m.keys.len(), m.len(), m.get(299)), (1024, 300, Some(299)));
     }
 
     #[test]
@@ -379,7 +402,7 @@ mod tests {
     #[test]
     fn randomized_against_std_hashmap() {
         // The backward-shift deletion is the subtle part: hammer it with
-        // random interleaved insert/remove/get/clear and demand exact
+        // random interleaved insert/remove/get/rebuild and demand exact
         // agreement with std's HashMap at every step.
         let mut rng = SmallRng::seed_from_u64(0x9A1);
         let mut wrapped = 0usize;
@@ -421,8 +444,17 @@ mod tests {
                     }
                     _ => {
                         if rng.gen_range(0..100) == 0 {
-                            ours.clear_for(rng.gen_range(0..64));
-                            reference.clear();
+                            // Rebuild keys must lie in the range.
+                            let from = keys.start.max(base)..keys.end.min(base + span);
+                            let from = if from.is_empty() {
+                                base..base + span
+                            } else {
+                                from
+                            };
+                            let count = rng.gen_range(0..64);
+                            let fresh = ascending(&mut rng, from, count);
+                            ours.rebuild(fresh.iter().copied(), rng.gen_range(0..64));
+                            reference = fresh.into_iter().zip(0..).collect();
                         }
                     }
                 }
@@ -436,5 +468,97 @@ mod tests {
             }
         }
         assert!(wrapped > 0, "no chain ever wrapped past the last slot");
+    }
+
+    /// Up to `count` distinct keys drawn uniformly from `range`, ascending.
+    fn ascending(rng: &mut SmallRng, range: Range<u64>, count: usize) -> Vec<u64> {
+        let mut keys: Vec<u64> = (0..count).map(|_| rng.gen_range(range.clone())).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
+    #[test]
+    fn rebuild_then_ops_against_std_hashmap() {
+        // A one-pass rebuild must leave a table that every later
+        // operation reads and edits as if the keys had been inserted one
+        // by one: rebuild from random ascending keys, check every entry,
+        // then random insert/remove/get against std's HashMap. Lanes:
+        // sparse and dense ones, and tiny lanes whose upper part is dense,
+        // so the last run of the ascending fill wraps past the table end.
+        let mut rng = SmallRng::seed_from_u64(0x0B1D);
+        let mut wrapped_rebuilds = 0;
+        for round in 0..400 {
+            let base = if round % 2 == 0 { 0 } else { u64::MAX / 3 };
+            let span = 1u64 << (3 + round % 11);
+            // Every other tiny lane is on only in its top quarter, and
+            // densely there, in a table sized for its keys alone.
+            let top = span <= 64 && round % 8 < 4;
+            let density = if top {
+                [0.9, 1.0][round % 2]
+            } else {
+                [0.02, 0.3, 0.9, 1.0][round % 4]
+            };
+            let from = if top {
+                base + span - span / 4..base + span
+            } else {
+                base..base + span
+            };
+            let width = from.end - from.start;
+            let count = ((width as f64 * density) as usize).max(1);
+            let keys = if density == 1.0 {
+                from.clone().collect()
+            } else {
+                ascending(&mut rng, from.clone(), count)
+            };
+            let mut ours = PairMap::new(base..base + span);
+            // Start from a used table now and then: the rebuild must
+            // overwrite whatever the slots held.
+            if round % 3 == 0 {
+                for k in ascending(&mut rng, base..base + span, 40) {
+                    ours.insert(k, 1);
+                }
+            }
+            let reserve = if top {
+                0
+            } else {
+                rng.gen_range(0..2 * keys.len())
+            };
+            ours.rebuild(keys.iter().copied(), reserve);
+            wrapped_rebuilds += (0..ours.keys.len())
+                .any(|i| ours.keys[i] != EMPTY && i < ours.home(ours.keys[i]))
+                as usize;
+            let mut reference: HashMap<u64, u32> = keys.iter().copied().zip(0..).collect();
+            assert_eq!(ours.len(), reference.len(), "round {round}");
+            for (&k, &v) in &reference {
+                assert_eq!(ours.get(k), Some(v), "round {round}: key {k}");
+            }
+            for _ in 0..500 {
+                let key = rng.gen_range(base..base + span);
+                match rng.gen_range(0..3) {
+                    0 => {
+                        let value = rng.gen::<u32>();
+                        ours.insert(key, value);
+                        reference.insert(key, value);
+                    }
+                    1 => {
+                        ours.remove(key);
+                        reference.remove(&key);
+                    }
+                    _ => {
+                        assert_eq!(ours.get(key), reference.get(&key).copied());
+                        assert_eq!(ours.contains(key), reference.contains_key(&key));
+                    }
+                }
+                assert_eq!(ours.len(), reference.len(), "round {round}");
+            }
+            for (&k, &v) in &reference {
+                assert_eq!(ours.get(k), Some(v), "round {round}: key {k}");
+            }
+        }
+        assert!(
+            wrapped_rebuilds >= 10,
+            "only {wrapped_rebuilds} rebuilds ran past the table end"
+        );
     }
 }

@@ -30,7 +30,7 @@ use rand::SeedableRng;
 
 use dg_markov::{MarkovError, TwoStateChain};
 use dynagraph::delta::Edge;
-use dynagraph::shard::{ScanSink, ShardAccess, ShardLane};
+use dynagraph::shard::{ShardAccess, ShardLane};
 use dynagraph::{mix_seed, EdgeDelta, EvolvingGraph, Snapshot};
 
 use crate::pairmap::PairMap;
@@ -206,10 +206,8 @@ impl ShardLane for Lane {
         self.advance(None)
     }
 
-    fn scan(&self, sink: &mut ScanSink<'_>) {
-        for &(u, v) in &self.alive {
-            sink.edge(u, v);
-        }
+    fn edges(&self) -> &[Edge] {
+        &self.alive
     }
 }
 
@@ -285,7 +283,7 @@ impl ShardedSparseEdgeMeg {
                     log1m_death,
                     alive: Vec::new(),
                     // Sized and written by the first `reset`, lane by
-                    // lane, just before its inserts.
+                    // lane, right after its skip-sample.
                     occ: PairMap::new(start..end),
                     retire_buf: Vec::new(),
                     rng: SmallRng::seed_from_u64(0),
@@ -360,24 +358,32 @@ impl EvolvingGraph for ShardedSparseEdgeMeg {
         let log1m_alpha = (1.0 - alpha).ln();
         for (l, lane) in self.lanes.iter_mut().enumerate() {
             lane.alive.clear();
-            // Room for the lane's expected stationary on-set: the
-            // first reset never regrows the map.
-            lane.occ
-                .clear_for((alpha * (lane.end - lane.start) as f64).ceil() as usize);
             lane.retire_buf.clear();
             lane.rng = SmallRng::seed_from_u64(mix_seed(mix_seed(seed, LANE_SEED_TAG), l as u64));
             // Skip-sample the lane's slice of the stationary on-set:
             // successive on-pairs are Geometric(alpha) apart in the pair
             // index, so only the ≈ alpha·(end - start) live pairs are
-            // visited, one draw, one pair step and one map insert each.
+            // visited, one draw and one pair step each.
             let (mut at, mut pair) = (lane.start, lane.first);
             let mut idx = lane.start + geometric(&mut lane.rng, alpha, log1m_alpha) - 1;
             while idx < lane.end {
                 pair = step_pair(pair, idx - at, idx);
                 at = idx;
-                lane.turn_on(idx, pair);
+                lane.alive.push(pair);
                 idx += geometric(&mut lane.rng, alpha, log1m_alpha);
             }
+            assert!(
+                lane.alive.len() <= OFF as usize,
+                "on-set exceeds u32 alive-list positions"
+            );
+            // The alive list is ascending in the pair index: index it in
+            // one pass, with room for the lane's expected stationary
+            // on-set so the rounds after the first reset rarely regrow
+            // the map.
+            lane.occ.rebuild(
+                lane.alive.iter().map(|&pair| index_of(pair)),
+                (alpha * (lane.end - lane.start) as f64).ceil() as usize,
+            );
         }
     }
 

@@ -1,6 +1,6 @@
 //! Experiment harness for the PODC 2012 reproduction.
 //!
-//! Each subcommand regenerates one table/series of `EXPERIMENTS.md`:
+//! Each subcommand prints one table or series of the reproduction:
 //!
 //! ```text
 //! dg-experiments t1            # run experiment T1

@@ -33,7 +33,7 @@
 //! thread never sees a spec it cannot run to completion.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The one shape every workload trial function has: one row per trial,
 /// one slot per metric the spec declares — what
@@ -43,7 +43,7 @@ type TrialRowFn = Arc<dyn Fn(&Cell, Trial, &[Metric]) -> Vec<Option<f64>> + Send
 
 use dg_edge_meg::{check_rates, ShardedSparseEdgeMeg, SparseTwoStateEdgeMeg};
 use dg_sweep::{Cell, Metric, SweepSpec, Trial};
-use dynagraph::engine::{Simulation, TrialRecord};
+use dynagraph::engine::{Simulation, TrialRecord, TrialScratch};
 use dynagraph::sweep::{trial_metrics, TRIAL_METRICS};
 use dynagraph::Shards;
 
@@ -66,10 +66,25 @@ const SHARDED_FLOODING_N: usize = 92_682;
 
 /// Largest expected stationary on-edge count `α·n(n−1)/2` a flooding
 /// cell may have, `α = p/(p+q)`. A trial holds every on-edge of its
-/// stationary graph, at ~39 bytes per on-edge on the lane model (dense
-/// cells at `n = 4096`), so the cap is ~2.6 GB; a larger allocation
-/// would abort the daemon, which `catch_unwind` cannot isolate.
+/// stationary graph, at ~[`ON_EDGE_BYTES`] each, so the cap is
+/// [`MAX_MODEL_BYTES`]; a larger allocation would abort the daemon,
+/// which `catch_unwind` cannot isolate.
 const MAX_EXPECTED_ON_EDGES: u64 = 1 << 26;
+
+/// Bytes a flooding model holds per stationary on-edge: ~39 on the lane
+/// model (dense cells at `n = 4096`).
+const ON_EDGE_BYTES: f64 = 39.0;
+
+/// Bytes the exact scan's pair-slot table holds per node pair (one
+/// `u32`).
+const SCAN_PAIR_BYTES: f64 = 4.0;
+
+/// Byte budget of one flooding model, ~2.6 GB: the on-edge cap's price.
+const MAX_MODEL_BYTES: f64 = MAX_EXPECTED_ON_EDGES as f64 * ON_EDGE_BYTES;
+
+/// Largest estimated model ([`model_bytes`]) kept warm between trials:
+/// an idle model holds its memory while no trial runs.
+const MAX_WARM_BYTES: f64 = (64 << 20) as f64;
 
 /// One family of measurements: a named trial function plus the
 /// admission rule for specs it can run.
@@ -155,10 +170,13 @@ impl Workload {
     ///   never collide in the store). A grid with both a `p = 1` and a
     ///   `q = 1` value is rejected: that cell's edge chain is periodic.
     ///
-    /// A trial builds the stationary model from the trial seed, floods
+    /// A trial realizes the stationary model from the trial seed, floods
     /// from node 0 under the cell's round cap (`max_rounds` table entry,
     /// or 200 000), and reports the flooding time — `None` when the cap
-    /// censors the trial. Cells with `n` up to 92 682 run on one thread,
+    /// censors the trial. When the process's last trial on the same model
+    /// kind ran the same cell, the trial resets that idle model instead of
+    /// building one, with the same record byte for byte; no model over
+    /// 64 MiB is kept idle. Cells with `n` up to 92 682 run on one thread,
     /// so a served job is one compute thread; larger cells run across
     /// all cores. The samples do not depend on the thread count. Setup
     /// is one geometric draw per initial on-edge (`α·n²/2` of them).
@@ -180,7 +198,9 @@ impl Workload {
     /// `tests/golden_flooding.rs` pins byte for byte. Its setup is
     /// `O(n²)` RNG draws, with the logarithm and the event push paid only
     /// for first toggles due within the first 64 rounds. Larger cells run
-    /// on the lane model, as in `flooding/2`.
+    /// on the lane model, as in `flooding/2`. Its validator also prices
+    /// the exact scan's pair-slot table (`4 B × n(n−1)/2`) against the
+    /// same ~2.6 GB budget, so exact-scan cells stop at `n ≈ 36 000`.
     pub fn flooding_v1() -> Self {
         Self::flooding_on(true)
     }
@@ -195,10 +215,14 @@ impl Workload {
                 "flooding/2"
             },
             store_dir: (!exact_scan).then_some("flooding-2"),
-            validate: validate_flooding,
+            validate: if exact_scan {
+                validate_flooding_v1
+            } else {
+                validate_flooding
+            },
             trial: Arc::new(move |cell: &Cell, trial: Trial, metrics: &[Metric]| {
                 trial_metrics(
-                    &flooding_record(cell, trial, exact_scan),
+                    &flooding_record(&WARM, cell, trial, exact_scan),
                     cell.usize("n"),
                     metrics,
                 )
@@ -331,11 +355,100 @@ fn validate_flooding(spec: &SweepSpec) -> Result<(), String> {
     Ok(())
 }
 
+/// `flooding/1`'s admission rule: [`validate_flooding`], plus the price
+/// of the exact scan's pair-slot table (`n(n−1)/2` pairs at 4 bytes) at
+/// the largest exact-scan `n`, against the same byte budget.
+fn validate_flooding_v1(spec: &SweepSpec) -> Result<(), String> {
+    validate_flooding(spec)?;
+    let n = spec
+        .axes()
+        .iter()
+        .filter(|a| a.name() == "n")
+        .flat_map(|a| a.values().iter().copied())
+        .filter(|&n| n <= SHARDED_FLOODING_N as f64)
+        .fold(0.0, f64::max);
+    let bytes = n * (n - 1.0) / 2.0 * SCAN_PAIR_BYTES;
+    if bytes > MAX_MODEL_BYTES {
+        return Err(format!(
+            "the exact-scan cell n = {n} allocates {bytes:.3e} bytes for its pair-slot table \
+             (4 B x n(n-1)/2), over the budget of {MAX_MODEL_BYTES:.3e} bytes"
+        ));
+    }
+    Ok(())
+}
+
+/// Estimated bytes of a flooding cell's model: its expected stationary
+/// on-edges, plus the exact scan's pair-slot table.
+fn model_bytes(n: usize, p: f64, q: f64, exact_scan: bool) -> f64 {
+    let pairs = n as f64 * (n as f64 - 1.0) / 2.0;
+    let table = if exact_scan { SCAN_PAIR_BYTES } else { 0.0 };
+    pairs * (p / (p + q) * ON_EDGE_BYTES + table)
+}
+
+/// A cell's model key: `n` and the bits of `p` and `q`.
+type CellKey = (usize, u64, u64);
+
+/// One model kept warm between trials, with the key of the cell it was
+/// built for.
+struct WarmSlot<G>(Mutex<Option<(CellKey, G)>>);
+
+impl<G> WarmSlot<G> {
+    const fn new() -> Self {
+        WarmSlot(Mutex::new(None))
+    }
+
+    /// Runs `trial` on a model slot for the cell `key`. With `keep`, the
+    /// slot lends its model if a trial of the same cell left it (a hit:
+    /// the trial resets it), drops it otherwise, and takes the trial's
+    /// model back once the trial returns. The model is out of the slot
+    /// while the trial runs, so a panicking trial drops it. Without
+    /// `keep`, the slot is not touched.
+    fn run<R>(&self, key: CellKey, keep: bool, trial: impl FnOnce(&mut Option<G>) -> R) -> R {
+        let mut model = None;
+        if keep {
+            let idle = self.lock().take();
+            model = idle.and_then(|(k, g)| (k == key).then_some(g));
+        }
+        let out = trial(&mut model);
+        if let Some(g) = model.filter(|_| keep) {
+            let _replaced = self.lock().replace((key, g));
+        }
+        out
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<(CellKey, G)>> {
+        // Every update is one `take` or `replace`, so even a poisoned slot
+        // holds a whole keyed model or none.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The warm models of a process: at most one idle model per model kind.
+struct WarmModels {
+    lane: WarmSlot<ShardedSparseEdgeMeg>,
+    scan: WarmSlot<SparseTwoStateEdgeMeg>,
+}
+
+impl WarmModels {
+    const fn new() -> Self {
+        WarmModels {
+            lane: WarmSlot::new(),
+            scan: WarmSlot::new(),
+        }
+    }
+}
+
+/// Every flooding trial of the process draws its model from here, so a
+/// direct sweep and the daemon's workers share one idle model per kind.
+static WARM: WarmModels = WarmModels::new();
+
 /// One flooding trial of `cell`: on the exact-scan model up to
 /// [`SHARDED_FLOODING_N`] when `exact_scan` (`flooding/1`), otherwise on
 /// the lane model, one thread up to [`SHARDED_FLOODING_N`] and all cores
-/// above it.
-fn flooding_record(cell: &Cell, trial: Trial, exact_scan: bool) -> TrialRecord {
+/// above it. One-thread cells whose model is at most [`MAX_WARM_BYTES`]
+/// keep it warm in `warm`: a trial of the cell the last one ran is a
+/// `reset`, whose record equals a fresh model's.
+fn flooding_record(warm: &WarmModels, cell: &Cell, trial: Trial, exact_scan: bool) -> TrialRecord {
     let n = cell.usize("n");
     let q = cell.get("q");
     let p = cell.try_get("p").unwrap_or(1.5 / n as f64);
@@ -343,25 +456,32 @@ fn flooding_record(cell: &Cell, trial: Trial, exact_scan: bool) -> TrialRecord {
     let engine = Simulation::builder()
         .max_rounds(max_rounds)
         .base_seed(trial.cell_seed);
-    if exact_scan && n <= SHARDED_FLOODING_N {
-        engine
-            .model(move |seed| {
-                SparseTwoStateEdgeMeg::stationary(n, p, q, seed)
-                    .expect("spec validated at submission")
-            })
-            .run_trial(trial.index)
+    let one_thread = n <= SHARDED_FLOODING_N;
+    let exact_scan = exact_scan && one_thread;
+    let key = (n, p.to_bits(), q.to_bits());
+    let keep = one_thread && model_bytes(n, p, q, exact_scan) <= MAX_WARM_BYTES;
+    let scratch = &mut TrialScratch::new();
+    if exact_scan {
+        let engine = engine.model(move |seed| {
+            SparseTwoStateEdgeMeg::stationary(n, p, q, seed).expect("spec validated at submission")
+        });
+        warm.scan.run(key, keep, |model| {
+            engine.run_trial_with(trial.index, model, scratch)
+        })
     } else {
-        engine
+        let engine = engine
             .model(move |seed| {
                 ShardedSparseEdgeMeg::stationary(n, p, q, seed)
                     .expect("spec validated at submission")
             })
-            .shards(if n <= SHARDED_FLOODING_N {
+            .shards(if one_thread {
                 Shards::Fixed(1)
             } else {
                 Shards::Auto
-            })
-            .run_trial(trial.index)
+            });
+        warm.lane.run(key, keep, |model| {
+            engine.run_trial_with(trial.index, model, scratch)
+        })
     }
 }
 
@@ -468,6 +588,220 @@ mod tests {
             ]))
             .unwrap_err();
         assert!(err.contains("3.2"), "the count is stated: {err}");
+    }
+
+    #[test]
+    fn flooding_v1_admission_prices_the_exact_scan_table() {
+        // n = 92 682 is the exact scan's old cap: its slot table alone is
+        // ~1.7e10 bytes. flooding/2 admits the same sparse cell (~1.4e5
+        // on-edges on the lane model).
+        let huge = spec(vec![
+            Axis::ints("n", [16, 92_682]),
+            Axis::explicit("q", [0.5]),
+        ]);
+        let err = Workload::flooding_v1().validate(&huge).unwrap_err();
+        assert!(
+            err.contains("pair-slot table") && err.contains("1.718e10"),
+            "the price is stated: {err}"
+        );
+        assert!(Workload::flooding().validate(&huge).is_ok());
+        // The budget ends between n = 36 000 and n = 37 000; above the
+        // sharding threshold flooding/1 runs the lane model, unpriced.
+        for (n, ok) in [(36_000, true), (37_000, false), (92_683, true)] {
+            let s = spec(vec![Axis::ints("n", [n]), Axis::explicit("q", [0.5])]);
+            assert_eq!(Workload::flooding_v1().validate(&s).is_ok(), ok, "n = {n}");
+        }
+        // The golden cells stay admitted.
+        for axes in [
+            vec![Axis::ints("n", [4096]), Axis::explicit("q", [0.01])],
+            vec![
+                Axis::ints("n", [48, 200, 512]),
+                Axis::explicit("q", [0.02, 1.0]),
+                Axis::explicit("p", [0.0005, 0.05]),
+            ],
+            vec![
+                Axis::ints("n", [48, 512]),
+                Axis::explicit("q", [0.3, 0.9]),
+                Axis::explicit("p", [1.0]),
+            ],
+        ] {
+            assert!(
+                Workload::flooding_v1()
+                    .validate(&spec(axes.clone()))
+                    .is_ok(),
+                "{axes:?}"
+            );
+        }
+    }
+
+    /// Cell `id` of a small grid: `n ∈ {24, 40}` × `p ∈ {0.05, 0.2}`,
+    /// `q = 0.3`, so cells differ in `n` or in `p` alone.
+    fn warm_cell(id: usize) -> (Cell, u64) {
+        let s = SweepSpec::new(
+            vec![
+                Axis::ints("n", [24, 40]),
+                Axis::explicit("q", [0.3]),
+                Axis::explicit("p", [0.05, 0.2]),
+            ],
+            0xCE11,
+            TrialBudget::fixed(1),
+        );
+        (s.grid().cell(id), dg_sweep::mix_seed(0xCE11, id as u64))
+    }
+
+    /// Trial `index` of [`warm_cell`] `id` over the warm models `warm`.
+    fn warm_record(warm: &WarmModels, id: usize, index: usize, exact_scan: bool) -> TrialRecord {
+        let (cell, cell_seed) = warm_cell(id);
+        let seed = dg_sweep::mix_seed(cell_seed, index as u64);
+        let trial = Trial {
+            index,
+            cell_seed,
+            seed,
+        };
+        flooding_record(warm, &cell, trial, exact_scan)
+    }
+
+    /// The same trial on a fresh model, without any slot.
+    fn fresh_record(id: usize, index: usize, exact_scan: bool) -> TrialRecord {
+        let (cell, cell_seed) = warm_cell(id);
+        let (n, p, q) = (cell.usize("n"), cell.get("p"), cell.get("q"));
+        let engine = Simulation::builder()
+            .max_rounds(DEFAULT_MAX_ROUNDS)
+            .base_seed(cell_seed);
+        if exact_scan {
+            engine
+                .model(move |s| SparseTwoStateEdgeMeg::stationary(n, p, q, s).unwrap())
+                .run_trial(index)
+        } else {
+            engine
+                .model(move |s| ShardedSparseEdgeMeg::stationary(n, p, q, s).unwrap())
+                .run_trial(index)
+        }
+    }
+
+    /// The key of the model idle in `slot`, if any.
+    fn idle_key<G>(slot: &WarmSlot<G>) -> Option<CellKey> {
+        slot.lock().as_ref().map(|(k, _)| *k)
+    }
+
+    fn key_of(id: usize) -> CellKey {
+        let (cell, _) = warm_cell(id);
+        (
+            cell.usize("n"),
+            cell.get("p").to_bits(),
+            cell.get("q").to_bits(),
+        )
+    }
+
+    #[test]
+    fn warm_slot_reuses_a_repeated_cell_and_replaces_a_new_one() {
+        dg_obs::set_enabled(true);
+        let reused = || {
+            dg_obs::Registry::global()
+                .counter_value("dg_engine_models_reused_total")
+                .unwrap_or(0)
+        };
+        for exact_scan in [false, true] {
+            let warm = WarmModels::new();
+            let idle = |w: &WarmModels| {
+                if exact_scan {
+                    (idle_key(&w.scan), idle_key(&w.lane))
+                } else {
+                    (idle_key(&w.lane), idle_key(&w.scan))
+                }
+            };
+            assert_eq!(
+                warm_record(&warm, 0, 0, exact_scan),
+                fresh_record(0, 0, exact_scan)
+            );
+            assert_eq!(
+                idle(&warm),
+                (Some(key_of(0)), None),
+                "kept in its kind's slot"
+            );
+            let before = reused();
+            assert_eq!(
+                warm_record(&warm, 0, 1, exact_scan),
+                fresh_record(0, 1, exact_scan)
+            );
+            assert!(reused() > before, "a repeated cell resets the idle model");
+            // A cell differing in p alone replaces the idle model.
+            assert_eq!(
+                warm_record(&warm, 1, 0, exact_scan),
+                fresh_record(1, 0, exact_scan)
+            );
+            assert_eq!(idle(&warm), (Some(key_of(1)), None));
+        }
+    }
+
+    #[test]
+    fn warm_slot_keeps_no_model_over_the_bound() {
+        // The served cell's model is kept on either kind; a dense n = 4096
+        // cell (~6.4e6 on-edges) and the exact scan's slot table at
+        // n = 8192 are not.
+        let sparse = 1.5 / 4096.0;
+        assert!(model_bytes(4096, sparse, 0.01, false) <= MAX_WARM_BYTES);
+        assert!(model_bytes(4096, sparse, 0.01, true) <= MAX_WARM_BYTES);
+        assert!(model_bytes(4096, 1.0, 0.3, false) > MAX_WARM_BYTES);
+        assert!(model_bytes(8192, 1.5 / 8192.0, 0.01, true) > MAX_WARM_BYTES);
+        // A trial whose model is not kept leaves the slot as it was.
+        let slot = WarmSlot::new();
+        slot.run((1, 0, 0), true, |m| *m = Some(1u8));
+        slot.run((2, 0, 0), false, |m| {
+            assert!(m.is_none(), "an unkept cell gets no idle model");
+            *m = Some(2);
+        });
+        assert_eq!(*slot.lock(), Some(((1, 0, 0), 1)));
+    }
+
+    #[test]
+    fn warm_slot_drops_the_model_of_a_panicking_trial() {
+        let warm = WarmModels::new();
+        let _ = warm_record(&warm, 0, 0, false);
+        let key = key_of(0);
+        assert_eq!(idle_key(&warm.lane), Some(key));
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            warm.lane.run(key, true, |model| {
+                assert!(model.is_some(), "the idle model is lent to the trial");
+                panic!("trial panics mid-run");
+            })
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(
+            idle_key(&warm.lane),
+            None,
+            "the panicking trial's model is gone"
+        );
+        // The next trial of the cell builds afresh and is kept again.
+        assert_eq!(warm_record(&warm, 0, 1, false), fresh_record(0, 1, false));
+        assert_eq!(idle_key(&warm.lane), Some(key));
+    }
+
+    #[test]
+    fn warm_trials_interleaved_across_cells_equal_fresh_records() {
+        // Hits, misses on n and on p alone, and returns to an earlier
+        // cell: every record equals the stateless fresh-model record.
+        let order = [
+            (0, 0),
+            (0, 1),
+            (1, 0),
+            (0, 2),
+            (3, 0),
+            (3, 1),
+            (2, 0),
+            (1, 1),
+            (1, 2),
+        ];
+        for exact_scan in [false, true] {
+            let warm = WarmModels::new();
+            for (id, index) in order {
+                assert_eq!(
+                    warm_record(&warm, id, index, exact_scan),
+                    fresh_record(id, index, exact_scan),
+                    "exact_scan {exact_scan}: cell {id}, trial {index}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The experiment harness of the PODC 2012 reproduction needs a small,
 //! dependency-free toolkit to turn raw Monte-Carlo samples into the
-//! quantities reported in `EXPERIMENTS.md`:
+//! quantities the experiment tables report (`crates/experiments`):
 //!
 //! * [`Summary`] — streaming mean/variance/min/max (Welford's algorithm);
 //! * [`Quantiles`] — order statistics (median, p95, ...) used to read

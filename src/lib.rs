@@ -19,8 +19,8 @@
 //! * [`dg_graph`], [`dg_markov`], [`dg_stats`] — the substrates.
 //!
 //! See the `examples/` directory for runnable scenarios and
-//! `crates/experiments` for the harness that regenerates every
-//! table/series of `EXPERIMENTS.md`.
+//! `crates/experiments` for the harness that prints every table and
+//! series of the reproduction (`dg-experiments all`).
 //!
 //! # Quickstart
 //!
