@@ -20,7 +20,8 @@
 //!   `flooding/1` (`BENCH_serve.json`);
 //! * `flooding/1` ([`Workload::flooding_v1`]) keeps the exact-scan model
 //!   at every density up to `n = 92 682`, so artifacts stored before
-//!   `flooding/2` existed regenerate byte for byte.
+//!   `flooding/2` existed regenerate byte for byte (for the cells whose
+//!   exact-scan memory its validator admits).
 //!
 //! The two draw the same flooding-time law, from different random
 //! streams.
@@ -59,7 +60,8 @@ const MAX_FLOODING_N: usize = 1_048_576;
 /// job is one compute thread; above it, on all cores. It is the old
 /// `floor(sqrt(2^53))` admission cap, and `flooding/1` keeps the
 /// exact-scan model up to it, so every spec a pre-sharding daemon could
-/// have stored reproduces its artifact bytes. The exact scan costs
+/// have stored, and that fits the exact scan's memory price, reproduces
+/// its artifact bytes. The exact scan costs
 /// `O(n²)` RNG draws per trial but schedules only the toggles due in its
 /// first 64 rounds up front.
 const SHARDED_FLOODING_N: usize = 92_682;
@@ -75,15 +77,19 @@ const MAX_EXPECTED_ON_EDGES: u64 = 1 << 26;
 /// model (dense cells at `n = 4096`).
 const ON_EDGE_BYTES: f64 = 39.0;
 
-/// Bytes the exact scan's pair-slot table holds per node pair (one
-/// `u32`).
-const SCAN_PAIR_BYTES: f64 = 4.0;
+/// Bytes the exact scan holds per node pair once a run passes round 64:
+/// its `u32` pair slot, plus the pending first toggle that the replay of
+/// the scan schedules for every pair (8 B in a calendar bucket, 16 B in
+/// the overflow list when it is due more than 8192 rounds out). Slow
+/// cells (`p = 1e-7`, `q = 0.5`, `n` from 2048 to 6000) peak at 20.0 to
+/// 20.2 B per pair of `VmHWM` over a flooding trial.
+const SCAN_PAIR_BYTES: f64 = 20.0;
 
 /// Byte budget of one flooding model, ~2.6 GB: the on-edge cap's price.
 const MAX_MODEL_BYTES: f64 = MAX_EXPECTED_ON_EDGES as f64 * ON_EDGE_BYTES;
 
-/// Largest estimated model ([`model_bytes`]) kept warm between trials:
-/// an idle model holds its memory while no trial runs.
+/// Largest estimated lane model ([`model_bytes`]) kept warm between
+/// trials: an idle model holds its memory while no trial runs.
 const MAX_WARM_BYTES: f64 = (64 << 20) as f64;
 
 /// One family of measurements: a named trial function plus the
@@ -173,8 +179,8 @@ impl Workload {
     /// A trial realizes the stationary model from the trial seed, floods
     /// from node 0 under the cell's round cap (`max_rounds` table entry,
     /// or 200 000), and reports the flooding time — `None` when the cap
-    /// censors the trial. When the process's last trial on the same model
-    /// kind ran the same cell, the trial resets that idle model instead of
+    /// censors the trial. When the process's last lane-model trial ran
+    /// the same cell, the trial resets that idle model instead of
     /// building one, with the same record byte for byte; no model over
     /// 64 MiB is kept idle. Cells with `n` up to 92 682 run on one thread,
     /// so a served job is one compute thread; larger cells run across
@@ -198,9 +204,12 @@ impl Workload {
     /// `tests/golden_flooding.rs` pins byte for byte. Its setup is
     /// `O(n²)` RNG draws, with the logarithm and the event push paid only
     /// for first toggles due within the first 64 rounds. Larger cells run
-    /// on the lane model, as in `flooding/2`. Its validator also prices
-    /// the exact scan's pair-slot table (`4 B × n(n−1)/2`) against the
-    /// same ~2.6 GB budget, so exact-scan cells stop at `n ≈ 36 000`.
+    /// on the lane model, as in `flooding/2`. Every trial builds its
+    /// model: no exact-scan model is kept between trials. Its validator
+    /// also prices the exact scan at 20 B per node pair (the pair-slot
+    /// table and the event calendar a run past round 64 holds) against
+    /// the same ~2.6 GB budget, so slow exact-scan cells stop at
+    /// `n ≈ 16 000`.
     pub fn flooding_v1() -> Self {
         Self::flooding_on(true)
     }
@@ -222,7 +231,7 @@ impl Workload {
             },
             trial: Arc::new(move |cell: &Cell, trial: Trial, metrics: &[Metric]| {
                 trial_metrics(
-                    &flooding_record(&WARM, cell, trial, exact_scan),
+                    &flooding_record(&WARM_LANE, cell, trial, exact_scan),
                     cell.usize("n"),
                     metrics,
                 )
@@ -310,13 +319,7 @@ fn validate_flooding(spec: &SweepSpec) -> Result<(), String> {
     // Every (p, q) the grid can form (p = 1.5/n without a p axis) must be
     // a pair the models' geometric sampler resolves: a rate whose 1 - r
     // rounds to 1 would turn every pair on at once.
-    let values = |name: &str| -> Vec<f64> {
-        spec.axes()
-            .iter()
-            .filter(|a| a.name() == name)
-            .flat_map(|a| a.values().iter().copied())
-            .collect()
-    };
+    let values = |name: &str| axis_values(spec, name);
     let mut ps = values("p");
     if ps.is_empty() {
         ps = values("n").iter().map(|&n| 1.5 / n).collect();
@@ -355,44 +358,63 @@ fn validate_flooding(spec: &SweepSpec) -> Result<(), String> {
     Ok(())
 }
 
+/// Every value of the axes of `spec` named `name`.
+fn axis_values(spec: &SweepSpec, name: &str) -> Vec<f64> {
+    spec.axes()
+        .iter()
+        .filter(|a| a.name() == name)
+        .flat_map(|a| a.values().iter().copied())
+        .collect()
+}
+
 /// `flooding/1`'s admission rule: [`validate_flooding`], plus the price
-/// of the exact scan's pair-slot table (`n(n−1)/2` pairs at 4 bytes) at
-/// the largest exact-scan `n`, against the same byte budget.
+/// of its costliest exact-scan cell ([`model_bytes`]) against the same
+/// byte budget.
 fn validate_flooding_v1(spec: &SweepSpec) -> Result<(), String> {
     validate_flooding(spec)?;
-    let n = spec
-        .axes()
-        .iter()
-        .filter(|a| a.name() == "n")
-        .flat_map(|a| a.values().iter().copied())
+    // The price grows with n and p and falls with q, also under
+    // p = 1.5/n, so the costliest exact-scan cell pairs the largest n up
+    // to the sharding threshold with the largest p and the smallest q.
+    let Some(n) = axis_values(spec, "n")
+        .into_iter()
         .filter(|&n| n <= SHARDED_FLOODING_N as f64)
-        .fold(0.0, f64::max);
-    let bytes = n * (n - 1.0) / 2.0 * SCAN_PAIR_BYTES;
+        .reduce(f64::max)
+    else {
+        return Ok(());
+    };
+    let p = axis_values(spec, "p")
+        .into_iter()
+        .reduce(f64::max)
+        .unwrap_or(1.5 / n);
+    let q = axis_values(spec, "q").into_iter().fold(1.0, f64::min);
+    let bytes = model_bytes(n as usize, p, q, true);
     if bytes > MAX_MODEL_BYTES {
         return Err(format!(
-            "the exact-scan cell n = {n} allocates {bytes:.3e} bytes for its pair-slot table \
-             (4 B x n(n-1)/2), over the budget of {MAX_MODEL_BYTES:.3e} bytes"
+            "the exact-scan cell n = {n}, p = {p}, q = {q} needs ~{bytes:.3e} bytes \
+             ({SCAN_PAIR_BYTES} B per pair for its slot table and event calendar, plus \
+             {ON_EDGE_BYTES} B per expected on-edge), over the budget of \
+             {MAX_MODEL_BYTES:.3e} bytes"
         ));
     }
     Ok(())
 }
 
 /// Estimated bytes of a flooding cell's model: its expected stationary
-/// on-edges, plus the exact scan's pair-slot table.
+/// on-edges, plus the exact scan's per-pair state.
 fn model_bytes(n: usize, p: f64, q: f64, exact_scan: bool) -> f64 {
     let pairs = n as f64 * (n as f64 - 1.0) / 2.0;
-    let table = if exact_scan { SCAN_PAIR_BYTES } else { 0.0 };
-    pairs * (p / (p + q) * ON_EDGE_BYTES + table)
+    let scan = if exact_scan { SCAN_PAIR_BYTES } else { 0.0 };
+    pairs * (p / (p + q) * ON_EDGE_BYTES + scan)
 }
 
 /// A cell's model key: `n` and the bits of `p` and `q`.
 type CellKey = (usize, u64, u64);
 
-/// One model kept warm between trials, with the key of the cell it was
-/// built for.
-struct WarmSlot<G>(Mutex<Option<(CellKey, G)>>);
+/// One lane model kept warm between trials, with the key of the cell it
+/// was built for.
+struct WarmSlot(Mutex<Option<(CellKey, ShardedSparseEdgeMeg)>>);
 
-impl<G> WarmSlot<G> {
+impl WarmSlot {
     const fn new() -> Self {
         WarmSlot(Mutex::new(None))
     }
@@ -403,7 +425,12 @@ impl<G> WarmSlot<G> {
     /// model back once the trial returns. The model is out of the slot
     /// while the trial runs, so a panicking trial drops it. Without
     /// `keep`, the slot is not touched.
-    fn run<R>(&self, key: CellKey, keep: bool, trial: impl FnOnce(&mut Option<G>) -> R) -> R {
+    fn run<R>(
+        &self,
+        key: CellKey,
+        keep: bool,
+        trial: impl FnOnce(&mut Option<ShardedSparseEdgeMeg>) -> R,
+    ) -> R {
         let mut model = None;
         if keep {
             let idle = self.lock().take();
@@ -416,39 +443,25 @@ impl<G> WarmSlot<G> {
         out
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Option<(CellKey, G)>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<(CellKey, ShardedSparseEdgeMeg)>> {
         // Every update is one `take` or `replace`, so even a poisoned slot
         // holds a whole keyed model or none.
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// The warm models of a process: at most one idle model per model kind.
-struct WarmModels {
-    lane: WarmSlot<ShardedSparseEdgeMeg>,
-    scan: WarmSlot<SparseTwoStateEdgeMeg>,
-}
-
-impl WarmModels {
-    const fn new() -> Self {
-        WarmModels {
-            lane: WarmSlot::new(),
-            scan: WarmSlot::new(),
-        }
-    }
-}
-
-/// Every flooding trial of the process draws its model from here, so a
-/// direct sweep and the daemon's workers share one idle model per kind.
-static WARM: WarmModels = WarmModels::new();
+/// Every lane-model flooding trial of the process draws its model from
+/// here, so a direct sweep and the daemon's workers share one idle model.
+static WARM_LANE: WarmSlot = WarmSlot::new();
 
 /// One flooding trial of `cell`: on the exact-scan model up to
-/// [`SHARDED_FLOODING_N`] when `exact_scan` (`flooding/1`), otherwise on
-/// the lane model, one thread up to [`SHARDED_FLOODING_N`] and all cores
-/// above it. One-thread cells whose model is at most [`MAX_WARM_BYTES`]
-/// keep it warm in `warm`: a trial of the cell the last one ran is a
-/// `reset`, whose record equals a fresh model's.
-fn flooding_record(warm: &WarmModels, cell: &Cell, trial: Trial, exact_scan: bool) -> TrialRecord {
+/// [`SHARDED_FLOODING_N`] when `exact_scan` (`flooding/1`), built for
+/// the trial, otherwise on the lane model, one thread up to
+/// [`SHARDED_FLOODING_N`] and all cores above it. One-thread lane cells
+/// whose model is at most [`MAX_WARM_BYTES`] keep it warm in `warm`: a
+/// trial of the cell the last one ran is a `reset`, whose record equals
+/// a fresh model's.
+fn flooding_record(warm: &WarmSlot, cell: &Cell, trial: Trial, exact_scan: bool) -> TrialRecord {
     let n = cell.usize("n");
     let q = cell.get("q");
     let p = cell.try_get("p").unwrap_or(1.5 / n as f64);
@@ -457,32 +470,28 @@ fn flooding_record(warm: &WarmModels, cell: &Cell, trial: Trial, exact_scan: boo
         .max_rounds(max_rounds)
         .base_seed(trial.cell_seed);
     let one_thread = n <= SHARDED_FLOODING_N;
-    let exact_scan = exact_scan && one_thread;
-    let key = (n, p.to_bits(), q.to_bits());
-    let keep = one_thread && model_bytes(n, p, q, exact_scan) <= MAX_WARM_BYTES;
-    let scratch = &mut TrialScratch::new();
-    if exact_scan {
-        let engine = engine.model(move |seed| {
-            SparseTwoStateEdgeMeg::stationary(n, p, q, seed).expect("spec validated at submission")
-        });
-        warm.scan.run(key, keep, |model| {
-            engine.run_trial_with(trial.index, model, scratch)
-        })
-    } else {
-        let engine = engine
+    if exact_scan && one_thread {
+        return engine
             .model(move |seed| {
-                ShardedSparseEdgeMeg::stationary(n, p, q, seed)
+                SparseTwoStateEdgeMeg::stationary(n, p, q, seed)
                     .expect("spec validated at submission")
             })
-            .shards(if one_thread {
-                Shards::Fixed(1)
-            } else {
-                Shards::Auto
-            });
-        warm.lane.run(key, keep, |model| {
-            engine.run_trial_with(trial.index, model, scratch)
-        })
+            .run_trial(trial.index);
     }
+    let engine = engine
+        .model(move |seed| {
+            ShardedSparseEdgeMeg::stationary(n, p, q, seed).expect("spec validated at submission")
+        })
+        .shards(if one_thread {
+            Shards::Fixed(1)
+        } else {
+            Shards::Auto
+        });
+    let key = (n, p.to_bits(), q.to_bits());
+    let keep = one_thread && model_bytes(n, p, q, false) <= MAX_WARM_BYTES;
+    warm.run(key, keep, |model| {
+        engine.run_trial_with(trial.index, model, &mut TrialScratch::new())
+    })
 }
 
 #[cfg(test)]
@@ -591,26 +600,52 @@ mod tests {
     }
 
     #[test]
-    fn flooding_v1_admission_prices_the_exact_scan_table() {
-        // n = 92 682 is the exact scan's old cap: its slot table alone is
-        // ~1.7e10 bytes. flooding/2 admits the same sparse cell (~1.4e5
-        // on-edges on the lane model).
+    fn flooding_v1_admission_prices_the_exact_scan() {
+        // n = 92 682 is the exact scan's old cap: ~8.6e10 bytes of slot
+        // table and calendar. flooding/2 admits the same sparse cell
+        // (~1.4e5 on-edges on the lane model).
         let huge = spec(vec![
             Axis::ints("n", [16, 92_682]),
             Axis::explicit("q", [0.5]),
         ]);
         let err = Workload::flooding_v1().validate(&huge).unwrap_err();
         assert!(
-            err.contains("pair-slot table") && err.contains("1.718e10"),
+            err.contains("slot table and event calendar") && err.contains("8.590e10"),
             "the price is stated: {err}"
         );
         assert!(Workload::flooding().validate(&huge).is_ok());
-        // The budget ends between n = 36 000 and n = 37 000; above the
-        // sharding threshold flooding/1 runs the lane model, unpriced.
-        for (n, ok) in [(36_000, true), (37_000, false), (92_683, true)] {
-            let s = spec(vec![Axis::ints("n", [n]), Axis::explicit("q", [0.5])]);
+        // A slow cell (few on-edges, so the on-edge cap passes it) floods
+        // for far more than 64 rounds: the budget ends between n = 16 000
+        // and n = 16 500, so the old n = 36 000 limit is rejected. Above
+        // the sharding threshold flooding/1 runs the lane model, priced
+        // by the on-edge cap alone.
+        for (n, ok) in [
+            (16_000, true),
+            (16_500, false),
+            (36_000, false),
+            (92_683, true),
+        ] {
+            let s = spec(vec![
+                Axis::ints("n", [n]),
+                Axis::explicit("q", [0.5]),
+                Axis::explicit("p", [1e-7]),
+            ]);
             assert_eq!(Workload::flooding_v1().validate(&s).is_ok(), ok, "n = {n}");
         }
+        // The on-edges of a dense cell are priced too: n = 10 000 with
+        // alpha = 10/13 needs ~50 B per pair.
+        let dense = spec(vec![
+            Axis::ints("n", [10_000]),
+            Axis::explicit("q", [0.3]),
+            Axis::explicit("p", [1.0]),
+        ]);
+        assert!(Workload::flooding_v1().validate(&dense).is_ok());
+        let denser = spec(vec![
+            Axis::ints("n", [11_000]),
+            Axis::explicit("q", [0.3]),
+            Axis::explicit("p", [1.0]),
+        ]);
+        assert!(Workload::flooding_v1().validate(&denser).is_err());
         // The golden cells stay admitted.
         for axes in [
             vec![Axis::ints("n", [4096]), Axis::explicit("q", [0.01])],
@@ -649,8 +684,8 @@ mod tests {
         (s.grid().cell(id), dg_sweep::mix_seed(0xCE11, id as u64))
     }
 
-    /// Trial `index` of [`warm_cell`] `id` over the warm models `warm`.
-    fn warm_record(warm: &WarmModels, id: usize, index: usize, exact_scan: bool) -> TrialRecord {
+    /// Trial `index` of [`warm_cell`] `id` over the warm slot `warm`.
+    fn warm_record(warm: &WarmSlot, id: usize, index: usize, exact_scan: bool) -> TrialRecord {
         let (cell, cell_seed) = warm_cell(id);
         let seed = dg_sweep::mix_seed(cell_seed, index as u64);
         let trial = Trial {
@@ -680,7 +715,7 @@ mod tests {
     }
 
     /// The key of the model idle in `slot`, if any.
-    fn idle_key<G>(slot: &WarmSlot<G>) -> Option<CellKey> {
+    fn idle_key(slot: &WarmSlot) -> Option<CellKey> {
         slot.lock().as_ref().map(|(k, _)| *k)
     }
 
@@ -701,86 +736,65 @@ mod tests {
                 .counter_value("dg_engine_models_reused_total")
                 .unwrap_or(0)
         };
-        for exact_scan in [false, true] {
-            let warm = WarmModels::new();
-            let idle = |w: &WarmModels| {
-                if exact_scan {
-                    (idle_key(&w.scan), idle_key(&w.lane))
-                } else {
-                    (idle_key(&w.lane), idle_key(&w.scan))
-                }
-            };
-            assert_eq!(
-                warm_record(&warm, 0, 0, exact_scan),
-                fresh_record(0, 0, exact_scan)
-            );
-            assert_eq!(
-                idle(&warm),
-                (Some(key_of(0)), None),
-                "kept in its kind's slot"
-            );
-            let before = reused();
-            assert_eq!(
-                warm_record(&warm, 0, 1, exact_scan),
-                fresh_record(0, 1, exact_scan)
-            );
-            assert!(reused() > before, "a repeated cell resets the idle model");
-            // A cell differing in p alone replaces the idle model.
-            assert_eq!(
-                warm_record(&warm, 1, 0, exact_scan),
-                fresh_record(1, 0, exact_scan)
-            );
-            assert_eq!(idle(&warm), (Some(key_of(1)), None));
+        let warm = WarmSlot::new();
+        assert_eq!(warm_record(&warm, 0, 0, false), fresh_record(0, 0, false));
+        assert_eq!(idle_key(&warm), Some(key_of(0)), "the lane model is kept");
+        let before = reused();
+        assert_eq!(warm_record(&warm, 0, 1, false), fresh_record(0, 1, false));
+        assert!(reused() > before, "a repeated cell resets the idle model");
+        // A cell differing in p alone replaces the idle model.
+        assert_eq!(warm_record(&warm, 1, 0, false), fresh_record(1, 0, false));
+        assert_eq!(idle_key(&warm), Some(key_of(1)));
+        // An exact-scan trial builds its own model and leaves the slot as
+        // it was, also on the cell the slot holds.
+        for id in [0, 1] {
+            assert_eq!(warm_record(&warm, id, 2, true), fresh_record(id, 2, true));
+            assert_eq!(idle_key(&warm), Some(key_of(1)));
         }
     }
 
     #[test]
     fn warm_slot_keeps_no_model_over_the_bound() {
-        // The served cell's model is kept on either kind; a dense n = 4096
-        // cell (~6.4e6 on-edges) and the exact scan's slot table at
-        // n = 8192 are not.
+        // The served cell's lane model is kept; a dense n = 4096 cell
+        // (~6.4e6 on-edges) is not.
         let sparse = 1.5 / 4096.0;
         assert!(model_bytes(4096, sparse, 0.01, false) <= MAX_WARM_BYTES);
-        assert!(model_bytes(4096, sparse, 0.01, true) <= MAX_WARM_BYTES);
         assert!(model_bytes(4096, 1.0, 0.3, false) > MAX_WARM_BYTES);
-        assert!(model_bytes(8192, 1.5 / 8192.0, 0.01, true) > MAX_WARM_BYTES);
         // A trial whose model is not kept leaves the slot as it was.
-        let slot = WarmSlot::new();
-        slot.run((1, 0, 0), true, |m| *m = Some(1u8));
-        slot.run((2, 0, 0), false, |m| {
+        let warm = WarmSlot::new();
+        let _ = warm_record(&warm, 0, 0, false);
+        warm.run(key_of(1), false, |m| {
             assert!(m.is_none(), "an unkept cell gets no idle model");
-            *m = Some(2);
+            *m = Some(ShardedSparseEdgeMeg::stationary(24, 0.2, 0.3, 1).unwrap());
         });
-        assert_eq!(*slot.lock(), Some(((1, 0, 0), 1)));
+        assert_eq!(idle_key(&warm), Some(key_of(0)));
     }
 
     #[test]
     fn warm_slot_drops_the_model_of_a_panicking_trial() {
-        let warm = WarmModels::new();
+        let warm = WarmSlot::new();
         let _ = warm_record(&warm, 0, 0, false);
         let key = key_of(0);
-        assert_eq!(idle_key(&warm.lane), Some(key));
+        assert_eq!(idle_key(&warm), Some(key));
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            warm.lane.run(key, true, |model| {
+            warm.run(key, true, |model| {
                 assert!(model.is_some(), "the idle model is lent to the trial");
                 panic!("trial panics mid-run");
             })
         }));
         assert!(panicked.is_err());
-        assert_eq!(
-            idle_key(&warm.lane),
-            None,
-            "the panicking trial's model is gone"
-        );
+        assert_eq!(idle_key(&warm), None, "the panicking trial's model is gone");
         // The next trial of the cell builds afresh and is kept again.
         assert_eq!(warm_record(&warm, 0, 1, false), fresh_record(0, 1, false));
-        assert_eq!(idle_key(&warm.lane), Some(key));
+        assert_eq!(idle_key(&warm), Some(key));
     }
 
     #[test]
     fn warm_trials_interleaved_across_cells_equal_fresh_records() {
         // Hits, misses on n and on p alone, and returns to an earlier
-        // cell: every record equals the stateless fresh-model record.
+        // cell: every record of either workload equals the stateless
+        // fresh-model record, and flooding/1 trials mixed in between
+        // leave the lane model's hits intact.
         let order = [
             (0, 0),
             (0, 1),
@@ -792,9 +806,9 @@ mod tests {
             (1, 1),
             (1, 2),
         ];
-        for exact_scan in [false, true] {
-            let warm = WarmModels::new();
-            for (id, index) in order {
+        let warm = WarmSlot::new();
+        for (id, index) in order {
+            for exact_scan in [false, true] {
                 assert_eq!(
                     warm_record(&warm, id, index, exact_scan),
                     fresh_record(id, index, exact_scan),
