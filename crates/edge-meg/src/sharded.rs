@@ -706,6 +706,64 @@ mod tests {
         }
     }
 
+    /// FNV-1a over `words`, continuing from `h`.
+    fn fnv(mut h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+        for w in words {
+            for b in w.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x100_0000_01B3);
+            }
+        }
+        h
+    }
+
+    /// Folds every lane's alive list, in order, into `h`.
+    fn fold_lanes(h: u64, g: &ShardedSparseEdgeMeg) -> u64 {
+        g.lanes.iter().fold(h, |h, lane| {
+            let pairs = lane.alive.iter().map(|&(u, v)| (u as u64) << 32 | v as u64);
+            fnv(fnv(h, [lane.alive.len() as u64]), pairs)
+        })
+    }
+
+    #[test]
+    fn lane_realizations_pinned() {
+        // The realization in full, not just the on-set: every lane's
+        // alive list in order (swap-remove moves it), plus each round's
+        // delta in order, after the build, each of 50 rounds, a reset
+        // and 50 more rounds. Digests recorded before the occupancy map
+        // became a key-only set; any change here is a stream drift.
+        // Cells: the served flooding cell, a death-rate-one cell (every
+        // position dies, so dying pairs move in the alive list before
+        // they retire), and two dense ones.
+        for ((n, p, q), want) in [
+            ((4096, 1.5 / 4096.0, 0.01), 0x944e_afae_c980_0460u64),
+            ((96, 0.05, 1.0), 0x1ce0_9ccd_d773_e886),
+            ((96, 1.0, 0.3), 0xfed3_383c_ccf8_b2e4),
+            ((512, 0.09, 0.01), 0x5fae_3557_f24d_4b3e),
+        ] {
+            let mut g = ShardedSparseEdgeMeg::stationary(n, p, q, 0xD16E57).unwrap();
+            let mut delta = EdgeDelta::new();
+            let mut h = fold_lanes(0xCBF2_9CE4_8422_2325, &g);
+            for seed in [None, Some(0x5EED)] {
+                if let Some(seed) = seed {
+                    g.reset(seed);
+                    h = fold_lanes(h, &g);
+                }
+                for _ in 0..50 {
+                    g.step_delta(&mut delta);
+                    let pairs = |d: &[Edge]| {
+                        d.iter()
+                            .map(|&(u, v)| (u as u64) << 32 | v as u64)
+                            .collect::<Vec<_>>()
+                    };
+                    h = fnv(h, pairs(delta.added()));
+                    h = fnv(h, pairs(delta.removed()));
+                    h = fold_lanes(h, &g);
+                }
+            }
+            assert_eq!(h, want, "(n, p, q) = ({n}, {p}, {q}): {h:#018x}");
+        }
+    }
+
     #[test]
     fn rejects_bad_parameters() {
         assert!(ShardedSparseEdgeMeg::stationary(10, 0.0, 0.5, 0).is_err());
