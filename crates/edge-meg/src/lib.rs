@@ -64,8 +64,8 @@
 #![warn(missing_docs)]
 
 mod general;
-mod pairmap;
 mod pairs;
+mod pairset;
 mod sharded;
 mod sparse;
 mod two_state;

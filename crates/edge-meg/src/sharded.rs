@@ -33,14 +33,14 @@ use dynagraph::delta::Edge;
 use dynagraph::shard::{ShardAccess, ShardLane};
 use dynagraph::{mix_seed, EdgeDelta, EvolvingGraph, Snapshot};
 
-use crate::pairmap::PairMap;
 use crate::pairs::edge_pair;
+use crate::pairset::PairSet;
 use crate::sparse::{check_rates, geometric};
 
 /// Number of logical lanes — fixed, so realizations are independent of
 /// how many threads step them. 64 comfortably exceeds any core count
 /// the executor's round-robin assignment has to balance over, while
-/// keeping per-lane state (a few Vecs + a PairMap) negligible.
+/// keeping per-lane state (a few Vecs + a PairSet) negligible.
 pub const LANES: usize = 64;
 
 /// Seed-domain tag separating lane streams from every other consumer of
@@ -55,7 +55,7 @@ fn tri(v: u64) -> u64 {
 }
 
 /// The pair index of an on-pair `(u, v)`, `u < v` — the inverse of
-/// [`edge_pair`] by one multiply, for the occupancy map.
+/// [`edge_pair`] by one multiply, for the occupancy set.
 #[inline]
 fn index_of((u, v): Edge) -> u64 {
     tri(v as u64) + u as u64
@@ -82,8 +82,17 @@ fn step_pair((u, v): Edge, gap: u64, idx: u64) -> Edge {
     }
 }
 
-/// Bound on alive-list positions, which the occupancy map stores as `u32`.
-const OFF: u32 = u32::MAX;
+/// Draws a lane's birth sweep makes before it probes the occupancy set
+/// for them: enough independent probes to overlap their cache misses,
+/// few enough that the buffer stays small on dense lanes (at `p = 1`
+/// every pair of the range is a candidate).
+const BIRTH_BATCH: usize = 256;
+
+/// First coordinate of a dying pair's mark in the alive list, `(DYING,
+/// m)` for the round's `m`-th death. No pair looks like this, because
+/// `u < v`; alive-list positions and marks are `u32`, so a lane's on-set
+/// stays below `u32::MAX`.
+const DYING: u32 = u32::MAX;
 
 /// One lane: an independently advanceable slice `[start, end)` of the
 /// pair index space with its own RNG stream and lazy on-set tracking.
@@ -101,57 +110,51 @@ struct Lane {
     log1m_death: f64,
     /// Currently-on pairs in this lane, as `(u, v)` with `u < v`: stored
     /// unpacked so scans, full emissions and snapshots read them without
-    /// inverting a pair index.
+    /// inverting a pair index. Between a round's death sweep and its
+    /// retirements, dying pairs are marked `(DYING, m)`.
     alive: Vec<Edge>,
-    /// Pair index -> position in `alive` (only on pairs are tracked).
-    occ: PairMap,
-    /// Deaths collected by this round's sweep, retired after births.
+    /// Pair indices of the on pairs (only on pairs are tracked).
+    occ: PairSet,
+    /// This round's dying pairs, in the order the death sweep drew them.
     retire_buf: Vec<Edge>,
+    /// Current alive-list position of each of this round's dying pairs.
+    retire_pos: Vec<u32>,
+    /// Birth candidates drawn and not yet probed.
+    birth_buf: Vec<u64>,
     rng: SmallRng,
 }
 
 impl Lane {
-    /// Turns on the pair with index `edge`, which is `pair`.
-    fn turn_on(&mut self, edge: u64, pair: Edge) {
-        debug_assert!(!self.occ.contains(edge));
-        debug_assert_eq!(index_of(pair), edge);
-        assert!(
-            self.alive.len() < OFF as usize,
-            "on-set exceeds u32 alive-list positions"
-        );
-        self.occ.insert(edge, self.alive.len() as u32);
-        self.alive.push(pair);
-    }
-
-    /// Removes a dying pair from the alive list and the occupancy map —
-    /// it returns to the untouched pool and its next birth comes from
-    /// the sweep.
-    fn retire(&mut self, pair: Edge) {
-        let edge = index_of(pair);
-        let pos = self.occ.get(edge).expect("edge is alive");
-        let last = *self.alive.last().expect("edge is alive");
-        self.alive.swap_remove(pos as usize);
-        if last != pair {
-            self.occ.insert(index_of(last), pos);
-        }
-        self.occ.remove(edge);
-    }
-
     /// One round of the lazy dynamics over this lane's range. Returns the
     /// round's churn (births plus deaths); with `delta`, the churn is
     /// also recorded there.
+    ///
+    /// Each sweep draws before it touches memory: the death positions all
+    /// at once, the birth candidates [`BIRTH_BATCH`] at a time, so the
+    /// alive-list reads and set probes that follow are independent loads
+    /// whose cache misses overlap instead of each waiting behind a
+    /// logarithm. The draws come in the same order as in one interleaved
+    /// pass, so the realization does not depend on the batching.
     #[inline]
     fn advance(&mut self, mut delta: Option<&mut EdgeDelta>) -> u64 {
         let mut births = 0u64;
         // 1. Death sweep: every on edge dies with probability q, so the
         //    dying positions of the start-of-round alive list are found
-        //    by Geometric(q) skips. They stay tracked through the birth
-        //    sweep, so a pair cannot die and be re-born in one round.
-        debug_assert!(self.retire_buf.is_empty());
+        //    by Geometric(q) skips. The dying stay in the set through the
+        //    birth sweep, so a pair cannot die and be re-born in one
+        //    round; in the alive list they are marked, and their pairs
+        //    set aside for the retirement.
+        debug_assert!(self.retire_buf.is_empty() && self.retire_pos.is_empty());
+        let live = self.alive.len() as u64;
         let mut pos = geometric(&mut self.rng, self.death, self.log1m_death) - 1;
-        while (pos as usize) < self.alive.len() {
-            self.retire_buf.push(self.alive[pos as usize]);
+        while pos < live {
+            self.retire_pos.push(pos as u32);
             pos += geometric(&mut self.rng, self.death, self.log1m_death);
+        }
+        for (m, &pos) in self.retire_pos.iter().enumerate() {
+            let slot = &mut self.alive[pos as usize];
+            self.retire_buf.push(*slot);
+            *slot = (DYING, m as u32);
         }
         // 2. Birth sweep: the untouched pairs firing this round are found
         //    by Geometric(p) skips over the range; candidates landing on
@@ -163,29 +166,47 @@ impl Lane {
         let (mut at, mut pair) = (self.start, self.first);
         let mut idx = self.start + geometric(&mut self.rng, self.birth, self.log1m_birth) - 1;
         while idx < self.end {
-            if !self.occ.contains(idx) {
-                pair = step_pair(pair, idx - at, idx);
-                at = idx;
-                self.turn_on(idx, pair);
-                births += 1;
-                if let Some(d) = delta.as_deref_mut() {
-                    d.push_added(pair);
+            self.birth_buf.clear();
+            while idx < self.end && self.birth_buf.len() < BIRTH_BATCH {
+                self.birth_buf.push(idx);
+                idx += geometric(&mut self.rng, self.birth, self.log1m_birth);
+            }
+            for &cand in &self.birth_buf {
+                if self.occ.insert(cand) {
+                    pair = step_pair(pair, cand - at, cand);
+                    at = cand;
+                    assert!(
+                        self.alive.len() < DYING as usize,
+                        "on-set exceeds u32 alive-list positions"
+                    );
+                    self.alive.push(pair);
+                    births += 1;
+                    if let Some(d) = delta.as_deref_mut() {
+                        d.push_added(pair);
+                    }
                 }
             }
-            idx += geometric(&mut self.rng, self.birth, self.log1m_birth);
         }
         // 3. Retire the dead to untouched: their next birth comes from
         //    the sweep, the same Geometric(p) wait an eager schedule
-        //    would have drawn.
-        for i in 0..self.retire_buf.len() {
-            let pair = self.retire_buf[i];
-            self.retire(pair);
+        //    would have drawn. Each death swap-removes its mark, in draw
+        //    order; a mark moved into the hole gets its new position.
+        for m in 0..self.retire_buf.len() {
+            let pos = self.retire_pos[m] as usize;
+            debug_assert_eq!(self.alive[pos], (DYING, m as u32));
+            self.alive.swap_remove(pos);
+            if let Some(&(DYING, moved)) = self.alive.get(pos) {
+                self.retire_pos[moved as usize] = pos as u32;
+            }
+            let pair = self.retire_buf[m];
+            self.occ.remove(index_of(pair));
             if let Some(d) = delta.as_deref_mut() {
                 d.push_removed(pair);
             }
         }
         let deaths = self.retire_buf.len() as u64;
         self.retire_buf.clear();
+        self.retire_pos.clear();
         births + deaths
     }
 }
@@ -284,8 +305,10 @@ impl ShardedSparseEdgeMeg {
                     alive: Vec::new(),
                     // Sized and written by the first `reset`, lane by
                     // lane, right after its skip-sample.
-                    occ: PairMap::new(start..end),
+                    occ: PairSet::new(start..end),
                     retire_buf: Vec::new(),
+                    retire_pos: Vec::new(),
+                    birth_buf: Vec::new(),
                     rng: SmallRng::seed_from_u64(0),
                 }
             })
@@ -356,9 +379,20 @@ impl EvolvingGraph for ShardedSparseEdgeMeg {
         self.synced = false;
         let alpha = self.chain.stationary_on();
         let log1m_alpha = (1.0 - alpha).ln();
+        let death = self.chain.death();
         for (l, lane) in self.lanes.iter_mut().enumerate() {
             lane.alive.clear();
             lane.retire_buf.clear();
+            lane.retire_pos.clear();
+            // Room for the lane's expected stationary on-set and its
+            // round peaks (the on-set plus a round's births, which balance
+            // its deaths), with 4 standard deviations to spare, so the
+            // rounds after the first reset rarely regrow the buffers.
+            let on = alpha * (lane.end - lane.start) as f64;
+            let room = |mean: f64| (mean + 4.0 * mean.sqrt()).ceil() as usize;
+            lane.alive.reserve_exact(room(on * (1.0 + death)));
+            lane.retire_buf.reserve_exact(room(on * death));
+            lane.retire_pos.reserve_exact(room(on * death));
             lane.rng = SmallRng::seed_from_u64(mix_seed(mix_seed(seed, LANE_SEED_TAG), l as u64));
             // Skip-sample the lane's slice of the stationary on-set:
             // successive on-pairs are Geometric(alpha) apart in the pair
@@ -373,16 +407,14 @@ impl EvolvingGraph for ShardedSparseEdgeMeg {
                 idx += geometric(&mut lane.rng, alpha, log1m_alpha);
             }
             assert!(
-                lane.alive.len() <= OFF as usize,
+                lane.alive.len() <= DYING as usize,
                 "on-set exceeds u32 alive-list positions"
             );
             // The alive list is ascending in the pair index: index it in
-            // one pass, with room for the lane's expected stationary
-            // on-set so the rounds after the first reset rarely regrow
-            // the map.
+            // one pass, sized for the expected on-set.
             lane.occ.rebuild(
                 lane.alive.iter().map(|&pair| index_of(pair)),
-                (alpha * (lane.end - lane.start) as f64).ceil() as usize,
+                on.ceil() as usize,
             );
         }
     }
@@ -555,9 +587,9 @@ mod tests {
     #[test]
     fn memory_bounded_by_current_on_set() {
         // Retire-to-untouched: at every round boundary each lane's
-        // occupancy map holds exactly its on-set, however many pairs have
-        // toggled over the run. Moderate rates make every pair toggle
-        // many times.
+        // occupancy set holds exactly its on-set and no dying mark is left
+        // in its alive list, however many pairs have toggled over the run.
+        // Moderate rates make every pair toggle many times.
         let n = 40;
         let (p, q) = (0.05, 0.5);
         let mut g = ShardedSparseEdgeMeg::stationary(n, p, q, 17).unwrap();
@@ -566,8 +598,9 @@ mod tests {
             let mut tracked = 0;
             for lane in &g.lanes {
                 assert_eq!(lane.occ.len(), lane.alive.len(), "round {round}");
-                for (pos, &pair) in lane.alive.iter().enumerate() {
-                    assert_eq!(lane.occ.get(index_of(pair)), Some(pos as u32));
+                for &(u, v) in &lane.alive {
+                    assert!(u < v, "round {round}: marked entry ({u}, {v}) left");
+                    assert!(lane.occ.contains(index_of((u, v))));
                 }
                 tracked += lane.occ.len();
             }
@@ -579,6 +612,47 @@ mod tests {
             (max_tracked as f64) < 4.0 * expected,
             "max tracked {max_tracked} vs stationary on-set {expected}"
         );
+    }
+
+    /// Bytes the lanes hold per current on-edge: the capacities of the
+    /// alive lists, occupancy sets and round buffers.
+    fn bytes_per_on_edge(g: &ShardedSparseEdgeMeg) -> f64 {
+        let bytes: usize = g
+            .lanes
+            .iter()
+            .map(|l| {
+                8 * l.alive.capacity()
+                    + 8 * l.occ.capacity()
+                    + 8 * l.retire_buf.capacity()
+                    + 4 * l.retire_pos.capacity()
+                    + 8 * l.birth_buf.capacity()
+            })
+            .sum();
+        bytes as f64 / g.alive_count() as f64
+    }
+
+    #[test]
+    fn lane_bytes_within_the_admission_price() {
+        // `dg-serve` prices a lane model at `ON_EDGE_BYTES` = 39 B per
+        // expected on-edge (`crates/serve/src/workload.rs`): its admission
+        // cap and warm-slot bound rest on it. Hold the lanes to it at the
+        // served flooding cell and at a dense high-churn cell, whose round
+        // peak (on-set plus births) is 1.3 times its on-set.
+        for (n, p, q) in [(4096, 1.5 / 4096.0, 0.01), (512, 1.0, 0.3)] {
+            let mut g = ShardedSparseEdgeMeg::stationary(n, p, q, 0xB17E5).unwrap();
+            g.reset(0xB17E6);
+            let after_reset = bytes_per_on_edge(&g);
+            for _ in 0..50 {
+                let _ = g.step();
+            }
+            let after_rounds = bytes_per_on_edge(&g);
+            for (when, b) in [("reset", after_reset), ("50 rounds", after_rounds)] {
+                assert!(
+                    b <= 39.0,
+                    "(n, p, q) = ({n}, {p}, {q}) after {when}: {b:.2} B per on-edge"
+                );
+            }
+        }
     }
 
     #[test]
@@ -677,8 +751,8 @@ mod tests {
         // The range hash is safe because a lane's on-set is a uniform
         // random subset of its range, spread over every slot: every
         // lane's entries sit at most ~1 slot from home on average (random
-        // hashing at 1/2 load: 1/2), and a miss (or a delete) scans at
-        // most ~3 slots (2.5), after the reset's ascending inserts and
+        // hashing at the table's 4/9 load: 0.4), and a miss (or a delete)
+        // scans at most ~3 slots (2.1), after the reset's ascending fill and
         // after rounds of births and retirements. Cells: the served
         // flooding cell, and dense ones where most of a lane is on and
         // its table has more slots than its range has keys.

@@ -74,8 +74,6 @@ struct EventCalendar {
     overflow: Vec<(u64, u64)>,
     /// Next round at which the overflow is swept into the ring.
     next_flush: u64,
-    /// Recycled allocation for the per-round due list.
-    scratch: Vec<u64>,
 }
 
 impl EventCalendar {
@@ -84,7 +82,6 @@ impl EventCalendar {
             buckets: vec![Vec::new(); HORIZON as usize],
             overflow: Vec::new(),
             next_flush: HORIZON / 2,
-            scratch: Vec::new(),
         }
     }
 
@@ -124,21 +121,17 @@ impl EventCalendar {
     }
 
     /// Takes the edges due at `now`, sorted ascending — the same order a
-    /// min-heap over `(when, edge)` would pop them in. Return the vector
-    /// via [`EventCalendar::end_round`] to recycle its allocation.
+    /// min-heap over `(when, edge)` would pop them in. The slot is left
+    /// with an empty vector, not a recycled one: a recycled vector sized
+    /// for a whole round of toggles would end up in every bucket after
+    /// one trip round the ring, and `clear` keeps capacity.
     fn begin_round(&mut self, now: u64) -> Vec<u64> {
         if now >= self.next_flush {
             self.flush(now);
         }
-        let slot = &mut self.buckets[(now % HORIZON) as usize];
-        let mut due = std::mem::replace(slot, std::mem::take(&mut self.scratch));
+        let mut due = std::mem::take(&mut self.buckets[(now % HORIZON) as usize]);
         due.sort_unstable();
         due
-    }
-
-    fn end_round(&mut self, mut due: Vec<u64>) {
-        due.clear();
-        self.scratch = due;
     }
 }
 
@@ -479,7 +472,6 @@ impl SparseTwoStateEdgeMeg {
             }
             self.schedule_toggle(edge, !on);
         }
-        self.events.end_round(due);
     }
 }
 
@@ -808,6 +800,27 @@ pub(crate) mod tests {
             g.step_delta(&mut delta);
         }
         assert_eq!(g.replays, 2);
+    }
+
+    #[test]
+    fn calendar_capacity_tracks_pending_events() {
+        // Each bucket holds the events due at its round and no more: a
+        // long run must not leave every bucket sized for a whole round of
+        // toggles, which a reset (clearing, not freeing) would then keep.
+        // Here nearly every pair has one pending event within the
+        // horizon, ~8 a bucket; a round toggles ~240.
+        let n = 256;
+        let mut g = SparseTwoStateEdgeMeg::stationary(n, 1.5 / n as f64, 0.01, 0xCA1).unwrap();
+        for _ in 0..10_000 {
+            g.advance(None);
+        }
+        g.reset(0xCA2);
+        let held: usize = g.events.buckets.iter().map(Vec::capacity).sum();
+        assert!(
+            held <= 2 * pair_count(n) as usize + 4 * HORIZON as usize,
+            "buckets hold {held} entries for {} pairs",
+            pair_count(n)
+        );
     }
 
     #[test]

@@ -172,15 +172,6 @@ fn v2_small_grid_artifact_is_byte_identical() {
     assert_golden(
         &Workload::flooding(),
         "flooding2_small_grid.json",
-        &small_grid_spec(),
-    );
-}
-
-#[test]
-fn v2_small_grid_messages_artifact_is_byte_identical() {
-    assert_golden(
-        &Workload::flooding(),
-        "flooding2_small_grid_messages.json",
         &small_grid_metrics_spec(),
     );
 }
@@ -209,12 +200,7 @@ fn regenerate_golden_flooding() {
         (&v1, "flooding_p1.json", birth_rate_one_spec()),
         (&v2, "flooding2_n4096_q0.01.json", miss_cell_metrics_spec()),
         (&v2, "flooding2_slow_churn.json", slow_churn_spec()),
-        (&v2, "flooding2_small_grid.json", small_grid_spec()),
-        (
-            &v2,
-            "flooding2_small_grid_messages.json",
-            small_grid_metrics_spec(),
-        ),
+        (&v2, "flooding2_small_grid.json", small_grid_metrics_spec()),
         (&v2, "flooding2_p1.json", birth_rate_one_metrics_spec()),
     ];
     for (workload, name, spec) in files {
