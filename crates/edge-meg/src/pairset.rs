@@ -214,7 +214,7 @@ impl PairSet {
     /// marked by one bulk fill first: writing each gap as the pass reaches
     /// it costs a data-dependent loop per key, measured ~2.5× slower on
     /// the served flooding cell's lanes.
-    pub(crate) fn rebuild(&mut self, keys: impl ExactSizeIterator<Item = u64>, reserve: usize) {
+    pub(crate) fn rebuild(&mut self, mut keys: impl ExactSizeIterator<Item = u64>, reserve: usize) {
         let cap = Self::capacity_for(keys.len().max(reserve)).max(self.keys.len());
         if cap > self.keys.len() {
             self.keys = vec![EMPTY; cap];
@@ -224,7 +224,6 @@ impl PairSet {
         self.scale = Self::scale_for(cap, self.span);
         self.len = 0;
         let mut cursor = 0;
-        let mut keys = keys.into_iter();
         for key in &mut keys {
             let slot = self.home(key).max(cursor);
             if slot == cap {
@@ -253,20 +252,14 @@ impl PairSet {
         }
     }
 
-    /// Distance of slot `i` past the home of its key, around the wrap.
-    #[cfg(test)]
-    fn displacement(&self, i: usize) -> usize {
-        let cap = self.keys.len();
-        (i + cap - self.home(self.keys[i])) % cap
-    }
-
     /// Mean distance of the stored entries from their home slots (0 for
     /// an empty set): the expected extra probes of a successful lookup.
     #[cfg(test)]
     pub(crate) fn mean_displacement(&self) -> f64 {
-        let total: usize = (0..self.keys.len())
+        let cap = self.keys.len();
+        let total: usize = (0..cap)
             .filter(|&i| self.keys[i] != EMPTY)
-            .map(|i| self.displacement(i))
+            .map(|i| (i + cap - self.home(self.keys[i])) % cap)
             .sum();
         total as f64 / self.len.max(1) as f64
     }

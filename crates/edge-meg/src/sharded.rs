@@ -643,7 +643,7 @@ mod tests {
             g.reset(0xB17E6);
             let after_reset = bytes_per_on_edge(&g);
             for _ in 0..50 {
-                let _ = g.step();
+                g.lanes.iter_mut().for_each(|lane| _ = lane.advance(None));
             }
             let after_rounds = bytes_per_on_edge(&g);
             for (when, b) in [("reset", after_reset), ("50 rounds", after_rounds)] {

@@ -122,9 +122,9 @@ impl EventCalendar {
 
     /// Takes the edges due at `now`, sorted ascending — the same order a
     /// min-heap over `(when, edge)` would pop them in. The slot is left
-    /// with an empty vector, not a recycled one: a recycled vector sized
-    /// for a whole round of toggles would end up in every bucket after
-    /// one trip round the ring, and `clear` keeps capacity.
+    /// an empty vector: a recycled one sized for a whole round of toggles
+    /// would, after one trip round the ring, sit in every bucket, and
+    /// `clear` (every reset) keeps capacity.
     fn begin_round(&mut self, now: u64) -> Vec<u64> {
         if now >= self.next_flush {
             self.flush(now);
