@@ -14,7 +14,7 @@
 //! `O(n²)` pair scan once, which is trial setup, not stepping.
 //!
 //! Quick mode (`DG_BENCH_QUICK=1`) shrinks every case so CI can smoke
-//! the harness in seconds, and writes `target/BENCH_delta_quick.json`.
+//! the bench in seconds, and writes `target/BENCH_delta_quick.json`.
 
 use std::time::Instant;
 

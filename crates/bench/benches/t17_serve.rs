@@ -1,24 +1,17 @@
-//! t17 — serving overhead: what the store and daemon layers cost on
-//! top of the sweeps they cache.
+//! t17 — served misses per flooding workload: what a never-seen query
+//! costs end to end through the daemon.
 //!
-//! The serving stack's pitch is that a phase-diagram query costs a file
-//! read, not a sweep; this bench puts numbers on the layers in between:
-//!
-//! * **store put / get_raw / open-scan** — content-addressed write,
-//!   read, and the startup index rebuild over a populated store;
-//! * **HTTP round-trips** — `GET /healthz`, a full artifact fetch, and
-//!   a nearest-cell query, each over a fresh TCP connection to an
-//!   in-process daemon (connection setup included: that is what a
-//!   one-shot `curl` pays);
-//! * **served misses per flooding workload** — a never-seen 1-cell,
-//!   1-trial spec: `POST`, wait for the job, `GET` the artifact, on a
-//!   one-worker daemon of `flooding/1` (exact scan) and one of
-//!   `flooding/2` (lane model), ops alternating between the two. Three
-//!   cells at `n = 4096`: the served cell (`q = 0.01`, `p = 1.5/n`) and
-//!   two dense ones, `p = q = 0.01` (`α = 1/2`) and `p = 0.09`,
-//!   `q = 0.01` (`α = 0.9`). Before any timing, each daemon's served
-//!   bytes at every cell are asserted equal to a direct one-thread sweep
-//!   of its workload.
+//! Each op `POST`s a never-seen 1-cell, 1-trial spec, waits for the
+//! job and `GET`s the artifact, on a one-worker daemon of `flooding/1`
+//! (exact scan) and one of `flooding/2` (lane model), ops alternating
+//! between the two. Three cells at `n = 4096`: the served cell
+//! (`q = 0.01`, `p = 1.5/n`) and two dense ones, `p = q = 0.01`
+//! (`α = 1/2`) and `p = 0.09`, `q = 0.01` (`α = 0.9`). Before any
+//! timing, each daemon's served bytes at every cell are asserted equal
+//! to a direct one-thread sweep of its workload. The store and HTTP
+//! layers on their own are timed by `perfbench`'s traced run
+//! (`store.put_s`, `store.get_raw_s`, `http.get_artifact_s`,
+//! `http.get_cell_s`).
 //!
 //! Writes `BENCH_serve.json` at the repository root (quick mode,
 //! `DG_BENCH_QUICK=1`: `target/BENCH_serve_quick.json`).
@@ -28,7 +21,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dg_bench::{fixed, obj, Harness, Raw};
+use dg_bench::{fixed, obj, Raw};
 use dg_serve::{http, ArtifactStore, Daemon, Workload};
 use dynagraph::sweep::{Axis, SweepSpec, TrialBudget};
 
@@ -134,75 +127,16 @@ fn median_min(mut ms: Vec<f64>) -> (f64, f64) {
 }
 
 fn main() {
-    let harness = Harness::from_args();
     let quick = dg_bench::quick_mode();
-    let cells = if quick { 16 } else { 128 };
-    let trials = if quick { 8 } else { 32 };
-
     let root = std::env::temp_dir().join(format!("dg_serve_bench_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let store = ArtifactStore::open(&root).expect("bench store");
-    let spec = SweepSpec::new(
-        vec![
-            Axis::ints("x", 1..=cells),
-            Axis::explicit("y", [0.25, 0.75]),
-        ],
-        0xBE4C,
-        TrialBudget::fixed(trials),
-    );
-    let report = spec
-        .sweep()
-        .run(Workload::synthetic().trial_fn())
-        .expect("no checkpoint, cannot fail");
-    let fp = report.fingerprint();
-    println!(
-        "artifact: {} cells x {trials} trials, {} bytes\n",
-        2 * cells,
-        report.to_json().len()
-    );
 
-    harness.bench("store: put (atomic write + index)", || {
-        store.put(&report).unwrap()
-    });
-    harness.bench("store: get_raw (indexed read)", || {
-        store.get_raw(fp).unwrap().unwrap()
-    });
-    harness.bench("store: open (startup scan + validate)", || {
-        ArtifactStore::open(&root).unwrap().list().len()
-    });
-
-    let daemon = Arc::new(
-        Daemon::start(
-            ArtifactStore::open(&root).unwrap(),
-            Workload::synthetic(),
-            1,
-        )
-        .unwrap(),
-    );
-    let handler = Arc::clone(&daemon);
-    let server = http::serve("127.0.0.1:0", move |req| handler.handle(req)).unwrap();
-    let addr = server.addr();
-
-    harness.bench("http: GET /healthz round-trip", || {
-        http::request(addr, "GET", "/healthz", b"").unwrap()
-    });
-    harness.bench("http: GET /sweep/<fp> (full artifact)", || {
-        http::request(addr, "GET", &format!("/sweep/{fp}"), b"").unwrap()
-    });
-    harness.bench("http: GET /sweep/<fp>/cell (nearest)", || {
-        http::request(addr, "GET", &format!("/sweep/{fp}/cell?x=3.7&y=0.5"), b"").unwrap()
-    });
-
-    server.shutdown();
-    daemon.shutdown();
-
-    // Served misses: both flooding workloads, ops alternating.
-    let miss_root = root.join("misses");
+    // Both flooding workloads, ops alternating.
     let served = [
         (Workload::flooding_v1(), "exact scan"),
         (Workload::flooding(), "lane model, one shard"),
     ]
-    .map(|w| Served::start(&miss_root, w));
+    .map(|w| Served::start(&root, w));
     for (c, cell) in MISS_CELLS.iter().enumerate() {
         for (i, s) in served.iter().enumerate() {
             let (spec, body) = s.miss(cell, 0x5E4E_0000 + (2 * c + i) as u64);

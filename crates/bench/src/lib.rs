@@ -1,71 +1,27 @@
-//! Hand-rolled benchmark harness shared by the `benches/` targets.
+//! Shared code of the `benches/` targets, each a plain `harness = false`
+//! binary (the build environment has no access to crates.io, so no
+//! criterion).
 //!
-//! The build environment has no access to crates.io, so instead of
-//! criterion each bench target is a plain `harness = false` binary that
-//! drives [`Harness::bench`]: adaptive iteration count targeting a fixed
-//! measurement budget, mean/min per-iteration times, substring filtering
-//! via the first CLI argument (`cargo bench --bench engine -- flood`).
-//!
-//! Each bench file regenerates one experiment's series at a reduced
-//! scale (`cargo bench` must terminate in minutes, not hours); the
-//! full-scale tables live in the `dg-experiments` harness, and both ride
-//! the same `Simulation` builder.
-//!
-//! The perf-trajectory targets (t13–t21) write their measurements
-//! through [`Record`], one `BENCH_<name>.json` schema with a shared
-//! header, and t20/t21 time their off-switch guards with
-//! [`guard_overhead`].
+//! Every target times one perf-trajectory question and writes its
+//! measurements through [`Record`], one `BENCH_<name>.json` schema with
+//! a shared header; `tests/schema.rs` holds each target to a committed
+//! record. [`quick_mode`] (`DG_BENCH_QUICK=1`) shrinks every target to
+//! a seconds-long smoke run, and t20/t21 time their off-switch guards
+//! with [`guard_overhead`]. The paper's experiments themselves are
+//! reproduced once, by `dg-experiments`.
 
 #![warn(missing_docs)]
 
 use std::fmt::{self, Display, Write as _};
-use std::hint::black_box;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dg_edge_meg::SparseTwoStateEdgeMeg;
 use dynagraph::{DynAdjacency, EdgeDelta, EvolvingGraph};
 
-/// A deterministic-but-rotating seed source, so consecutive bench
-/// iterations measure different realizations while the sequence stays
-/// reproducible.
-#[derive(Debug, Default)]
-pub struct SeedTape {
-    counter: AtomicU64,
-}
-
-impl SeedTape {
-    /// Creates a tape starting at 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The next seed.
-    pub fn next_seed(&self) -> u64 {
-        let i = self.counter.fetch_add(1, Ordering::Relaxed);
-        dynagraph::mix_seed(0xBE7C_45ED, i)
-    }
-}
-
-/// Formats a duration with stable units for aligned bench output.
-fn fmt_duration(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns >= 1_000_000_000 {
-        format!("{:>9.3} s ", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:>9.3} ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:>9.3} us", ns as f64 / 1e3)
-    } else {
-        format!("{ns:>9} ns")
-    }
-}
-
 /// `true` when the `DG_BENCH_QUICK` environment variable is set
-/// (non-empty, not `"0"`): benches shrink their problem sizes and the
-/// harness its measurement budget, so CI can smoke-test every bench
-/// target in seconds instead of minutes.
+/// (non-empty, not `"0"`): benches shrink their problem sizes, so CI
+/// can smoke-test every bench target in seconds instead of minutes.
 pub fn quick_mode() -> bool {
     std::env::var("DG_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
 }
@@ -464,89 +420,9 @@ fn time_rounds(n: usize, q: f64, rounds: usize, seed: u64, mut probe: impl FnMut
     start.elapsed().as_nanos() as f64 / rounds as f64
 }
 
-/// Minimal bench runner: filters by substring, times adaptively.
-#[derive(Debug)]
-pub struct Harness {
-    filter: Option<String>,
-    budget: Duration,
-}
-
-impl Harness {
-    /// Builds a harness from the process arguments: the first non-flag
-    /// argument (if any) is a substring filter over bench names (cargo
-    /// passes flags like `--bench`, which are ignored). In
-    /// [`quick_mode`] the measurement budget shrinks from 1.5 s to 50 ms
-    /// per bench.
-    pub fn from_args() -> Self {
-        let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-        Harness {
-            filter,
-            budget: if quick_mode() {
-                Duration::from_millis(50)
-            } else {
-                Duration::from_millis(1_500)
-            },
-        }
-    }
-
-    /// Overrides the per-bench measurement budget.
-    pub fn budget(mut self, budget: Duration) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Runs one benchmark: a warm-up call sizes the iteration count to
-    /// the measurement budget, then mean/min per-iteration times are
-    /// printed. Skipped (silently) when a filter is set and doesn't
-    /// match `name`.
-    pub fn bench<T>(&self, name: &str, mut f: impl FnMut() -> T) {
-        if let Some(filter) = &self.filter {
-            if !name.contains(filter.as_str()) {
-                return;
-            }
-        }
-        let start = Instant::now();
-        black_box(f());
-        let once = start.elapsed();
-        let iters = (self.budget.as_nanos() / once.as_nanos().max(1)).clamp(3, 10_000) as u32;
-        let mut total = Duration::ZERO;
-        let mut min = Duration::MAX;
-        for _ in 0..iters {
-            let t = Instant::now();
-            black_box(f());
-            let d = t.elapsed();
-            total += d;
-            min = min.min(d);
-        }
-        println!(
-            "{name:<52} {iters:>6} iters   mean {}   min {}",
-            fmt_duration(total / iters),
-            fmt_duration(min)
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn seed_tape_rotates_deterministically() {
-        let a = SeedTape::new();
-        let b = SeedTape::new();
-        let xs: Vec<u64> = (0..4).map(|_| a.next_seed()).collect();
-        let ys: Vec<u64> = (0..4).map(|_| b.next_seed()).collect();
-        assert_eq!(xs, ys);
-        assert_eq!(xs.iter().collect::<std::collections::HashSet<_>>().len(), 4);
-    }
-
-    #[test]
-    fn durations_format() {
-        assert!(fmt_duration(Duration::from_nanos(12)).contains("ns"));
-        assert!(fmt_duration(Duration::from_micros(12)).contains("us"));
-        assert!(fmt_duration(Duration::from_millis(12)).contains("ms"));
-        assert!(fmt_duration(Duration::from_secs(2)).contains(" s"));
-    }
 
     #[test]
     fn record_writes_the_header_then_sections_in_order() {
@@ -590,18 +466,5 @@ mod tests {
         assert!(record.path().ends_with("target/BENCH_demo_quick.json"));
         let full = Record::with_header("t00_demo", "demo", false, 1, "x", "");
         assert!(full.path().ends_with("../../BENCH_demo.json"));
-    }
-
-    #[test]
-    fn harness_runs_and_filters() {
-        let h = Harness {
-            filter: Some("match".to_string()),
-            budget: Duration::from_millis(1),
-        };
-        let mut ran = 0;
-        h.bench("no", || ran += 1);
-        assert_eq!(ran, 0);
-        h.bench("does_match", || ran += 1);
-        assert!(ran > 0);
     }
 }

@@ -15,16 +15,13 @@ use dynagraph::EvolvingGraph;
 
 /// Measured spreading statistics for one configuration.
 ///
-/// `p95`/`max` are `None` when no trial completed within the round cap —
-/// tables print them as `-` instead of smuggling `NaN` through the
+/// `p95` is `None` when no trial completed within the round cap —
+/// tables print it as `-` instead of smuggling `NaN` through the
 /// formatting; `incomplete` says how many trials were censored.
-#[allow(dead_code)] // max/trials are reported by only some experiments
 pub struct Measured {
     pub mean: f64,
     pub p95: Option<f64>,
-    pub max: Option<f64>,
     pub incomplete: usize,
-    pub trials: usize,
 }
 
 impl Measured {
@@ -32,9 +29,7 @@ impl Measured {
         Measured {
             mean: report.mean(),
             p95: report.p95(),
-            max: report.max(),
             incomplete: report.incomplete(),
-            trials: report.trials(),
         }
     }
 }

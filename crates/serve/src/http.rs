@@ -191,17 +191,16 @@ fn percent_decode(s: &str) -> String {
                 out.push(b' ');
                 i += 1;
             }
-            b'%' if i + 2 < bytes.len() + 1 && i + 2 < bytes.len() + 1 => {
-                match bytes
-                    .get(i + 1..i + 3)
-                    .and_then(|h| std::str::from_utf8(h).ok())
-                    .and_then(|h| u8::from_str_radix(h, 16).ok())
-                {
-                    Some(b) => {
-                        out.push(b);
+            b'%' => {
+                // An escape only when two ASCII hex digits follow
+                // (`%+1` is not one: no sign is a hex digit).
+                let hex = |k: usize| bytes.get(k).and_then(|&b| char::from(b).to_digit(16));
+                match (hex(i + 1), hex(i + 2)) {
+                    (Some(hi), Some(lo)) => {
+                        out.push((hi * 16 + lo) as u8);
                         i += 3;
                     }
-                    None => {
+                    _ => {
                         out.push(b'%');
                         i += 1;
                     }
@@ -585,5 +584,7 @@ mod tests {
         assert_eq!(percent_decode("a%2Fb+c"), "a/b c");
         assert_eq!(percent_decode("100%"), "100%");
         assert_eq!(percent_decode("%zz"), "%zz");
+        assert_eq!(percent_decode("%+1"), "% 1");
+        assert_eq!(percent_decode("%+f"), "% f");
     }
 }
