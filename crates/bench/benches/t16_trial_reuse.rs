@@ -19,8 +19,9 @@
 //!   trials are *round*-dominated (mobility stepping), so zero-rebuild
 //!   is within noise of fresh construction here — recorded to show
 //!   where the optimization does and does not pay.
-//! * **engine batch, exact-scan MEG** — `reuse_models(true)` vs
-//!   `(false)` on the `O(n²)`-allocation exact-scan construction
+//! * **engine batch, exact-scan MEG** — a batch `run` (one model per
+//!   worker, reset between trials) vs a `run_trial` loop (a fresh model
+//!   every trial) on the `O(n²)`-allocation exact-scan construction
 //!   (32 MB occupancy plus the first 64 rounds' events per trial when
 //!   fresh; the rest of the scan is replayed only by trials that run
 //!   past round 64).
@@ -242,9 +243,15 @@ fn main() {
         let mut fresh_best = f64::INFINITY;
         let mut reuse_best = f64::INFINITY;
         for rep in 0..reps as u64 {
-            let (fresh, t_fresh) = timed(|| build(rep).reuse_models(false).run());
+            let b = build(rep);
+            let (fresh, t_fresh) =
+                timed(|| (0..trials).map(|i| b.run_trial(i)).collect::<Vec<_>>());
             let (reused, t_reuse) = timed(|| build(rep).run());
-            assert_eq!(fresh, reused, "model reuse must be byte-identical");
+            assert_eq!(
+                reused.records(),
+                fresh,
+                "model reuse must be byte-identical"
+            );
             fresh_best = fresh_best.min(t_fresh * 1e3 / trials as f64);
             reuse_best = reuse_best.min(t_reuse * 1e3 / trials as f64);
         }

@@ -94,7 +94,8 @@
 //! | `gossip::parsimonious_flood(&mut g, s, ttl, cap)` | `.protocol(ParsimoniousFlooding::new(ttl))`|
 //! | hand-rolled trial loops + `Summary`               | `.observers(…)` + [`SimulationReport`]     |
 //!
-//! `flooding::flood`/`flood_multi` are unchanged single-run primitives.
+//! `flooding::flood`/`flood_multi`/`flood_sharded` keep their
+//! signatures as single-run fronts over this engine's executors.
 
 pub(crate) mod instrument;
 mod observer;
@@ -109,4 +110,5 @@ pub use protocol::{
     Flooding, ParsimoniousFlooding, Protocol, ProtocolStatus, PushGossip, SpreadView, Transmissions,
 };
 pub use report::{SimulationReport, TrialRecord};
+pub(crate) use simulation::flood_trial;
 pub use simulation::{NoModel, Simulation, SimulationBuilder, Stepping, TrialScratch};

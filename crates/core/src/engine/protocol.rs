@@ -189,8 +189,9 @@ pub trait Protocol: Send {
 /// Deterministic flooding (§2): every informed node transmits on every
 /// current edge, every round.
 ///
-/// Equivalent to [`crate::flooding::flood`] run for run — the engine's
-/// protocol-equivalence tests pin this down.
+/// [`crate::flooding::flood`] runs this protocol on the engine's serial
+/// loop; the engine suite pins it, on both stepping paths, to the
+/// definitional flooding loop kept as a test oracle.
 ///
 /// On the delta path the full informed-set scan is replaced by a
 /// *frontier sweep*: only last round's newly informed nodes read their

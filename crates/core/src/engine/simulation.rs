@@ -46,7 +46,7 @@ impl Simulation {
     /// Starts configuring a simulation. Defaults: [`Flooding`] protocol,
     /// 30 trials, `max_rounds = 100_000`, no warm-up, source node 0,
     /// base seed `0xD15E_A5E0`, no observers, one worker per available
-    /// core, per-worker model reuse.
+    /// core.
     ///
     /// [`Flooding`]: crate::engine::Flooding
     pub fn builder() -> SimulationBuilder<NoModel, crate::engine::Flooding, fn(usize)> {
@@ -62,7 +62,6 @@ impl Simulation {
             threads: None,
             stepping: Stepping::Auto,
             shards: Shards::Fixed(1),
-            reuse_models: true,
         }
     }
 }
@@ -133,7 +132,6 @@ pub struct SimulationBuilder<M, P, F> {
     threads: Option<usize>,
     stepping: Stepping,
     shards: Shards,
-    reuse_models: bool,
 }
 
 impl<M, P, F> SimulationBuilder<M, P, F> {
@@ -142,18 +140,18 @@ impl<M, P, F> SimulationBuilder<M, P, F> {
     ///
     /// # The reuse contract
     ///
-    /// With model reuse on (the default), each worker calls the factory
-    /// **once** and re-randomizes its instance between trials via
-    /// [`EvolvingGraph::reset`]. This is byte-identical to fresh
-    /// construction exactly when `make(s)` is observably identical to
-    /// `make(s0)` followed by `reset(s)` for any `s0` — true whenever
+    /// Each batch worker calls the factory **once** and re-randomizes
+    /// its instance between trials via [`EvolvingGraph::reset`]; only
+    /// [`SimulationBuilder::run_trial`] builds fresh every time. The two
+    /// are byte-identical exactly when `make(s)` is observably identical
+    /// to `make(s0)` followed by `reset(s)` for any `s0` — true whenever
     /// the factory routes all of its randomness through the seed
     /// argument of constructors honoring the [`EvolvingGraph::reset`]
     /// contract (every model in this workspace does; the cross-crate
     /// property suites pin it). A factory that derives seed-dependent
     /// state *outside* that contract — e.g. a wrapper whose inner model
     /// is seeded with a different derivation than its `reset` uses —
-    /// must opt out with [`SimulationBuilder::reuse_models`]`(false)`.
+    /// breaks it; drive such a factory through `run_trial`.
     pub fn model<G, M2>(self, model: M2) -> SimulationBuilder<M2, P, F>
     where
         G: EvolvingGraph,
@@ -171,7 +169,6 @@ impl<M, P, F> SimulationBuilder<M, P, F> {
             threads: self.threads,
             stepping: self.stepping,
             shards: self.shards,
-            reuse_models: self.reuse_models,
         }
     }
 
@@ -189,7 +186,6 @@ impl<M, P, F> SimulationBuilder<M, P, F> {
             threads: self.threads,
             stepping: self.stepping,
             shards: self.shards,
-            reuse_models: self.reuse_models,
         }
     }
 
@@ -212,7 +208,6 @@ impl<M, P, F> SimulationBuilder<M, P, F> {
             threads: self.threads,
             stepping: self.stepping,
             shards: self.shards,
-            reuse_models: self.reuse_models,
         }
     }
 
@@ -231,10 +226,7 @@ impl<M, P, F> SimulationBuilder<M, P, F> {
     /// [`SpreadView::UNINFORMED`](crate::engine::SpreadView::UNINFORMED)
     /// (= `u32::MAX`), so the cap must leave it unreachable.
     pub fn max_rounds(mut self, max_rounds: u32) -> Self {
-        assert!(
-            max_rounds < u32::MAX,
-            "max_rounds must be below u32::MAX (the UNINFORMED sentinel)"
-        );
+        check_max_rounds(max_rounds);
         self.max_rounds = max_rounds;
         self
     }
@@ -305,17 +297,15 @@ impl<M, P, F> SimulationBuilder<M, P, F> {
         self.shards = shards.into();
         self
     }
+}
 
-    /// Enables/disables per-worker model reuse (default enabled): each
-    /// worker constructs its model once and re-randomizes it in place
-    /// via [`EvolvingGraph::reset`] between trials, making trial setup
-    /// allocation-free. Results are byte-identical to fresh
-    /// construction for factories satisfying the reuse contract (see
-    /// [`SimulationBuilder::model`]); disable for factories that don't.
-    pub fn reuse_models(mut self, reuse_models: bool) -> Self {
-        self.reuse_models = reuse_models;
-        self
-    }
+/// Round numbers double as informed-round values, whose uninformed
+/// sentinel is `u32::MAX`, so a round cap must leave it unreachable.
+fn check_max_rounds(max_rounds: u32) {
+    assert!(
+        max_rounds < u32::MAX,
+        "max_rounds must be below u32::MAX (the UNINFORMED sentinel)"
+    );
 }
 
 impl<M, G, P, F, O> SimulationBuilder<M, P, F>
@@ -352,12 +342,10 @@ where
     ///
     /// `model` is a per-configuration model slot: on the first call it
     /// is filled via the factory; afterwards the cached instance is
-    /// re-randomized in place with [`EvolvingGraph::reset`] (unless
-    /// [`SimulationBuilder::reuse_models`] is off, in which case every
-    /// call constructs fresh into the slot). `scratch` holds the trial's
-    /// spreading buffers and may be shared across *different*
-    /// configurations (it re-targets itself per trial); the model slot
-    /// must not be. Under the reuse contract (see
+    /// re-randomized in place with [`EvolvingGraph::reset`]. `scratch`
+    /// holds the trial's spreading buffers and may be shared across
+    /// *different* configurations (it re-targets itself per trial); the
+    /// model slot must not be. Under the reuse contract (see
     /// [`SimulationBuilder::model`]) the record is byte-identical to
     /// [`SimulationBuilder::run_trial`]'s — pinned by the engine tests.
     ///
@@ -388,7 +376,7 @@ where
         let obs = engine_obs();
         obs.trials.inc();
         let g = match model {
-            Some(g) if self.reuse_models => {
+            Some(g) => {
                 obs.models_reused.inc();
                 g.reset(seed);
                 g
@@ -546,7 +534,7 @@ where
 /// a churn-proportional model and protocol stay churn-proportional end
 /// to end. Both paths produce identical [`TrialRecord`]s for the
 /// built-in protocols (pinned by the integration suite).
-#[allow(clippy::too_many_arguments)] // internal; one call site
+#[allow(clippy::too_many_arguments)] // internal
 fn execute_trial<G, P, O>(
     g: &mut G,
     protocol: &mut P,
@@ -688,7 +676,7 @@ where
 /// byte-identical to the serial paths, and observer callbacks identical
 /// to the serial delta path's on adjacency rounds (pinned by the
 /// sharded-engine and scan-identity suites).
-#[allow(clippy::too_many_arguments)] // internal; one call site
+#[allow(clippy::too_many_arguments)] // internal
 fn execute_trial_sharded<G, O>(
     g: &mut G,
     observer: &mut O,
@@ -745,6 +733,61 @@ where
     };
     observer.on_trial_end(&record);
     record
+}
+
+/// Runs one flooding trial on `g` as given — no factory, no reset, no
+/// warm-up — for the single-run primitives of [`crate::flooding`].
+///
+/// Without `lanes` it is [`execute_trial`] with [`Flooding`] on the
+/// stepping path the model advertises (delta if
+/// [`EvolvingGraph::has_native_deltas`], snapshot otherwise). With
+/// `lanes` it is [`execute_trial_sharded`] on that many threads with
+/// scan-first rounds, falling back to the serial loop when the model
+/// has no lane decomposition. Returns the record and each node's
+/// informed round ([`SpreadView::UNINFORMED`] if never).
+///
+/// # Panics
+///
+/// Panics if `sources` is empty, holds a duplicate or an out-of-range
+/// node, or if `max_rounds` is `u32::MAX`.
+///
+/// [`Flooding`]: crate::engine::Flooding
+pub(crate) fn flood_trial<G: EvolvingGraph + ?Sized>(
+    g: &mut G,
+    sources: &[u32],
+    max_rounds: u32,
+    lanes: Option<Shards>,
+) -> (TrialRecord, Vec<u32>) {
+    assert!(!sources.is_empty(), "need at least one source");
+    check_max_rounds(max_rounds);
+    let mut scratch = TrialScratch::new();
+    if let Some(shards) = lanes.filter(|_| g.sharding().is_some()) {
+        let record = execute_trial_sharded(
+            g,
+            &mut (),
+            0,
+            0,
+            sources,
+            max_rounds,
+            shards.resolve(),
+            FirstRounds::Scan,
+            &mut scratch,
+        );
+        return (record, scratch.shard.informed_at);
+    }
+    let use_delta = g.has_native_deltas();
+    let record = execute_trial(
+        g,
+        &mut crate::engine::Flooding::new(),
+        &mut (),
+        0,
+        0,
+        sources,
+        max_rounds,
+        use_delta,
+        &mut scratch,
+    );
+    (record, scratch.informed_at)
 }
 
 #[cfg(test)]
@@ -1006,22 +1049,19 @@ mod tests {
 
     #[test]
     fn model_reuse_matches_fresh_construction() {
-        // The tentpole pin: per-worker reset-based reuse must be
-        // byte-identical to per-trial fresh construction, on both
-        // stepping paths, for a model with real per-seed randomness.
+        // Per-worker reset-based reuse must be byte-identical to
+        // per-trial fresh construction (`run_trial`), on both stepping
+        // paths, for a model with real per-seed randomness.
         for stepping in [Stepping::Snapshot, Stepping::Delta] {
-            let build = || {
-                Simulation::builder()
-                    .model(seeded_node_meg)
-                    .trials(7)
-                    .warm_up(2)
-                    .max_rounds(10_000)
-                    .stepping(stepping)
-                    .base_seed(0x2E5E)
-            };
-            let reused = build().run();
-            let fresh = build().reuse_models(false).run();
-            assert_eq!(reused, fresh, "{stepping:?}");
+            let b = Simulation::builder()
+                .model(seeded_node_meg)
+                .trials(7)
+                .warm_up(2)
+                .max_rounds(10_000)
+                .stepping(stepping)
+                .base_seed(0x2E5E);
+            let fresh: Vec<_> = (0..7).map(|i| b.run_trial(i)).collect();
+            assert_eq!(b.run().records(), fresh, "{stepping:?}");
         }
     }
 

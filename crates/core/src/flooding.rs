@@ -5,18 +5,21 @@
 //! nodes start relaying only in the *next* round. The flooding time
 //! `F(G, s)` is the first `t` with `I_t = [n]`.
 //!
-//! [`flood`] and [`flood_multi`] step one realization by hand (and serve
-//! as the independent reference implementation the engine is tested
-//! against). On models advertising
-//! [`EvolvingGraph::has_native_deltas`] they run a *frontier sweep* over
-//! a [`crate::DynAdjacency`] — per-round cost proportional to the
-//! frontier's adjacency plus the round's churn, instead of a full
-//! `O(m + n)` snapshot rebuild and informed-set scan; the two sweeps
-//! produce identical runs. For Monte-Carlo measurement use the unified
-//! [`crate::engine::Simulation`] builder.
+//! [`flood`], [`flood_multi`] and [`flood_sharded`] run one trial on one
+//! realization, as given, and return the whole run as a [`FloodRun`].
+//! They are thin fronts over the engine's executors, so there is one
+//! flooding round loop: [`flood`] and [`flood_multi`] run the serial
+//! loop with [`crate::engine::Flooding`] — the frontier sweep over a
+//! [`crate::DynAdjacency`] on models advertising
+//! [`EvolvingGraph::has_native_deltas`], the snapshot sweep otherwise —
+//! and [`flood_sharded`] runs the lane executor ([`crate::shard`]). The
+//! definitional loop they are all pinned against is a test oracle
+//! (`flood_oracle` in the workspace's integration-test support). For
+//! Monte-Carlo measurement use the [`crate::engine::Simulation`]
+//! builder.
 
-use crate::delta::{DynAdjacency, EdgeDelta};
-use crate::shard::{flood_sharded_core, FirstRounds, ShardScratch, Shards};
+use crate::engine::{flood_trial, TrialRecord};
+use crate::Shards;
 use crate::EvolvingGraph;
 
 /// The outcome of one flooding run: who got informed when, and how the
@@ -75,6 +78,28 @@ impl FloodRun {
     pub fn informed_count(&self) -> usize {
         *self.sizes.last().expect("sizes always has |I_0|") as usize
     }
+
+    /// The run of one engine flooding trial: `sizes[t]` counts the
+    /// nodes informed by round `t`.
+    fn from_trial(source: u32, (record, informed_at): (TrialRecord, Vec<u32>)) -> Self {
+        let mut sizes = vec![0u32; record.rounds as usize + 1];
+        for &r in &informed_at {
+            if r != Self::UNINFORMED {
+                sizes[r as usize] += 1;
+            }
+        }
+        let mut informed = 0;
+        for size in &mut sizes {
+            informed += *size;
+            *size = informed;
+        }
+        FloodRun {
+            source,
+            informed_at,
+            sizes,
+            completed_at: record.time,
+        }
+    }
 }
 
 /// Runs flooding from `source` over `g`, for at most `max_rounds` rounds.
@@ -86,7 +111,8 @@ impl FloodRun {
 ///
 /// # Panics
 ///
-/// Panics if `source` is out of range.
+/// Panics if `source` is out of range, or if `max_rounds` is
+/// `u32::MAX` (reserved as the [`FloodRun::UNINFORMED`] sentinel).
 ///
 /// # Examples
 ///
@@ -100,110 +126,7 @@ impl FloodRun {
 /// assert_eq!(run.flooding_time(), Some(2));
 /// ```
 pub fn flood<G: EvolvingGraph + ?Sized>(g: &mut G, source: u32, max_rounds: u32) -> FloodRun {
-    let n = g.node_count();
-    assert!((source as usize) < n, "source {source} out of range");
-    flood_core(g, &[source], max_rounds)
-}
-
-/// The shared flooding loop behind [`flood`] and [`flood_multi`]:
-/// validated sources in, [`FloodRun`] out. Dispatches between the
-/// frontier/delta sweep (models with native deltas) and the classic
-/// snapshot sweep — both produce identical runs (the property and engine
-/// test suites pin this).
-fn flood_core<G: EvolvingGraph + ?Sized>(g: &mut G, sources: &[u32], max_rounds: u32) -> FloodRun {
-    let n = g.node_count();
-    let mut informed = vec![false; n];
-    let mut informed_at = vec![FloodRun::UNINFORMED; n];
-    let mut informed_list: Vec<u32> = Vec::with_capacity(n);
-    for &s in sources {
-        informed[s as usize] = true;
-        informed_at[s as usize] = 0;
-        informed_list.push(s);
-    }
-    let mut sizes = vec![informed_list.len() as u32];
-    let mut completed_at = (informed_list.len() == n).then_some(0u32);
-    let mut new_nodes: Vec<u32> = Vec::new();
-    let mut t = 0u32;
-    if g.has_native_deltas() {
-        // Frontier sweep: a node joins I_{t+1} iff it currently neighbors
-        // a node informed in round t (the frontier) or an edge created
-        // this round links it to any informed node — older informed nodes
-        // with older edges would already have delivered. Per-round cost is
-        // O(frontier adjacency + churn) instead of O(|I_t| adjacency).
-        let mut adj = DynAdjacency::new(n);
-        let mut delta = EdgeDelta::new();
-        let mut frontier_start = 0usize;
-        // Start from a fresh baseline so the first delta carries the full
-        // current edge set (the model may have been stepped before).
-        g.rebase_deltas();
-        while completed_at.is_none() && t < max_rounds {
-            g.step_delta(&mut delta);
-            adj.apply(&delta);
-            new_nodes.clear();
-            // Relays must be members of I_t: `informed_at` is still the
-            // sentinel for nodes first reached during this scan, so they
-            // cannot chain within the round.
-            for &(u, v) in delta.added() {
-                if informed_at[u as usize] != FloodRun::UNINFORMED && !informed[v as usize] {
-                    informed[v as usize] = true;
-                    new_nodes.push(v);
-                }
-                if informed_at[v as usize] != FloodRun::UNINFORMED && !informed[u as usize] {
-                    informed[u as usize] = true;
-                    new_nodes.push(u);
-                }
-            }
-            for &u in &informed_list[frontier_start..] {
-                for &v in adj.neighbors(u) {
-                    if !informed[v as usize] {
-                        informed[v as usize] = true;
-                        new_nodes.push(v);
-                    }
-                }
-            }
-            frontier_start = informed_list.len();
-            t += 1;
-            for &v in &new_nodes {
-                informed_at[v as usize] = t;
-            }
-            informed_list.extend_from_slice(&new_nodes);
-            sizes.push(informed_list.len() as u32);
-            if informed_list.len() == n {
-                completed_at = Some(t);
-            }
-        }
-    } else {
-        while completed_at.is_none() && t < max_rounds {
-            let snap = g.step();
-            new_nodes.clear();
-            // Only nodes of I_t relay in round t; `informed_list` is
-            // extended after the scan, so same-round chaining cannot
-            // occur.
-            for &u in &informed_list {
-                for &v in snap.neighbors(u) {
-                    if !informed[v as usize] {
-                        informed[v as usize] = true;
-                        new_nodes.push(v);
-                    }
-                }
-            }
-            t += 1;
-            for &v in &new_nodes {
-                informed_at[v as usize] = t;
-            }
-            informed_list.extend_from_slice(&new_nodes);
-            sizes.push(informed_list.len() as u32);
-            if informed_list.len() == n {
-                completed_at = Some(t);
-            }
-        }
-    }
-    FloodRun {
-        source: sources[0],
-        informed_at,
-        sizes,
-        completed_at,
-    }
+    FloodRun::from_trial(source, flood_trial(g, &[source], max_rounds, None))
 }
 
 /// Runs flooding from a *set* of sources — the k-source broadcast
@@ -215,7 +138,7 @@ fn flood_core<G: EvolvingGraph + ?Sized>(g: &mut G, sources: &[u32], max_rounds:
 /// # Panics
 ///
 /// Panics if `sources` is empty, contains duplicates, or contains an
-/// out-of-range node.
+/// out-of-range node, or if `max_rounds` is `u32::MAX`.
 ///
 /// # Examples
 ///
@@ -233,15 +156,8 @@ pub fn flood_multi<G: EvolvingGraph + ?Sized>(
     sources: &[u32],
     max_rounds: u32,
 ) -> FloodRun {
-    let n = g.node_count();
-    assert!(!sources.is_empty(), "need at least one source");
-    let mut seen = vec![false; n];
-    for &s in sources {
-        assert!((s as usize) < n, "source {s} out of range");
-        assert!(!seen[s as usize], "duplicate source {s}");
-        seen[s as usize] = true;
-    }
-    flood_core(g, sources, max_rounds)
+    let trial = flood_trial(g, sources, max_rounds, None);
+    FloodRun::from_trial(sources[0], trial)
 }
 
 /// Runs flooding from `source` on the lane executor: the model's lane
@@ -263,38 +179,7 @@ pub fn flood_sharded<G: EvolvingGraph + ?Sized>(
     max_rounds: u32,
     shards: Shards,
 ) -> FloodRun {
-    let n = g.node_count();
-    assert!((source as usize) < n, "source {source} out of range");
-    assert_ne!(
-        max_rounds,
-        u32::MAX,
-        "max_rounds must leave room for the uninformed sentinel"
-    );
-    if g.sharding().is_none() {
-        return flood(g, source, max_rounds);
-    }
-    // Same baseline contract as the serial delta sweep: the first
-    // adjacency round carries the full current edge set.
-    g.rebase_deltas();
-    let mut scratch = ShardScratch::default();
-    let mut sizes = vec![1u32];
-    let access = g.sharding().expect("probed above");
-    let outcome = flood_sharded_core(
-        n,
-        access,
-        &[source],
-        max_rounds,
-        shards.resolve(),
-        FirstRounds::Scan,
-        &mut scratch,
-        |ev| sizes.push(ev.informed_count as u32),
-    );
-    FloodRun {
-        source,
-        informed_at: std::mem::take(&mut scratch.informed_at),
-        sizes,
-        completed_at: outcome.completed,
-    }
+    FloodRun::from_trial(source, flood_trial(g, &[source], max_rounds, Some(shards)))
 }
 
 #[cfg(test)]
@@ -379,6 +264,13 @@ mod tests {
     fn bad_source_panics() {
         let mut g = StaticEvolvingGraph::new(generators::path(3));
         let _ = flood(&mut g, 3, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_rounds must be below u32::MAX (the UNINFORMED sentinel)")]
+    fn max_rounds_at_sentinel_rejected() {
+        let mut g = StaticEvolvingGraph::new(generators::path(3));
+        let _ = flood(&mut g, 0, u32::MAX);
     }
 
     /// Hides a model's native deltas, forcing the snapshot fallback.

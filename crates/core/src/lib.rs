@@ -99,10 +99,11 @@
 //! assert!(report.mean() >= 4.0); // push-1 needs ~log2(n)+ln(n) rounds
 //! ```
 //!
-//! Single-run primitives ([`flooding::flood`], [`flooding::flood_multi`])
-//! remain available for stepping one realization by hand; on models with
-//! native deltas they run a frontier sweep over a [`DynAdjacency`]
-//! automatically.
+//! Single-run primitives ([`flooding::flood`], [`flooding::flood_multi`],
+//! [`flooding::flood_sharded`]) run one trial on a realization as given
+//! and return the whole run; they drive the engine's own flooding
+//! executors, so on models with native deltas they run a frontier sweep
+//! over a [`DynAdjacency`] automatically.
 //!
 //! # Implementing a model: `step` vs `step_delta`
 //!

@@ -88,9 +88,8 @@ pub trait EvolvingGraph {
 
     /// `true` when [`EvolvingGraph::step_delta`] is implemented natively
     /// (per-round cost proportional to churn, no snapshot
-    /// materialization). Consumers like the engine and
-    /// [`crate::flooding::flood`] use this to pick the delta path
-    /// automatically.
+    /// materialization). The engine (and so [`crate::flooding::flood`])
+    /// uses this to pick the delta path automatically.
     fn has_native_deltas(&self) -> bool {
         false
     }

@@ -123,7 +123,9 @@ fn model_reuse_matches_fresh_on_sharded_trials() {
             .base_seed(0x2E5E)
             .shards(4)
     };
-    assert_eq!(build().run(), build().reuse_models(false).run());
+    let b = build();
+    let fresh: Vec<_> = (0..5).map(|i| b.run_trial(i)).collect();
+    assert_eq!(build().run().records(), fresh);
 }
 
 #[test]

@@ -317,9 +317,9 @@ impl Daemon {
     /// line. See the crate docs for the route table.
     pub fn handle(&self, req: &Request) -> Response {
         let t0 = Instant::now();
-        let response = self.route(req);
+        let (endpoint, response) = self.route(req);
         let seconds = t0.elapsed().as_secs_f64();
-        record_http(endpoint(req), response.status, seconds);
+        record_http(endpoint, response.status, seconds);
         dg_debug!(
             "dg-serve: {} {} -> {} in {:.1}ms",
             req.method,
@@ -330,22 +330,28 @@ impl Daemon {
         response
     }
 
-    fn route(&self, req: &Request) -> Response {
+    /// Routes one request: the response, and the route template it
+    /// resolved to — the bounded label set of the per-endpoint metrics
+    /// (raw paths would make label cardinality unbounded).
+    fn route(&self, req: &Request) -> (&'static str, Response) {
         let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-        let result = match (req.method.as_str(), segments.as_slice()) {
-            ("GET", []) | ("GET", ["healthz"]) => Ok(self.health()),
-            ("GET", ["status"]) => Ok(self.status()),
-            ("GET", ["metrics"]) => Ok(self.metrics()),
-            ("GET", ["sweeps"]) => Ok(self.list()),
-            ("GET", ["sweep", fp]) => self.artifact(fp, req),
-            ("GET", ["sweep", fp, "cell"]) => self.cell(fp, req),
-            ("POST", ["sweep"]) => self.post_sweep(req),
-            (_, [] | ["healthz"] | ["status"] | ["metrics"] | ["sweeps"] | ["sweep", ..]) => {
-                Ok(Response::error(405, "method not allowed on this path"))
-            }
-            _ => Ok(Response::error(404, "no such path")),
+        let (endpoint, result) = match (req.method.as_str(), segments.as_slice()) {
+            ("GET", []) => ("GET /", Ok(self.health())),
+            ("GET", ["healthz"]) => ("GET /healthz", Ok(self.health())),
+            ("GET", ["status"]) => ("GET /status", Ok(self.status())),
+            ("GET", ["metrics"]) => ("GET /metrics", Ok(self.metrics())),
+            ("GET", ["sweeps"]) => ("GET /sweeps", Ok(self.list())),
+            ("GET", ["sweep", fp]) => ("GET /sweep/:fp", self.artifact(fp, req)),
+            ("GET", ["sweep", fp, "cell"]) => ("GET /sweep/:fp/cell", self.cell(fp, req)),
+            ("POST", ["sweep"]) => ("POST /sweep", self.post_sweep(req)),
+            (_, [] | ["healthz"] | ["status"] | ["metrics"] | ["sweeps"] | ["sweep", ..]) => (
+                "other",
+                Ok(Response::error(405, "method not allowed on this path")),
+            ),
+            _ => ("other", Ok(Response::error(404, "no such path"))),
         };
-        result.unwrap_or_else(|e: StoreError| Response::error(500, &e.to_string()))
+        let response = result.unwrap_or_else(|e: StoreError| Response::error(500, &e.to_string()));
+        (endpoint, response)
     }
 
     fn health(&self) -> Response {
@@ -602,24 +608,6 @@ impl Daemon {
 impl Drop for Daemon {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// The route template a request resolves to — the bounded label set for
-/// the per-endpoint metrics (raw paths would make label cardinality
-/// unbounded).
-fn endpoint(req: &Request) -> &'static str {
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (req.method.as_str(), segments.as_slice()) {
-        ("GET", []) => "GET /",
-        ("GET", ["healthz"]) => "GET /healthz",
-        ("GET", ["status"]) => "GET /status",
-        ("GET", ["metrics"]) => "GET /metrics",
-        ("GET", ["sweeps"]) => "GET /sweeps",
-        ("GET", ["sweep", _]) => "GET /sweep/:fp",
-        ("GET", ["sweep", _, "cell"]) => "GET /sweep/:fp/cell",
-        ("POST", ["sweep"]) => "POST /sweep",
-        _ => "other",
     }
 }
 

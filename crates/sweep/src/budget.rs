@@ -80,54 +80,26 @@ impl TrialBudget {
     }
 
     /// The stopping decision over a *complete* sample prefix: `true` if a
-    /// cell whose first `samples.len()` trials produced exactly `samples`
-    /// (`None` = trial censored/incomplete) should stop there.
-    ///
-    /// This is the pure function behind scheduling determinism; the
-    /// runner calls it for `k = min_trials, min_trials + 1, ...` as
-    /// prefixes complete and fixes the first `k` it accepts.
-    pub fn stop_at(&self, samples: &[Option<f64>]) -> bool {
-        let k = samples.len();
-        if k < self.min_trials {
-            return false;
-        }
-        if k >= self.max_trials {
-            return true;
-        }
-        let Some(target) = self.ci_target else {
-            return false;
-        };
-        let completed: Summary = samples.iter().filter_map(|s| *s).collect();
-        if completed.len() < self.min_trials {
-            // Censored trials count toward the cap but not the evidence:
-            // a CI over the lucky survivors must not stop a cell whose
-            // data is mostly "didn't finish".
-            return false;
-        }
-        let Some(ci) = mean_ci95_t(&completed) else {
-            return false; // fewer than two completed trials: keep going
-        };
-        match target {
-            CiTarget::Absolute(a) => ci.half_width() <= a,
-            CiTarget::Relative(r) => ci.half_width() <= r * ci.mean.abs(),
-        }
-    }
-
-    /// The multi-metric stopping decision: like [`TrialBudget::stop_at`]
-    /// but over per-trial metric *rows* (`samples[t][m]` is trial `t`'s
-    /// slot for metric `m`, `None` = that metric was censored in that
-    /// trial), stopping only when **every** gating metric meets its
-    /// effective CI target.
+    /// cell whose first `samples.len()` trials produced exactly the
+    /// metric *rows* `samples` (`samples[t][m]` is trial `t`'s slot for
+    /// metric `m`, `None` = that metric was censored in that trial)
+    /// should stop there — only when **every** gating metric meets its
+    /// effective CI target, or at the trial cap. A metric-less sweep
+    /// passes one [`Metric::new`] over its one-slot rows.
     ///
     /// A metric gates when [`Metric::effective_target`] resolves to a
     /// target under this budget; each gating metric independently needs
-    /// at least `min_trials` completed slots (per-metric censoring
-    /// spends budget but contributes no evidence, the same survivorship
-    /// rule as the single-metric path) and a Student-t 95% CI half-width
-    /// within its target. With no gating metric at all — a fixed budget,
-    /// or every metric [`crate::MetricStopping::Observe`] — only the
-    /// trial cap stops a cell. Like `stop_at`, this is a pure function
-    /// of the sample prefix, so scheduling cannot leak into reports.
+    /// at least `min_trials` completed slots — censored trials spend
+    /// budget but contribute no evidence, so a mostly censored cell
+    /// keeps running instead of "deciding" on a handful of lucky
+    /// survivors — and a Student-t 95% CI half-width within its target.
+    /// With no gating metric at all — a fixed budget, or every metric
+    /// [`crate::MetricStopping::Observe`] — only the trial cap stops a
+    /// cell.
+    ///
+    /// This is the pure function behind scheduling determinism: the
+    /// runner calls it for `k = min_trials, min_trials + 1, ...` as
+    /// prefixes complete and fixes the first `k` it accepts.
     pub fn stop_at_metrics(&self, metrics: &[Metric], samples: &[Vec<Option<f64>>]) -> bool {
         let k = samples.len();
         if k < self.min_trials {
@@ -166,43 +138,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fixed_budget_stops_only_at_cap() {
-        let b = TrialBudget::fixed(4);
-        assert!(!b.stop_at(&[Some(1.0); 3]));
-        assert!(b.stop_at(&[Some(1.0); 4]));
-    }
-
-    #[test]
-    fn adaptive_stops_when_tight() {
-        let b = TrialBudget::adaptive(3, 100, CiTarget::Absolute(0.5));
-        // Zero variance: CI collapses at min_trials.
-        assert!(b.stop_at(&[Some(7.0); 3]));
-        // High variance: keeps going.
-        assert!(!b.stop_at(&[Some(0.0), Some(100.0), Some(50.0)]));
-        // The cap always stops.
-        assert!(b.stop_at(&vec![Some(0.0); 100]));
-    }
-
-    #[test]
-    fn censored_trials_do_not_fake_precision() {
-        let b = TrialBudget::adaptive(3, 100, CiTarget::Relative(0.1));
-        // One completed sample among three: no CI, keep going.
-        assert!(!b.stop_at(&[None, Some(5.0), None]));
-        // Two agreeing survivors would make a zero-width CI, but fewer
-        // than min_trials trials completed: survivorship is not evidence.
-        assert!(!b.stop_at(&[Some(5.0), Some(5.0), None]));
-        // With min_trials completions the same CI does stop the cell.
-        assert!(b.stop_at(&[Some(5.0), Some(5.0), None, Some(5.0)]));
-    }
-
-    #[test]
-    fn min_trials_always_run() {
-        let b = TrialBudget::adaptive(5, 100, CiTarget::Absolute(1e9));
-        assert!(!b.stop_at(&[Some(1.0); 4]));
-        assert!(b.stop_at(&[Some(1.0); 5]));
-    }
-
-    #[test]
     #[should_panic(expected = "min_trials must be <= max_trials")]
     fn inverted_budget_rejected() {
         let _ = TrialBudget::adaptive(5, 4, CiTarget::Absolute(1.0));
@@ -210,6 +145,11 @@ mod tests {
 
     fn rows(rows: &[&[Option<f64>]]) -> Vec<Vec<Option<f64>>> {
         rows.iter().map(|r| r.to_vec()).collect()
+    }
+
+    /// One-slot rows: a metric-less sweep's samples.
+    fn column(samples: &[Option<f64>]) -> Vec<Vec<Option<f64>>> {
+        samples.iter().map(|&s| vec![s]).collect()
     }
 
     #[test]
@@ -239,6 +179,18 @@ mod tests {
         // The cap always stops, whatever the metrics say.
         let capped = TrialBudget::adaptive(1, 3, CiTarget::Absolute(1e-9));
         assert!(capped.stop_at_metrics(&ms, &noisy));
+
+        // One metric, as a metric-less sweep stops: zero variance
+        // collapses the CI at min_trials, high variance keeps going, the
+        // cap always stops.
+        let one = [Metric::new("sample")];
+        assert!(b.stop_at_metrics(&one, &column(&[Some(7.0); 3])));
+        assert!(!b.stop_at_metrics(&one, &column(&[Some(0.0), Some(100.0), Some(50.0)])));
+        assert!(b.stop_at_metrics(&one, &column(&[Some(0.0); 100])));
+        // min_trials always run, however loose the target.
+        let loose = TrialBudget::adaptive(5, 100, CiTarget::Absolute(1e9));
+        assert!(!loose.stop_at_metrics(&one, &column(&[Some(1.0); 4])));
+        assert!(loose.stop_at_metrics(&one, &column(&[Some(1.0); 5])));
     }
 
     #[test]
@@ -262,6 +214,15 @@ mod tests {
             &[Some(5.0), Some(40.0)],
         ]);
         assert!(b.stop_at_metrics(&ms, &enough));
+
+        // One metric: a single completed sample gives no CI; two
+        // agreeing survivors among three trials are fewer than
+        // min_trials completions; a third completion stops the cell.
+        let one = [Metric::new("sample")];
+        assert!(!b.stop_at_metrics(&one, &column(&[None, Some(5.0), None])));
+        assert!(!b.stop_at_metrics(&one, &column(&[Some(5.0), Some(5.0), None])));
+        let survivors = column(&[Some(5.0), Some(5.0), None, Some(5.0)]);
+        assert!(b.stop_at_metrics(&one, &survivors));
     }
 
     #[test]
@@ -276,5 +237,10 @@ mod tests {
         let fixed = TrialBudget::fixed(5);
         let defaults = [Metric::new("a"), Metric::new("b")];
         assert!(!fixed.stop_at_metrics(&defaults, &flat));
+        // A fixed budget stops a metric-less sweep only at its cap.
+        let one = [Metric::new("sample")];
+        let fixed = TrialBudget::fixed(4);
+        assert!(!fixed.stop_at_metrics(&one, &column(&[Some(1.0); 3])));
+        assert!(fixed.stop_at_metrics(&one, &column(&[Some(1.0); 4])));
     }
 }

@@ -321,6 +321,10 @@ impl Sweep {
             .collect();
 
         let metrics = self.grid.metrics_table();
+        // The metrics the stopping rule reads: a metric-less sweep stops
+        // on its one sample slot as one default metric.
+        let sample = [Metric::new("sample")];
+        let stopping = metrics.unwrap_or(&sample);
         let mut states: Vec<CellState> =
             cells.iter().map(|_| CellState::new(&self.budget)).collect();
         if let Some(path) = &self.checkpoint {
@@ -345,7 +349,7 @@ impl Sweep {
                     )));
                 }
                 for (state, cell) in states.iter_mut().zip(prior.cells) {
-                    state.preload(cell.samples, &self.budget, metrics);
+                    state.preload(cell.samples, &self.budget, stopping);
                 }
             }
         }
@@ -377,6 +381,7 @@ impl Sweep {
             axes: self.grid.axes(),
             max_rounds: self.grid.max_rounds_table(),
             metrics,
+            stopping,
             base_seed: self.base_seed,
         };
 
@@ -457,33 +462,16 @@ impl CellState {
         &mut self,
         samples: Vec<Vec<Option<f64>>>,
         budget: &TrialBudget,
-        metrics: Option<&[Metric]>,
+        stopping: &[Metric],
     ) {
         self.slots = samples.iter().map(|s| Slot::Done(s.clone())).collect();
         self.issued = self.slots.len();
         self.samples = samples;
-        self.advance(budget, metrics);
-    }
-
-    /// The stopping decision over the first `k` sample rows — the
-    /// single-metric rule for metric-less sweeps (byte-compatible with
-    /// every `dg-sweep/1` artifact), the every-gating-metric rule
-    /// otherwise.
-    fn stops(&self, k: usize, budget: &TrialBudget, metrics: Option<&[Metric]>) -> bool {
-        match metrics {
-            Some(metrics) => budget.stop_at_metrics(metrics, &self.samples[..k]),
-            None => {
-                let flat: Vec<Option<f64>> = self.samples[..k]
-                    .iter()
-                    .map(|row| row.first().copied().flatten())
-                    .collect();
-                budget.stop_at(&flat)
-            }
-        }
+        self.advance(budget, stopping);
     }
 
     /// Advances the contiguous prefix and the stopping decision.
-    fn advance(&mut self, budget: &TrialBudget, metrics: Option<&[Metric]>) -> bool {
+    fn advance(&mut self, budget: &TrialBudget, stopping: &[Metric]) -> bool {
         while self.samples.len() < self.issued {
             match &self.slots[self.samples.len()] {
                 Slot::Done(s) => self.samples.push(s.clone()),
@@ -491,7 +479,7 @@ impl CellState {
             }
         }
         while self.decided.is_none() && self.next_check <= self.samples.len() {
-            if self.stops(self.next_check, budget, metrics) {
+            if budget.stop_at_metrics(stopping, &self.samples[..self.next_check]) {
                 self.decided = Some(self.next_check);
                 // Speculative trials past the decision point are
                 // discarded: the report holds the deterministic prefix.
@@ -556,6 +544,9 @@ struct Shared<'a> {
     axes: &'a [Axis],
     max_rounds: Option<&'a [u32]>,
     metrics: Option<&'a [Metric]>,
+    /// What the stopping rule reads: `metrics`, or one default metric
+    /// over a metric-less sweep's one sample slot.
+    stopping: &'a [Metric],
     base_seed: u64,
 }
 
@@ -715,7 +706,7 @@ where
                 }
                 _ => {
                     cell.slots[ti] = Slot::Done(sample);
-                    cell.advance(&shared.budget, shared.metrics)
+                    cell.advance(&shared.budget, shared.stopping)
                 }
             };
             if newly_decided {
@@ -779,24 +770,16 @@ fn maybe_heartbeat(shared: &Shared<'_>) {
 /// Worst half-width-over-target ratio across undecided cells, per gating
 /// metric (`("sample", …)` for scalar sweeps). Empty when nothing gates
 /// (fixed budgets) or nothing is undecided.
-fn ci_gaps(shared: &Shared<'_>, st: &State) -> Vec<(String, f64)> {
-    let gating: Vec<(usize, String, CiTarget)> = match shared.metrics {
-        Some(metrics) => metrics
-            .iter()
-            .enumerate()
-            .filter_map(|(m, metric)| {
-                metric
-                    .effective_target(shared.budget.ci_target)
-                    .map(|t| (m, metric.name().to_string(), t))
-            })
-            .collect(),
-        None => shared
-            .budget
-            .ci_target
-            .map(|t| (0, "sample".to_string(), t))
-            .into_iter()
-            .collect(),
-    };
+fn ci_gaps<'a>(shared: &Shared<'a>, st: &State) -> Vec<(&'a str, f64)> {
+    let gating = shared
+        .stopping
+        .iter()
+        .enumerate()
+        .filter_map(|(m, metric)| {
+            metric
+                .effective_target(shared.budget.ci_target)
+                .map(|t| (m, metric.name(), t))
+        });
     let mut gaps = Vec::new();
     for (m, name, target) in gating {
         let mut worst: Option<f64> = None;

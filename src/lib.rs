@@ -63,8 +63,10 @@
 //! | `gossip::parsimonious_flood(&mut g, s, t, cap)`| `.protocol(ParsimoniousFlooding::new(t))`        |
 //! | hand-rolled per-trial loops + `Summary`        | `.observers(…)` / `SimulationReport` aggregation |
 //!
-//! Single-run primitives (`flooding::flood`, `flooding::flood_multi`)
-//! are unchanged. The two gossip primitives left the public API; they
+//! Single-run primitives (`flooding::flood`, `flooding::flood_multi`,
+//! `flooding::flood_sharded`) keep their signatures and run on the
+//! engine's executors. The hand-written reference loops left the
+//! library: the gossip primitives and the definitional flooding loop
 //! survive as the test oracles in `tests/support`.
 //!
 //! ## Delta-native stepping

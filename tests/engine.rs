@@ -3,10 +3,13 @@
 //! * determinism — same configuration ⇒ identical reports across runs,
 //!   and parallel execution is byte-identical to serial;
 //! * protocol equivalence — the engine's `Flooding`, `PushGossip` and
-//!   `ParsimoniousFlooding` reproduce the legacy single-run primitives
-//!   (`flooding::flood` and the test oracles `support::push_spread`,
+//!   `ParsimoniousFlooding` reproduce the test oracles
+//!   (`support::flood_oracle`, `support::push_spread`,
 //!   `support::parsimonious_flood`) trial for trial on both a static
 //!   process and a genuinely dynamic edge-MEG;
+//! * one flooding semantics — every flooding executor (`flooding::flood`,
+//!   `flood_multi`, `flood_sharded`, and the engine's snapshot, delta and
+//!   lane paths) matches `support::flood_oracle` node for node;
 //! * observers stream what the run records say.
 
 use dynspread::dg_edge_meg::{ShardedSparseEdgeMeg, SparseTwoStateEdgeMeg, TwoStateEdgeMeg};
@@ -15,11 +18,14 @@ use dynspread::dynagraph::engine::{
     DelayObserver, MeanGrowthObserver, Observer, ParsimoniousFlooding, PushGossip, RoundCtx,
     Simulation, Stepping,
 };
-use dynspread::dynagraph::flooding::{flood, flood_multi};
-use dynspread::dynagraph::{mix_seed, EvolvingGraph, StaticEvolvingGraph};
+use dynspread::dynagraph::flooding::{flood, flood_multi, flood_sharded, FloodRun};
+use dynspread::dynagraph::shard::ADJ_EDGE_COST;
+use dynspread::dynagraph::{
+    mix_seed, EvolvingGraph, PeriodicEvolvingGraph, Shards, StaticEvolvingGraph,
+};
 
 mod support;
-use support::{parsimonious_flood, push_spread};
+use support::{flood_oracle, parsimonious_flood, push_spread, OracleRun};
 
 const BASE_SEED: u64 = 0xE16;
 const TRIALS: usize = 12;
@@ -87,7 +93,7 @@ fn engine_flooding_matches_legacy_flood_on_static_graph() {
         .run();
     for rec in report.records() {
         let mut g = static_grid(rec.seed);
-        let run = flood(&mut g, 0, 100);
+        let run = flood_oracle(&mut g, &[0], 100);
         assert_eq!(rec.time, run.flooding_time());
         assert_eq!(rec.informed, run.informed_count());
     }
@@ -107,7 +113,7 @@ fn engine_flooding_matches_legacy_flood_on_edge_meg() {
         assert_eq!(rec.seed, mix_seed(BASE_SEED, trial as u64));
         let mut g = sparse_meg(rec.seed);
         g.warm_up(warm);
-        let run = flood(&mut g, 0, MAX_ROUNDS);
+        let run = flood_oracle(&mut g, &[0], MAX_ROUNDS);
         assert_eq!(rec.time, run.flooding_time(), "trial {trial}");
         assert_eq!(rec.informed, run.informed_count(), "trial {trial}");
     }
@@ -218,16 +224,15 @@ fn model_reuse_and_scratch_are_byte_identical_to_fresh_construction() {
                 .base_seed(BASE_SEED ^ 0x2E5)
                 .stepping(stepping)
         };
-        let reused = builder().run();
-        let fresh = builder().reuse_models(false).run();
-        assert_eq!(reused, fresh, "{stepping:?}");
+        let b = builder();
+        let fresh: Vec<_> = (0..8).map(|i| b.run_trial(i)).collect();
+        assert_eq!(builder().run().records(), fresh, "{stepping:?}");
 
         // The opt-in handle external schedulers use: one model slot +
         // one scratch across all trials equals the stateless hook.
         let mut model = None;
         let mut scratch = dynspread::dynagraph::engine::TrialScratch::new();
-        let b = builder();
-        for (i, rec) in fresh.records().iter().enumerate() {
+        for (i, rec) in fresh.iter().enumerate() {
             assert_eq!(
                 &b.run_trial_with(i, &mut model, &mut scratch),
                 rec,
@@ -271,9 +276,137 @@ fn engine_multi_source_matches_legacy_flood_multi() {
         .run();
     for rec in report.records() {
         let mut g = sparse_meg(rec.seed);
-        let run = flood_multi(&mut g, &sources, MAX_ROUNDS);
+        let run = flood_oracle(&mut g, &sources, MAX_ROUNDS);
         assert_eq!(rec.time, run.flooding_time());
     }
+}
+
+/// What one engine flooding trial showed its observer: the informed
+/// rounds and `|I_t|` rebuilt from the round callbacks, and the kind of
+/// each round (`true` once a round carries a delta).
+#[derive(Default)]
+struct FloodTrace {
+    informed_at: Vec<u32>,
+    sizes: Vec<u32>,
+    delta_rounds: Vec<bool>,
+}
+
+impl Observer for FloodTrace {
+    fn on_trial_start(&mut self, _trial: usize, n: usize, sources: &[u32]) {
+        self.informed_at = vec![FloodRun::UNINFORMED; n];
+        for &s in sources {
+            self.informed_at[s as usize] = 0;
+        }
+        self.sizes = vec![sources.len() as u32];
+    }
+
+    fn on_round(&mut self, ctx: &RoundCtx<'_>) {
+        for &v in ctx.newly_informed {
+            self.informed_at[v as usize] = ctx.round;
+        }
+        self.sizes.push(ctx.informed_count as u32);
+        self.delta_rounds.push(ctx.delta.is_some());
+    }
+}
+
+/// Pins every flooding executor on `make`'s first three trial seeds to
+/// `flood_oracle`: `flood` and `flood_sharded` at 1 and 3 shards (single
+/// source only), `flood_multi`, and the engine under `Snapshot`, `Delta`
+/// and `Auto` at one shard plus `Auto` at three. Returns how many `Auto`
+/// trials started with scan rounds and switched to adjacency rounds.
+fn check_flood_executors<G, M>(name: &str, make: M, sources: &[u32], cap: u32) -> usize
+where
+    G: EvolvingGraph,
+    M: Fn(u64) -> G + Sync,
+{
+    let trials = 3;
+    let oracle = |seed: u64| flood_oracle(&mut make(seed), sources, cap);
+    let same = |run: &FloodRun, want: &OracleRun, what: &str| {
+        assert_eq!(run.informed_at(), want.informed_at(), "{name}: {what}");
+        assert_eq!(run.sizes(), want.sizes(), "{name}: {what}");
+        assert_eq!(run.flooding_time(), want.flooding_time(), "{name}: {what}");
+    };
+    for trial in 0..trials {
+        let seed = mix_seed(BASE_SEED, trial);
+        let want = oracle(seed);
+        if let [source] = *sources {
+            same(&flood(&mut make(seed), source, cap), &want, "flood");
+            for shards in [1usize, 3] {
+                let run = flood_sharded(&mut make(seed), source, cap, Shards::Fixed(shards));
+                same(&run, &want, &format!("flood_sharded at {shards}"));
+            }
+        }
+        same(
+            &flood_multi(&mut make(seed), sources, cap),
+            &want,
+            "flood_multi",
+        );
+    }
+    let mut switched = 0;
+    for (stepping, shards) in [
+        (Stepping::Snapshot, 1usize),
+        (Stepping::Delta, 1),
+        (Stepping::Auto, 1),
+        (Stepping::Auto, 3),
+    ] {
+        let (report, traces) = Simulation::builder()
+            .model(&make)
+            .sources(sources.iter().copied())
+            .trials(trials as usize)
+            .max_rounds(cap)
+            .base_seed(BASE_SEED)
+            .stepping(stepping)
+            .shards(shards)
+            .observers(|_| FloodTrace::default())
+            .run_observed();
+        for (rec, trace) in report.records().iter().zip(&traces) {
+            let what = format!("{stepping:?} at {shards}, trial {}", rec.trial);
+            let want = oracle(rec.seed);
+            assert_eq!(rec.time, want.flooding_time(), "{name}: {what}");
+            assert_eq!(rec.informed, want.informed_count(), "{name}: {what}");
+            assert_eq!(trace.informed_at, want.informed_at(), "{name}: {what}");
+            assert_eq!(trace.sizes, want.sizes(), "{name}: {what}");
+            let kinds = &trace.delta_rounds;
+            if stepping == Stepping::Auto && kinds.first() == Some(&false) && kinds.contains(&true)
+            {
+                switched += 1;
+            }
+        }
+    }
+    switched
+}
+
+#[test]
+fn every_flooding_executor_matches_flood_oracle() {
+    // Two matchings of a 12-node path alternate: the frontier must
+    // thread through both, and edges appear and vanish every round.
+    let periodic = |_seed: u64| {
+        let mut even = dynspread::dg_graph::GraphBuilder::new(12);
+        even.add_edges((0..12).step_by(2).map(|u| (u, u + 1)))
+            .unwrap();
+        let mut odd = dynspread::dg_graph::GraphBuilder::new(12);
+        odd.add_edges((1..11).step_by(2).map(|u| (u, u + 1)))
+            .unwrap();
+        PeriodicEvolvingGraph::new(&[even.build(), odd.build(), generators::star(12)]).unwrap()
+    };
+    let lane = |seed| ShardedSparseEdgeMeg::stationary(96, 1.5 / 96.0, 0.4, seed).unwrap();
+    // Slow churn on a sparse graph: floods run far past the W + 1 scan
+    // rounds after which the lane executor switches to adjacency rounds.
+    let slow_lane = |seed| ShardedSparseEdgeMeg::stationary(600, 1e-5, 1e-3, seed).unwrap();
+
+    check_flood_executors("static grid", static_grid, &[0], 100);
+    check_flood_executors("static grid", static_grid, &[0, 35], 100);
+    check_flood_executors("periodic", periodic, &[0], 100);
+    check_flood_executors("periodic", periodic, &[0, 7], 100);
+    check_flood_executors("exact scan", sparse_meg, &[0], MAX_ROUNDS);
+    check_flood_executors("exact scan", sparse_meg, &[0, 17, 42], MAX_ROUNDS);
+    check_flood_executors("lane", lane, &[0], MAX_ROUNDS);
+    check_flood_executors("lane", lane, &[0, 17, 42], MAX_ROUNDS);
+    let switched = check_flood_executors("slow lane", slow_lane, &[0], 400);
+    assert!(
+        switched > 0,
+        "no slow-lane trial switched from scan to adjacency rounds (W = {ADJ_EDGE_COST})"
+    );
 }
 
 #[test]

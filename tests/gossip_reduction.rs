@@ -9,7 +9,23 @@ use dynspread::dynagraph::flooding::flood;
 use dynspread::dynagraph::{StaticEvolvingGraph, ThinnedEvolvingGraph};
 
 mod support;
-use support::{parsimonious_flood, push_spread};
+use support::{flood_oracle, parsimonious_flood, push_spread};
+
+#[test]
+fn gossip_oracles_reduce_to_the_flood_oracle() {
+    // Fanout n and a TTL past the round cap relay on every edge every
+    // round: both gossip oracles must then be the flooding oracle, node
+    // for node.
+    let n = 64;
+    for seed in [6u64, 7] {
+        let meg = || TwoStateEdgeMeg::stationary(n, 0.05, 0.2, seed).unwrap();
+        let flood = flood_oracle(&mut meg(), &[0], 10_000);
+        assert!(flood.flooding_time().is_some());
+        assert_eq!(push_spread(&mut meg(), 0, n, 10_000, seed), flood);
+        assert_eq!(parsimonious_flood(&mut meg(), 0, 10_000, 10_000), flood);
+        assert_eq!(flood.informed_at()[0], 0);
+    }
+}
 
 #[test]
 fn gamma_one_is_plain_flooding() {

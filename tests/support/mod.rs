@@ -1,9 +1,11 @@
 //! Test oracles: independent single-run implementations of the engine's
-//! gossip protocols.
+//! spreading protocols.
 //!
-//! [`push_spread`] and [`parsimonious_flood`] step one realization by
-//! hand, with none of the engine's scratch, stepping paths or sharding.
-//! The engine suite pins `PushGossip` and `ParsimoniousFlooding` to them
+//! [`flood_oracle`], [`push_spread`] and [`parsimonious_flood`] step one
+//! realization by hand over per-round snapshots, with none of the
+//! engine's scratch, delta path or sharding. The engine suite pins
+//! every flooding executor (`flooding::flood*` and the engine's serial
+//! and lane paths), `PushGossip` and `ParsimoniousFlooding` to them
 //! trial for trial, and the §5 reduction suite uses them directly.
 
 use dynspread::dynagraph::flooding::FloodRun;
@@ -14,7 +16,7 @@ use rand::{Rng, SeedableRng};
 /// One oracle run: who was informed in which round, how the informed
 /// set grew, and when it completed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GossipRun {
+pub struct OracleRun {
     /// Round each node was informed (`0` for the source),
     /// [`FloodRun::UNINFORMED`] if never.
     informed_at: Vec<u32>,
@@ -22,11 +24,17 @@ pub struct GossipRun {
     completed_at: Option<u32>,
 }
 
-impl GossipRun {
+impl OracleRun {
     /// The round everyone was informed, or `None` if the run stopped
     /// first (round cap, or every relay expired).
     pub fn flooding_time(&self) -> Option<u32> {
         self.completed_at
+    }
+
+    /// Round each node was informed (`0` for sources),
+    /// [`FloodRun::UNINFORMED`] if never.
+    pub fn informed_at(&self) -> &[u32] {
+        &self.informed_at
     }
 
     /// `|I_t|` for `t = 0, 1, …` over the executed rounds.
@@ -37,6 +45,61 @@ impl GossipRun {
     /// Nodes informed by the end of the run.
     pub fn informed_count(&self) -> usize {
         *self.sizes.last().expect("sizes always has |I_0|") as usize
+    }
+}
+
+/// Runs flooding from the source set `sources` by the definition of §2:
+/// `I_{t+1} = I_t ∪ N_{E_t}(I_t)`, one snapshot `E_t` per round, and a
+/// node informed in round `t + 1` relays from round `t + 1` on.
+///
+/// # Panics
+///
+/// Panics if a source is out of range.
+pub fn flood_oracle<G: EvolvingGraph + ?Sized>(
+    g: &mut G,
+    sources: &[u32],
+    max_rounds: u32,
+) -> OracleRun {
+    let n = g.node_count();
+    let mut informed = vec![false; n];
+    let mut informed_at = vec![FloodRun::UNINFORMED; n];
+    let mut informed_list: Vec<u32> = Vec::new();
+    for &s in sources {
+        informed[s as usize] = true;
+        informed_at[s as usize] = 0;
+        informed_list.push(s);
+    }
+    let mut sizes = vec![informed_list.len() as u32];
+    let mut completed_at = (informed_list.len() == n).then_some(0u32);
+    let mut new_nodes: Vec<u32> = Vec::new();
+    let mut t = 0u32;
+    while completed_at.is_none() && t < max_rounds {
+        let snap = g.step();
+        new_nodes.clear();
+        // Only nodes of I_t relay in round t: `informed_list` grows
+        // after the scan, so there is no same-round chaining.
+        for &u in &informed_list {
+            for &v in snap.neighbors(u) {
+                if !informed[v as usize] {
+                    informed[v as usize] = true;
+                    new_nodes.push(v);
+                }
+            }
+        }
+        t += 1;
+        for &v in &new_nodes {
+            informed_at[v as usize] = t;
+        }
+        informed_list.extend_from_slice(&new_nodes);
+        sizes.push(informed_list.len() as u32);
+        if informed_list.len() == n {
+            completed_at = Some(t);
+        }
+    }
+    OracleRun {
+        informed_at,
+        sizes,
+        completed_at,
     }
 }
 
@@ -54,7 +117,7 @@ pub fn push_spread<G: EvolvingGraph + ?Sized>(
     fanout: usize,
     max_rounds: u32,
     seed: u64,
-) -> GossipRun {
+) -> OracleRun {
     assert!(fanout > 0, "fanout must be positive");
     let n = g.node_count();
     assert!((source as usize) < n, "source {source} out of range");
@@ -109,7 +172,7 @@ pub fn push_spread<G: EvolvingGraph + ?Sized>(
             completed_at = Some(t);
         }
     }
-    GossipRun {
+    OracleRun {
         informed_at,
         sizes,
         completed_at,
@@ -130,7 +193,7 @@ pub fn parsimonious_flood<G: EvolvingGraph + ?Sized>(
     source: u32,
     ttl: u32,
     max_rounds: u32,
-) -> GossipRun {
+) -> OracleRun {
     assert!(ttl > 0, "ttl must be positive");
     let n = g.node_count();
     assert!((source as usize) < n, "source {source} out of range");
@@ -173,7 +236,7 @@ pub fn parsimonious_flood<G: EvolvingGraph + ?Sized>(
             completed_at = Some(t);
         }
     }
-    GossipRun {
+    OracleRun {
         informed_at,
         sizes,
         completed_at,
