@@ -6,7 +6,7 @@
 //! round), not to `|E_t| + n`. This bench measures both stepping paths
 //! of the event-driven `SparseTwoStateEdgeMeg` on identical realizations
 //! (same seed ⇒ same RNG stream), plus an end-to-end engine flooding run
-//! on both pipelines, and writes `BENCH_delta.json` at the repository
+//! on both pipelines (the median of alternating repetitions), and writes `BENCH_delta.json` at the repository
 //! root (a [`dg_bench::Record`]) to track the perf trajectory.
 //!
 //! Every timed loop starts after [`WARM_UP`] untimed rounds, past the
@@ -122,12 +122,18 @@ impl<G: EvolvingGraph> EvolvingGraph for HideDeltas<G> {
     }
 }
 
+/// Timed repetitions per side of the flooding row.
+const FLOOD_REPS: usize = 7;
+
 /// Times one long flooding realization end to end on both sweeps
-/// (frontier/delta vs snapshot rebuild + informed scan). Model
-/// construction and the first [`WARM_UP`] rounds with their scan replay
-/// — identical RNG work on both paths — are excluded so the row measures
-/// the stepping pipeline; flooding starts at round [`WARM_UP`] of the
-/// stationary process, and the runs are asserted equal.
+/// (frontier/delta vs snapshot rebuild + informed scan), as the median
+/// of [`FLOOD_REPS`] repetitions per side. Model construction and the
+/// first [`WARM_UP`] rounds with their scan replay — identical RNG work
+/// on both paths — are excluded so the row measures the stepping
+/// pipeline; flooding starts at round [`WARM_UP`] of the stationary
+/// process. The two runs are asserted equal before any timing; then
+/// the sides alternate, each repetition on a freshly warmed model, so a
+/// drift of the host over the row shifts both sides alike.
 fn bench_flooding(n: usize, p: f64, q: f64, max_rounds: u32) -> FloodingResult {
     let seed = 0xF100D;
     let warmed = || {
@@ -137,17 +143,25 @@ fn bench_flooding(n: usize, p: f64, q: f64, max_rounds: u32) -> FloodingResult {
         }
         g
     };
-    let mut native = warmed();
-    let start = Instant::now();
-    let delta_run = dynagraph::flooding::flood(&mut native, 0, max_rounds);
-    let delta_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    let mut hidden = HideDeltas(warmed());
-    let start = Instant::now();
-    let snapshot_run = dynagraph::flooding::flood(&mut hidden, 0, max_rounds);
-    let snapshot_ms = start.elapsed().as_secs_f64() * 1e3;
-
+    let delta_run = dynagraph::flooding::flood(&mut warmed(), 0, max_rounds);
+    let snapshot_run = dynagraph::flooding::flood(&mut HideDeltas(warmed()), 0, max_rounds);
     assert_eq!(delta_run, snapshot_run, "sweeps must agree");
+
+    let (mut delta_ms, mut snapshot_ms) = (Vec::new(), Vec::new());
+    for _ in 0..FLOOD_REPS {
+        let mut native = warmed();
+        let start = Instant::now();
+        let run = dynagraph::flooding::flood(&mut native, 0, max_rounds);
+        delta_ms.push(start.elapsed().as_secs_f64() * 1e3);
+        assert_eq!(run, delta_run);
+
+        let mut hidden = HideDeltas(warmed());
+        let start = Instant::now();
+        let run = dynagraph::flooding::flood(&mut hidden, 0, max_rounds);
+        snapshot_ms.push(start.elapsed().as_secs_f64() * 1e3);
+        assert_eq!(run, snapshot_run);
+    }
+    let (snapshot_ms, delta_ms) = (median(snapshot_ms), median(delta_ms));
     FloodingResult {
         n,
         p,
@@ -157,6 +171,12 @@ fn bench_flooding(n: usize, p: f64, q: f64, max_rounds: u32) -> FloodingResult {
         speedup: snapshot_ms / delta_ms,
         flooding_time: delta_run.flooding_time(),
     }
+}
+
+/// The median of an odd number of samples.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 fn main() {
@@ -213,7 +233,7 @@ fn main() {
         "model": "sparse-two-state-edge-meg", "protocol": "flooding", "n": flooding.n,
         "p": fixed(flooding.p, 10), "q": flooding.q, "snapshot_ms": fixed(flooding.snapshot_ms, 2),
         "delta_ms": fixed(flooding.delta_ms, 2), "speedup": fixed(flooding.speedup, 2),
-        "flooding_time": flooding.flooding_time,
+        "flooding_time": flooding.flooding_time, "reps": FLOOD_REPS,
     }])
     .write();
 }

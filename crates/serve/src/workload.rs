@@ -73,12 +73,14 @@ const SHARDED_FLOODING_N: usize = 92_682;
 /// which `catch_unwind` cannot isolate.
 const MAX_EXPECTED_ON_EDGES: u64 = 1 << 26;
 
-/// Bytes a flooding model holds per stationary on-edge, 39. The lane
-/// model's alive lists, occupancy sets and round buffers sum to ~27 B per
-/// on-edge at the served cell (`n = 4096`, `q = 0.01`) and ~35 B at
-/// `n = 512`, `p = 1`, `q = 0.3`, whose rounds peak at 1.3 times the
-/// on-set; `dg-edge-meg`'s `lane_bytes_within_the_admission_price` holds
-/// both cells to this price.
+/// Bytes a flooding model holds per stationary on-edge, 39: an upper
+/// bound. The lane model's alive lists, occupancy sets and round buffers
+/// sum to ~12 B per on-edge at the served cell (`n = 4096`, `q = 0.01`),
+/// ~16 B at `n = 512`, `p = 1`, `q = 0.3`, whose rounds peak at 1.3
+/// times the on-set, and ~29 B on the sparse cells whose occupancy set
+/// is a table rather than a bitmap (it costs at most 18 B per on-edge in
+/// either form); `dg-edge-meg`'s `lane_bytes_within_the_admission_price`
+/// holds such cells to this price.
 const ON_EDGE_BYTES: f64 = 39.0;
 
 /// Bytes the exact scan holds per node pair once a run passes round 64:
