@@ -6,8 +6,9 @@
 //! round), not to `|E_t| + n`. This bench measures both stepping paths
 //! of the event-driven `SparseTwoStateEdgeMeg` on identical realizations
 //! (same seed ⇒ same RNG stream), plus an end-to-end engine flooding run
-//! on both pipelines (the median of alternating repetitions), and writes `BENCH_delta.json` at the repository
-//! root (a [`dg_bench::Record`]) to track the perf trajectory.
+//! on both pipelines, and writes `BENCH_delta.json` at the repository
+//! root (a [`dg_bench::Record`]) to track the perf trajectory. Every row
+//! is the median of [`REPS`] repetitions per side, the sides alternating.
 //!
 //! Every timed loop starts after [`WARM_UP`] untimed rounds, past the
 //! exact scan's first window: the step that closes it replays the
@@ -41,47 +42,52 @@ struct SteppingResult {
 }
 
 /// Times `rounds` rounds of the same stationary realization on both
-/// stepping paths.
+/// stepping paths, as the median of [`REPS`] alternating repetitions per
+/// side, each on a freshly built and warmed model.
 fn bench_stepping(n: usize, q: f64, rounds: usize, headline: bool) -> SteppingResult {
     let p = 1.0 / n as f64;
     let seed = 0xBE7C_D317;
 
     // Full-rebuild path: every round materializes the CSR snapshot.
-    let mut rebuild = SparseTwoStateEdgeMeg::stationary(n, p, q, seed).unwrap();
-    for _ in 0..WARM_UP {
-        rebuild.step();
-    }
-    let mut edges_total = 0usize;
-    let start = Instant::now();
-    for _ in 0..rounds {
-        edges_total += rebuild.step().edge_count();
-    }
-    let rebuild_time = start.elapsed();
-    let final_edges = rebuild.alive_count();
+    let (mut edges_total, mut final_edges) = (0usize, 0usize);
+    let rebuild = || {
+        let mut g = SparseTwoStateEdgeMeg::stationary(n, p, q, seed).unwrap();
+        for _ in 0..WARM_UP {
+            g.step();
+        }
+        let start = Instant::now();
+        edges_total = (0..rounds).map(|_| g.step().edge_count()).sum();
+        let ns = start.elapsed().as_nanos() as f64 / rounds as f64;
+        final_edges = g.alive_count();
+        ns
+    };
 
     // Delta path: the popped toggle events are applied to an incremental
     // adjacency; no snapshot is ever built.
-    let mut native = SparseTwoStateEdgeMeg::stationary(n, p, q, seed).unwrap();
-    let mut adj = DynAdjacency::new(n);
-    let mut delta = EdgeDelta::new();
-    for _ in 0..WARM_UP {
-        native.step_delta(&mut delta);
-        adj.apply(&delta);
-    }
-    let mut churn_total = 0usize;
-    let start = Instant::now();
-    for _ in 0..rounds {
-        native.step_delta(&mut delta);
-        adj.apply(&delta);
-        churn_total += delta.churn();
-    }
-    let delta_time = start.elapsed();
+    let (mut churn_total, mut adj_edges) = (0usize, 0usize);
+    let native = || {
+        let mut g = SparseTwoStateEdgeMeg::stationary(n, p, q, seed).unwrap();
+        let mut adj = DynAdjacency::new(n);
+        let mut delta = EdgeDelta::new();
+        for _ in 0..WARM_UP {
+            g.step_delta(&mut delta);
+            adj.apply(&delta);
+        }
+        churn_total = 0;
+        let start = Instant::now();
+        for _ in 0..rounds {
+            g.step_delta(&mut delta);
+            adj.apply(&delta);
+            churn_total += delta.churn();
+        }
+        let ns = start.elapsed().as_nanos() as f64 / rounds as f64;
+        adj_edges = adj.edge_count();
+        ns
+    };
 
+    let (rebuild_ns, delta_ns) = alternating_medians(rebuild, native);
     // Same seed, same draws: both paths must land on the same edge set.
-    assert_eq!(adj.edge_count(), final_edges, "paths diverged");
-
-    let rebuild_ns = rebuild_time.as_nanos() as f64 / rounds as f64;
-    let delta_ns = delta_time.as_nanos() as f64 / rounds as f64;
+    assert_eq!(adj_edges, final_edges, "paths diverged");
     SteppingResult {
         n,
         p,
@@ -122,18 +128,35 @@ impl<G: EvolvingGraph> EvolvingGraph for HideDeltas<G> {
     }
 }
 
-/// Timed repetitions per side of the flooding row.
-const FLOOD_REPS: usize = 7;
+/// Timed repetitions per side of every row.
+const REPS: usize = 7;
+
+/// The medians of [`REPS`] timings of each side, taken alternately (the
+/// side that runs first swaps every repetition), so a drift of the host
+/// over the row shifts both sides alike. Each call of a side times one
+/// repetition on a freshly built model and returns its cost.
+fn alternating_medians(mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> (f64, f64) {
+    let (mut xs, mut ys) = (Vec::with_capacity(REPS), Vec::with_capacity(REPS));
+    for rep in 0..REPS {
+        if rep % 2 == 0 {
+            xs.push(a());
+            ys.push(b());
+        } else {
+            ys.push(b());
+            xs.push(a());
+        }
+    }
+    (median(xs), median(ys))
+}
 
 /// Times one long flooding realization end to end on both sweeps
 /// (frontier/delta vs snapshot rebuild + informed scan), as the median
-/// of [`FLOOD_REPS`] repetitions per side. Model construction and the
-/// first [`WARM_UP`] rounds with their scan replay — identical RNG work
-/// on both paths — are excluded so the row measures the stepping
+/// of [`REPS`] alternating repetitions per side. Model construction and
+/// the first [`WARM_UP`] rounds with their scan replay — identical RNG
+/// work on both paths — are excluded so the row measures the stepping
 /// pipeline; flooding starts at round [`WARM_UP`] of the stationary
-/// process. The two runs are asserted equal before any timing; then
-/// the sides alternate, each repetition on a freshly warmed model, so a
-/// drift of the host over the row shifts both sides alike.
+/// process. The two runs are asserted equal before any timing, and
+/// every timed run equals them.
 fn bench_flooding(n: usize, p: f64, q: f64, max_rounds: u32) -> FloodingResult {
     let seed = 0xF100D;
     let warmed = || {
@@ -147,21 +170,24 @@ fn bench_flooding(n: usize, p: f64, q: f64, max_rounds: u32) -> FloodingResult {
     let snapshot_run = dynagraph::flooding::flood(&mut HideDeltas(warmed()), 0, max_rounds);
     assert_eq!(delta_run, snapshot_run, "sweeps must agree");
 
-    let (mut delta_ms, mut snapshot_ms) = (Vec::new(), Vec::new());
-    for _ in 0..FLOOD_REPS {
-        let mut native = warmed();
-        let start = Instant::now();
-        let run = dynagraph::flooding::flood(&mut native, 0, max_rounds);
-        delta_ms.push(start.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(run, delta_run);
-
-        let mut hidden = HideDeltas(warmed());
-        let start = Instant::now();
-        let run = dynagraph::flooding::flood(&mut hidden, 0, max_rounds);
-        snapshot_ms.push(start.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(run, snapshot_run);
-    }
-    let (snapshot_ms, delta_ms) = (median(snapshot_ms), median(delta_ms));
+    let (snapshot_ms, delta_ms) = alternating_medians(
+        || {
+            let mut hidden = HideDeltas(warmed());
+            let start = Instant::now();
+            let run = dynagraph::flooding::flood(&mut hidden, 0, max_rounds);
+            let ms = start.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(run, snapshot_run);
+            ms
+        },
+        || {
+            let mut native = warmed();
+            let start = Instant::now();
+            let run = dynagraph::flooding::flood(&mut native, 0, max_rounds);
+            let ms = start.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(run, delta_run);
+            ms
+        },
+    );
     FloodingResult {
         n,
         p,
@@ -188,11 +214,12 @@ fn main() {
             // (n, q, rounds, headline) — p is always 1/n (sparse regime).
             // Speedup grows as churn slows: the rebuild pays O(m + n)
             // while the delta path pays O(churn), and m ≈ (p/(p+q))·n²/2.
-            (1024, 0.05, 3_000, false),
-            (4096, 0.005, 1_000, true),
-            (4096, 0.01, 1_500, false),
-            (4096, 0.02, 1_500, false),
-            (4096, 0.2, 1_500, false),
+            // `rounds` is per repetition; REPS of them per side.
+            (1024, 0.05, 600, false),
+            (4096, 0.005, 200, true),
+            (4096, 0.01, 300, false),
+            (4096, 0.02, 300, false),
+            (4096, 0.2, 300, false),
         ]
     };
     let mut stepping = Vec::new();
@@ -227,13 +254,13 @@ fn main() {
         "model": "sparse-two-state-edge-meg", "headline": r.headline, "n": r.n, "p": fixed(r.p, 8),
         "q": r.q, "rounds": r.rounds, "rebuild_ns_per_round": fixed(r.rebuild_ns_per_round, 1),
         "delta_ns_per_round": fixed(r.delta_ns_per_round, 1), "speedup": fixed(r.speedup, 2),
-        "mean_edges": fixed(r.mean_edges, 1), "mean_churn": fixed(r.mean_churn, 2),
+        "mean_edges": fixed(r.mean_edges, 1), "mean_churn": fixed(r.mean_churn, 2), "reps": REPS,
     }))
     .rows("flooding_end_to_end", [obj! {
         "model": "sparse-two-state-edge-meg", "protocol": "flooding", "n": flooding.n,
         "p": fixed(flooding.p, 10), "q": flooding.q, "snapshot_ms": fixed(flooding.snapshot_ms, 2),
         "delta_ms": fixed(flooding.delta_ms, 2), "speedup": fixed(flooding.speedup, 2),
-        "flooding_time": flooding.flooding_time, "reps": FLOOD_REPS,
+        "flooding_time": flooding.flooding_time, "reps": REPS,
     }])
     .write();
 }

@@ -19,8 +19,8 @@
 //! builder.
 
 use crate::engine::{flood_trial, TrialRecord};
-use crate::Shards;
 use crate::EvolvingGraph;
+use crate::Shards;
 
 /// The outcome of one flooding run: who got informed when, and how the
 /// informed set grew.

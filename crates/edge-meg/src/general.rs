@@ -336,6 +336,36 @@ mod tests {
     }
 
     #[test]
+    fn first_snapshot_is_stationary() {
+        // The start law: every pair's hidden state starts from π, so the
+        // first snapshot's on-pairs, counted over all pairs of 40 seeds,
+        // are Binomial(N, α) with α from the balance equations, not from
+        // the model. The count must lie within 5 standard deviations (a
+        // two-sided false-alarm level of 5.7e-7 under the normal limit;
+        // α·N ≈ 1900). The chain is t03's slowest: a start from one
+        // row of it instead of π puts ~0.01% of the pairs on, not ~2.4%.
+        let s = 8.0;
+        let (wake, fire, cool) = (0.02 / s, 0.4 / s, 0.4 / s);
+        // dormant ↔ warm ↔ on balance: π_warm = π_dormant·wake/(2·fire),
+        // π_on = π_dormant·wake/(2·cool).
+        let (warm, on) = (wake / (2.0 * fire), wake / (2.0 * cool));
+        let alpha = on / (1.0 + warm + on);
+        let n = 64;
+        let (mut on_pairs, mut pairs) = (0.0, 0.0);
+        for seed in 0..40 {
+            let (chain, chi) = bursty_chain(wake, fire, cool);
+            let mut g = HiddenChainEdgeMeg::stationary(n, chain, chi, seed).unwrap();
+            on_pairs += g.step().edge_count() as f64;
+            pairs += pair_count(n) as f64;
+        }
+        let z = (on_pairs - alpha * pairs) / (alpha * (1.0 - alpha) * pairs).sqrt();
+        assert!(
+            z.abs() < 5.0,
+            "{on_pairs} of {pairs} pairs on at round 1, α = {alpha:.4}: z = {z:.2}"
+        );
+    }
+
+    #[test]
     fn bursty_on_periods_are_bursty() {
         // Mean on-period of the bursty chain is 1/cool.
         let (chain, chi) = bursty_chain(0.05, 0.3, 0.1);

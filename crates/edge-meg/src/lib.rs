@@ -4,19 +4,18 @@
 //! In an **edge-MEG** every potential edge of the `n`-node graph evolves
 //! *independently* according to a Markov chain:
 //!
-//! * [`TwoStateEdgeMeg`] — the basic model of [CMMPS'10]: an absent edge is
-//!   born with probability `p` per round, a present edge dies with
-//!   probability `q`. Stationary density `α = p/(p+q)`, mixing time
-//!   `Θ(1/(p+q))`.
+//! * [`ShardedSparseEdgeMeg`] — the basic model of [CMMPS'10]: an absent
+//!   edge is born with probability `p` per round, a present edge dies
+//!   with probability `q`. Stationary density `α = p/(p+q)`, mixing time
+//!   `Θ(1/(p+q))`. Simulated lazily over fixed lanes: `O(#on)` setup,
+//!   per-round death and birth sweeps, and memory bounded by the current
+//!   on-set. The library's model of the process, the one the service
+//!   runs; its lanes can advance on several threads within one trial.
 //! * [`SparseTwoStateEdgeMeg`] — the same process, simulated event-driven
-//!   (geometric toggle times in a calendar queue) so that huge sparse
-//!   instances cost `O(#toggles)` per round on the delta path (or
-//!   `O(#toggles + |E_t|)` when snapshots are materialized) instead of
-//!   `O(n²)`. Its setup scans all pairs in a byte-pinned order.
-//! * [`ShardedSparseEdgeMeg`] — the same process, simulated lazily over
-//!   fixed lanes: `O(#on)` setup, per-round death and birth sweeps, and
-//!   memory bounded by the current on-set. The model for large `n`; its
-//!   lanes can advance on several threads within one trial.
+//!   (geometric toggle times in a calendar queue) from an exact scan of
+//!   all pairs in a byte-pinned order: the reproducer of the `flooding/1`
+//!   artifacts, `O(#toggles)` per round on the delta path but `O(n²)`
+//!   draws at setup.
 //! * [`HiddenChainEdgeMeg`] — the paper's generalization `EM(n, M, χ)`:
 //!   an arbitrary (hidden) finite chain `M` drives each edge and an
 //!   arbitrary map `χ : S → {0, 1}` decides whether the edge exists.
@@ -35,10 +34,10 @@
 //! # Examples
 //!
 //! ```
-//! use dg_edge_meg::TwoStateEdgeMeg;
+//! use dg_edge_meg::ShardedSparseEdgeMeg;
 //! use dynagraph::{flooding, EvolvingGraph};
 //!
-//! let mut g = TwoStateEdgeMeg::stationary(64, 0.05, 0.2, 42).unwrap();
+//! let mut g = ShardedSparseEdgeMeg::stationary(64, 0.05, 0.2, 42).unwrap();
 //! let run = flooding::flood(&mut g, 0, 10_000);
 //! assert!(run.flooding_time().is_some());
 //! ```
@@ -68,10 +67,8 @@ mod pairs;
 mod pairset;
 mod sharded;
 mod sparse;
-mod two_state;
 
 pub use general::{bursty_chain, four_state_chain, HiddenChainEdgeMeg};
 pub use pairs::{edge_index, edge_pair, pair_count};
 pub use sharded::{ShardedSparseEdgeMeg, LANES};
 pub use sparse::{check_rates, SparseTwoStateEdgeMeg};
-pub use two_state::TwoStateEdgeMeg;

@@ -11,8 +11,8 @@
 //! retirement of the round's dead back to untouched. Per-round cost and
 //! memory are bounded by the current on-set, not by every pair that
 //! ever toggled. Because every pair behaves independently in the
-//! two-state process, the union over lanes is the process of
-//! [`crate::TwoStateEdgeMeg`] — and because the decomposition is fixed
+//! two-state process, the union over lanes is the two-state edge-MEG
+//! itself — and because the decomposition is fixed
 //! (never a function of the thread count), a realization depends only
 //! on `(n, p, q, seed)`.
 //!
@@ -242,14 +242,14 @@ impl ShardLane for Lane {
 }
 
 /// Lazy two-state edge-MEG decomposed into [`LANES`] fixed lanes — the
-/// model for large `n`, and the one behind million-node single-trial
-/// sharding.
+/// library's model of the Appendix-A process at every `n`, and the one
+/// behind million-node single-trial sharding.
 ///
-/// Same process distribution as [`crate::TwoStateEdgeMeg`] and the
-/// exact-scan [`crate::SparseTwoStateEdgeMeg`] (every pair flips
-/// independently; only the random-stream bookkeeping differs), with
-/// `O(#on)` setup and churn-proportional rounds. Exposes a lane
-/// decomposition via [`EvolvingGraph::sharding`], so
+/// Same process distribution as the exact-scan
+/// [`crate::SparseTwoStateEdgeMeg`] (every pair flips independently;
+/// only the random-stream bookkeeping differs), with `O(#on)` setup and
+/// churn-proportional rounds. Exposes a lane decomposition via
+/// [`EvolvingGraph::sharding`], so
 /// `Simulation::builder().shards(..)` and
 /// [`dynagraph::flooding::flood_sharded`] run a *single* trial on all
 /// cores; serial and sharded execution are byte-identical.
@@ -591,6 +591,47 @@ mod tests {
         let (on, off) = (on_runs.mean(), off_runs.mean());
         assert!((on - 1.0 / q).abs() < 0.2, "on mean {on}");
         assert!((off - 1.0 / p).abs() < 0.5, "off mean {off}");
+    }
+
+    #[test]
+    fn transition_rates_match_p_and_q() {
+        // Given the on-set at the start of a round, each off pair is born
+        // with probability p and each on pair dies with probability q,
+        // independently. Over the rounds, births − p·N_off (N_off the
+        // off-pair-rounds) is then a martingale with variance
+        // p(1 − p)·N_off, and deaths − q·N_on likewise. Each statistic
+        // must lie within 5 standard deviations: a two-sided false-alarm
+        // level of 5.7e-7 per comparison under the normal limit (every
+        // count here is above 10^5), 2.3e-6 over the four. A 3% error in
+        // p moves the birth statistic by about 12 of them at the served
+        // cell and 19 at the dense one; a 10% error in q moves the death
+        // statistic by 43 and 62.
+        for (n, p, q) in [(4096, 1.5 / 4096.0, 0.01), (512, 0.05, 0.2)] {
+            let mut g = ShardedSparseEdgeMeg::stationary(n, p, q, 0x7A7E).unwrap();
+            let mut delta = EdgeDelta::new();
+            // The first delta is the full edge set, not a round's churn.
+            g.step_delta(&mut delta);
+            let rounds = 60;
+            let (mut on_rounds, mut births, mut deaths) = (0.0, 0.0, 0.0);
+            for _ in 0..rounds {
+                on_rounds += g.alive_count() as f64;
+                g.step_delta(&mut delta);
+                births += delta.added().len() as f64;
+                deaths += delta.removed().len() as f64;
+            }
+            let off_rounds = (rounds * pair_count(n)) as f64 - on_rounds;
+            for (what, count, trials, rate) in [
+                ("births", births, off_rounds, p),
+                ("deaths", deaths, on_rounds, q),
+            ] {
+                let z = (count - rate * trials) / (rate * (1.0 - rate) * trials).sqrt();
+                assert!(
+                    z.abs() < 5.0,
+                    "(n, p, q) = ({n}, {p}, {q}): {what} z = {z:.2} \
+                     ({count} in {trials} pair-rounds)"
+                );
+            }
+        }
     }
 
     #[test]

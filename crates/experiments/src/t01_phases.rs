@@ -12,7 +12,7 @@
 //!    saturation tail — Lemma 14 predicts it is shorter than the whole
 //!    spreading phase by a `log n` factor.
 
-use dg_edge_meg::SparseTwoStateEdgeMeg;
+use dg_edge_meg::ShardedSparseEdgeMeg;
 use dg_stats::Summary;
 use dynagraph::engine::{PhaseObserver, Simulation};
 use dynagraph::sweep::{Axis, Grid, Sweep};
@@ -41,7 +41,7 @@ pub fn run(quick: bool) {
             let p = 1.5 / n as f64;
             flood_trial(
                 worker,
-                move |seed| SparseTwoStateEdgeMeg::stationary(n, p, Q, seed).unwrap(),
+                move |seed| ShardedSparseEdgeMeg::stationary(n, p, Q, seed).unwrap(),
                 cell,
                 200_000,
                 0,
@@ -79,7 +79,7 @@ pub fn run(quick: bool) {
     let p = 1.5 / n as f64;
     let trials = scaled(20, quick);
     let (report, observers) = Simulation::builder()
-        .model(|seed| SparseTwoStateEdgeMeg::stationary(n, p, Q, seed).unwrap())
+        .model(|seed| ShardedSparseEdgeMeg::stationary(n, p, Q, seed).unwrap())
         .trials(trials)
         .max_rounds(200_000)
         .base_seed(0x71)

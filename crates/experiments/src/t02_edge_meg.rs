@@ -8,7 +8,7 @@
 //!
 //! Series 2 sweeps `q` at fixed `n, p`, crossing the `q = np` boundary.
 
-use dg_edge_meg::SparseTwoStateEdgeMeg;
+use dg_edge_meg::ShardedSparseEdgeMeg;
 use dg_stats::log_log_fit;
 use dynagraph::theory;
 
@@ -41,7 +41,7 @@ pub fn run(quick: bool) {
     for &n in ns {
         let p = c / n as f64;
         let m = measure(
-            |seed| SparseTwoStateEdgeMeg::stationary(n, p, q, seed).unwrap(),
+            |seed| ShardedSparseEdgeMeg::stationary(n, p, q, seed).unwrap(),
             trials,
             500_000,
             0,
@@ -84,7 +84,7 @@ pub fn run(quick: bool) {
     ]);
     for &q in &[0.05, 0.1, 0.25, 0.5, 0.9] {
         let m = measure(
-            |seed| SparseTwoStateEdgeMeg::stationary(n, p, q, seed).unwrap(),
+            |seed| ShardedSparseEdgeMeg::stationary(n, p, q, seed).unwrap(),
             trials,
             500_000,
             0,

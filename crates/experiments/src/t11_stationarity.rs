@@ -7,7 +7,7 @@
 //! the bound's linear-in-`M` degradation while the measured flooding time
 //! is unchanged (the process does not know about our epochs).
 
-use dg_edge_meg::TwoStateEdgeMeg;
+use dg_edge_meg::ShardedSparseEdgeMeg;
 use dg_mobility::{GeometricMeg, RandomWaypoint};
 use dynagraph::stationarity::{estimate_alpha_beta, AlphaBetaConfig};
 use dynagraph::theory;
@@ -44,7 +44,7 @@ pub fn run(quick: bool) {
         base_seed: 0x92,
     };
     let est = estimate_alpha_beta(
-        |seed| TwoStateEdgeMeg::stationary(n1, p, q, seed).unwrap(),
+        |seed| ShardedSparseEdgeMeg::stationary(n1, p, q, seed).unwrap(),
         n1,
         &cfg,
     );
@@ -55,7 +55,7 @@ pub fn run(quick: bool) {
         n1,
     );
     let meas = measure(
-        |seed| TwoStateEdgeMeg::stationary(n1, p, q, seed).unwrap(),
+        |seed| ShardedSparseEdgeMeg::stationary(n1, p, q, seed).unwrap(),
         trials,
         200_000,
         0,

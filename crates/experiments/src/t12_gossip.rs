@@ -8,7 +8,7 @@
 //! the adaptive scheduler decides per cell how many trials a tight mean
 //! needs (slow sparse protocols are noisy and get more).
 
-use dg_edge_meg::TwoStateEdgeMeg;
+use dg_edge_meg::ShardedSparseEdgeMeg;
 use dg_mobility::{GeometricMeg, RandomWaypoint};
 use dynagraph::engine::{PushGossip, Simulation};
 use dynagraph::sweep::{Axis, Cell, Grid, Sweep, SweepReport, Trial};
@@ -106,7 +106,7 @@ pub fn run(quick: bool) {
     let n = if quick { 64 } else { 128 };
     let (p, q) = (0.05, 0.2);
     println!("substrate 1: edge-MEG(n={n}, p={p}, q={q})");
-    let make_meg = move |seed: u64| TwoStateEdgeMeg::stationary(n, p, q, seed).unwrap();
+    let make_meg = move |seed: u64| ShardedSparseEdgeMeg::stationary(n, p, q, seed).unwrap();
     let thinned = thinned_sweep(make_meg, quick, 0, 0x96);
     let push = push_sweep(make_meg, vec![1, 2, 4], quick, 0, 0x97);
     print_tables(&thinned, &push);

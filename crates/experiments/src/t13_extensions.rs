@@ -11,7 +11,7 @@
 //! 4. **Worst-case contrast:** T-interval connectivity of \[21\] fails
 //!    outright in the sparse regime where flooding is near-optimal.
 
-use dg_edge_meg::SparseTwoStateEdgeMeg;
+use dg_edge_meg::ShardedSparseEdgeMeg;
 use dg_graph::generators;
 use dg_mobility::region::{estimate_delta_lambda_in_region, Disk, RegionWaypoint};
 use dg_mobility::{positional, PathFamily, RandomPathModel};
@@ -76,7 +76,7 @@ pub fn run(quick: bool) {
                 // trial seed, which is what makes per-worker model reuse
                 // (`reset(seed)`) byte-identical to fresh construction.
                 JammedEvolvingGraph::new(
-                    SparseTwoStateEdgeMeg::stationary(n, p, q, seed).unwrap(),
+                    ShardedSparseEdgeMeg::stationary(n, p, q, seed).unwrap(),
                     victims,
                     seed,
                 )
@@ -110,7 +110,7 @@ pub fn run(quick: bool) {
     // 4. Interval connectivity of the sparse regime.
     println!("\n4) worst-case contrast: T-interval connectivity [21] in the sparse regime");
     let n4 = if quick { 200 } else { 400 };
-    let mut g = SparseTwoStateEdgeMeg::stationary(n4, 1.5 / n4 as f64, 0.9, 0xA4).unwrap();
+    let mut g = ShardedSparseEdgeMeg::stationary(n4, 1.5 / n4 as f64, 0.9, 0xA4).unwrap();
     let rec = RecordedEvolution::record(&mut g, 60);
     let frac = interval::connected_snapshot_fraction(&rec);
     let max_t = interval::max_interval_connectivity(&rec);

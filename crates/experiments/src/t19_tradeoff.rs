@@ -16,7 +16,7 @@
 //! for either observable therefore comes from the same trials, same
 //! seeds, same artifact.
 
-use dg_edge_meg::SparseTwoStateEdgeMeg;
+use dg_edge_meg::ShardedSparseEdgeMeg;
 use dynagraph::sweep::{Axis, CiTarget, Grid, Metric, Sweep};
 
 use crate::common::{budget, flood_trial_metrics, fmt_ci_of, FloodWorker};
@@ -51,7 +51,7 @@ pub fn run(quick: bool) {
             let p = 1.5 / n as f64;
             flood_trial_metrics(
                 worker,
-                move |seed| SparseTwoStateEdgeMeg::stationary(n, p, q, seed).unwrap(),
+                move |seed| ShardedSparseEdgeMeg::stationary(n, p, q, seed).unwrap(),
                 cell,
                 n,
                 200_000,

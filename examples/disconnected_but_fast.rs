@@ -10,15 +10,15 @@
 //! cargo run --release --example disconnected_but_fast
 //! ```
 
-use dynspread::dg_edge_meg::SparseTwoStateEdgeMeg;
+use dynspread::dg_edge_meg::ShardedSparseEdgeMeg;
 use dynspread::dynagraph::engine::{ParsimoniousFlooding, Simulation};
 use dynspread::dynagraph::{interval, theory, RecordedEvolution};
 
 fn main() {
     let n = 500;
     let p = 1.5 / n as f64;
-    let q = 0.9; // short-lived links: average degree ~ 0.8, every snapshot shattered
-    let mut g = SparseTwoStateEdgeMeg::stationary(n, p, q, 7).expect("valid parameters");
+    let q = 0.9; // short-lived links: average degree ~ 1.7, every snapshot shattered
+    let mut g = ShardedSparseEdgeMeg::stationary(n, p, q, 7).expect("valid parameters");
 
     // Record one realization so connectivity diagnostics and flooding run
     // on the *same* edge history.
@@ -57,7 +57,7 @@ fn main() {
     println!("\nparsimonious flooding [4] (nodes relay for ttl rounds only):");
     for ttl in [2u32, 4, 8, 16] {
         let report = Simulation::builder()
-            .model(|seed| SparseTwoStateEdgeMeg::stationary(n, p, q, seed).expect("valid"))
+            .model(|seed| ShardedSparseEdgeMeg::stationary(n, p, q, seed).expect("valid"))
             .protocol(ParsimoniousFlooding::new(ttl))
             .trials(1)
             .max_rounds(100_000)

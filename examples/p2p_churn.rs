@@ -13,7 +13,7 @@
 //! cargo run --release --example p2p_churn
 //! ```
 
-use dynspread::dg_edge_meg::{bursty_chain, HiddenChainEdgeMeg, TwoStateEdgeMeg};
+use dynspread::dg_edge_meg::{bursty_chain, HiddenChainEdgeMeg, ShardedSparseEdgeMeg};
 use dynspread::dynagraph::engine::Simulation;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
     // Memoryless churn: a link is up with stationary probability ~2.4%.
     let (p, q) = (0.01, 0.4);
     let memoryless = Simulation::builder()
-        .model(|seed| TwoStateEdgeMeg::stationary(n, p, q, seed).expect("valid parameters"))
+        .model(|seed| ShardedSparseEdgeMeg::stationary(n, p, q, seed).expect("valid parameters"))
         .trials(trials)
         .max_rounds(200_000)
         .run();

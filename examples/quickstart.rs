@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use dynspread::dg_edge_meg::TwoStateEdgeMeg;
+use dynspread::dg_edge_meg::ShardedSparseEdgeMeg;
 use dynspread::dynagraph::engine::Simulation;
 use dynspread::dynagraph::theory;
 
@@ -22,7 +22,7 @@ fn main() {
     let trials = 30;
     let report = Simulation::builder()
         .model(|seed| {
-            TwoStateEdgeMeg::stationary(n, p, q, seed).expect("valid edge-MEG parameters")
+            ShardedSparseEdgeMeg::stationary(n, p, q, seed).expect("valid edge-MEG parameters")
         })
         .trials(trials)
         .max_rounds(100_000)

@@ -22,7 +22,7 @@
 //! quick grid is a different sweep anyway: resuming across the two
 //! would correctly be rejected as a fingerprint mismatch).
 
-use dynspread::dg_edge_meg::SparseTwoStateEdgeMeg;
+use dynspread::dg_edge_meg::ShardedSparseEdgeMeg;
 use dynspread::dynagraph::engine::Simulation;
 use dynspread::dynagraph::sweep::{Axis, CiTarget, Grid, Sweep, TrialBudget};
 
@@ -54,7 +54,7 @@ fn main() {
         .run(|cell, trial| {
             let q = cell.get("q");
             Simulation::builder()
-                .model(move |seed| SparseTwoStateEdgeMeg::stationary(n, p, q, seed).unwrap())
+                .model(move |seed| ShardedSparseEdgeMeg::stationary(n, p, q, seed).unwrap())
                 .max_rounds(200_000)
                 .base_seed(trial.cell_seed)
                 .run_trial(trial.index)

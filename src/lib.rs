@@ -29,10 +29,10 @@
 //!
 //! ```
 //! use dynspread::dynagraph::engine::Simulation;
-//! use dynspread::dg_edge_meg::TwoStateEdgeMeg;
+//! use dynspread::dg_edge_meg::ShardedSparseEdgeMeg;
 //!
 //! let report = Simulation::builder()
-//!     .model(|seed| TwoStateEdgeMeg::stationary(64, 0.05, 0.2, seed).unwrap())
+//!     .model(|seed| ShardedSparseEdgeMeg::stationary(64, 0.05, 0.2, seed).unwrap())
 //!     .trials(10)
 //!     .max_rounds(10_000)
 //!     .base_seed(42)
@@ -45,10 +45,10 @@
 //!
 //! ```
 //! use dynspread::dynagraph::engine::{PushGossip, Simulation};
-//! use dynspread::dg_edge_meg::TwoStateEdgeMeg;
+//! use dynspread::dg_edge_meg::ShardedSparseEdgeMeg;
 //!
 //! let report = Simulation::builder()
-//!     .model(|seed| TwoStateEdgeMeg::stationary(64, 0.05, 0.2, seed).unwrap())
+//!     .model(|seed| ShardedSparseEdgeMeg::stationary(64, 0.05, 0.2, seed).unwrap())
 //!     .protocol(PushGossip::new(2))
 //!     .trials(10)
 //!     .run();

@@ -12,7 +12,7 @@
 //!   lane paths) matches `support::flood_oracle` node for node;
 //! * observers stream what the run records say.
 
-use dynspread::dg_edge_meg::{ShardedSparseEdgeMeg, SparseTwoStateEdgeMeg, TwoStateEdgeMeg};
+use dynspread::dg_edge_meg::{ShardedSparseEdgeMeg, SparseTwoStateEdgeMeg};
 use dynspread::dg_graph::generators;
 use dynspread::dynagraph::engine::{
     DelayObserver, MeanGrowthObserver, Observer, ParsimoniousFlooding, PushGossip, RoundCtx,
@@ -146,7 +146,7 @@ fn push_gossip_reservoir_is_byte_equivalent_on_high_degree_models() {
     // and both stepping paths. Degrees far above the fanout — dense
     // edge-MEG and a complete static graph — exercise the sampling
     // branch every round.
-    let dense_meg = |seed: u64| TwoStateEdgeMeg::stationary(48, 0.6, 0.1, seed).unwrap();
+    let dense_meg = |seed: u64| ShardedSparseEdgeMeg::stationary(48, 0.6, 0.1, seed).unwrap();
     for fanout in [1usize, 2, 5] {
         let run = |stepping| {
             Simulation::builder()
@@ -587,12 +587,12 @@ fn delta_path_matches_snapshot_path_for_section5_wrappers() {
     use dynspread::dynagraph::{JammedEvolvingGraph, ThinnedEvolvingGraph};
     let thinned = |seed: u64| {
         let n = 96usize;
-        let inner = TwoStateEdgeMeg::stationary(n, 1.5 / n as f64, 0.4, seed).unwrap();
+        let inner = ShardedSparseEdgeMeg::stationary(n, 1.5 / n as f64, 0.4, seed).unwrap();
         ThinnedEvolvingGraph::new(inner, 0.6, seed).unwrap()
     };
     let jammed = |seed: u64| {
         let n = 96usize;
-        let inner = TwoStateEdgeMeg::stationary(n, 1.5 / n as f64, 0.4, seed).unwrap();
+        let inner = ShardedSparseEdgeMeg::stationary(n, 1.5 / n as f64, 0.4, seed).unwrap();
         JammedEvolvingGraph::new(inner, 4, seed).unwrap()
     };
     assert!(thinned(0).has_native_deltas());

@@ -1,7 +1,7 @@
 //! Integration: Fact 2 — in a stationary node-MEG the edge probability
 //! does not depend on the chosen pair, across model families.
 
-use dynspread::dg_edge_meg::TwoStateEdgeMeg;
+use dynspread::dg_edge_meg::ShardedSparseEdgeMeg;
 use dynspread::dg_mobility::{GeometricMeg, RandomWaypoint};
 use dynspread::dynagraph::EvolvingGraph;
 
@@ -31,7 +31,7 @@ fn assert_pair_exchangeable<G: EvolvingGraph>(g: &mut G, rounds: usize, tol: f64
 
 #[test]
 fn edge_meg_pairs_exchangeable() {
-    let mut g = TwoStateEdgeMeg::stationary(16, 0.1, 0.2, 5).unwrap();
+    let mut g = ShardedSparseEdgeMeg::stationary(16, 0.1, 0.2, 5).unwrap();
     assert_pair_exchangeable(&mut g, 20_000, 0.15);
 }
 

@@ -2,7 +2,7 @@
 //! and the run records are internally consistent.
 
 use dynspread::dg_edge_meg::{
-    bursty_chain, HiddenChainEdgeMeg, SparseTwoStateEdgeMeg, TwoStateEdgeMeg,
+    bursty_chain, HiddenChainEdgeMeg, ShardedSparseEdgeMeg, SparseTwoStateEdgeMeg,
 };
 use dynspread::dg_mobility::{
     GeometricMeg, GridWalk, ManhattanWaypoint, PathFamily, RandomDirection, RandomPathModel,
@@ -42,7 +42,7 @@ fn check_run(run: &FloodRun, n: usize) {
 #[test]
 fn two_state_edge_meg_floods() {
     let n = 96;
-    let mut g = TwoStateEdgeMeg::stationary(n, 2.0 / n as f64, 0.3, 7).unwrap();
+    let mut g = ShardedSparseEdgeMeg::stationary(n, 2.0 / n as f64, 0.3, 7).unwrap();
     check_run(&flood(&mut g, 0, 100_000), n);
 }
 

@@ -3,7 +3,7 @@
 //! flooding exactly. Also the sanity checks of the gossip oracles in
 //! `support` that the engine suite pins its protocols to.
 
-use dynspread::dg_edge_meg::TwoStateEdgeMeg;
+use dynspread::dg_edge_meg::ShardedSparseEdgeMeg;
 use dynspread::dg_graph::generators;
 use dynspread::dynagraph::flooding::flood;
 use dynspread::dynagraph::{StaticEvolvingGraph, ThinnedEvolvingGraph};
@@ -18,7 +18,7 @@ fn gossip_oracles_reduce_to_the_flood_oracle() {
     // for node.
     let n = 64;
     for seed in [6u64, 7] {
-        let meg = || TwoStateEdgeMeg::stationary(n, 0.05, 0.2, seed).unwrap();
+        let meg = || ShardedSparseEdgeMeg::stationary(n, 0.05, 0.2, seed).unwrap();
         let flood = flood_oracle(&mut meg(), &[0], 10_000);
         assert!(flood.flooding_time().is_some());
         assert_eq!(push_spread(&mut meg(), 0, n, 10_000, seed), flood);
@@ -32,8 +32,8 @@ fn gamma_one_is_plain_flooding() {
     // Same inner seed => identical edge realizations => identical runs.
     let n = 64;
     for seed in [1u64, 2, 3] {
-        let mut plain = TwoStateEdgeMeg::stationary(n, 0.05, 0.2, seed).unwrap();
-        let inner = TwoStateEdgeMeg::stationary(n, 0.05, 0.2, seed).unwrap();
+        let mut plain = ShardedSparseEdgeMeg::stationary(n, 0.05, 0.2, seed).unwrap();
+        let inner = ShardedSparseEdgeMeg::stationary(n, 0.05, 0.2, seed).unwrap();
         let mut virt = ThinnedEvolvingGraph::new(inner, 1.0, seed).unwrap();
         let a = flood(&mut plain, 0, 10_000);
         let b = flood(&mut virt, 0, 10_000);
@@ -45,8 +45,8 @@ fn gamma_one_is_plain_flooding() {
 fn huge_fanout_is_plain_flooding() {
     let n = 64;
     for seed in [4u64, 5] {
-        let mut a_g = TwoStateEdgeMeg::stationary(n, 0.05, 0.2, seed).unwrap();
-        let mut b_g = TwoStateEdgeMeg::stationary(n, 0.05, 0.2, seed).unwrap();
+        let mut a_g = ShardedSparseEdgeMeg::stationary(n, 0.05, 0.2, seed).unwrap();
+        let mut b_g = ShardedSparseEdgeMeg::stationary(n, 0.05, 0.2, seed).unwrap();
         let a = flood(&mut a_g, 0, 10_000);
         let b = push_spread(&mut b_g, 0, n, 10_000, seed);
         assert_eq!(a.flooding_time(), b.flooding_time());
@@ -64,7 +64,7 @@ fn thinning_slows_by_bounded_factor() {
         let mut total = 0.0;
         for t in 0..trials {
             let seed = 100 + t;
-            let inner = TwoStateEdgeMeg::stationary(n, 0.08, 0.2, seed).unwrap();
+            let inner = ShardedSparseEdgeMeg::stationary(n, 0.08, 0.2, seed).unwrap();
             let mut g = ThinnedEvolvingGraph::new(inner, gamma, seed).unwrap();
             total += flood(&mut g, 0, 100_000)
                 .flooding_time()
@@ -91,7 +91,7 @@ fn push_fanout_monotone() {
         let mut total = 0.0;
         for t in 0..trials {
             let seed = 200 + t;
-            let mut g = TwoStateEdgeMeg::stationary(n, 0.08, 0.2, seed).unwrap();
+            let mut g = ShardedSparseEdgeMeg::stationary(n, 0.08, 0.2, seed).unwrap();
             total += push_spread(&mut g, 0, k, 100_000, seed)
                 .flooding_time()
                 .expect("completes") as f64;

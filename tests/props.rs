@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use dynspread::dg_edge_meg::TwoStateEdgeMeg;
+use dynspread::dg_edge_meg::ShardedSparseEdgeMeg;
 use dynspread::dg_markov::DenseChain;
 use dynspread::dg_mobility::{GeometricMeg, GridWalk, RandomWaypoint};
 use dynspread::dynagraph::delta::{assert_replays_rebuild, DynAdjacency, EdgeDelta};
@@ -40,7 +40,7 @@ proptest! {
         q in 0.01f64..0.9,
         seed in any::<u64>(),
     ) {
-        let mut g = TwoStateEdgeMeg::stationary(n, p, q, seed).unwrap();
+        let mut g = ShardedSparseEdgeMeg::stationary(n, p, q, seed).unwrap();
         for _ in 0..5 {
             check_snapshot(g.step());
         }
@@ -84,7 +84,7 @@ proptest! {
         seed in any::<u64>(),
         max_rounds in 1u32..60,
     ) {
-        let mut g = TwoStateEdgeMeg::stationary(n, 0.1, 0.3, seed).unwrap();
+        let mut g = ShardedSparseEdgeMeg::stationary(n, 0.1, 0.3, seed).unwrap();
         let run = flood(&mut g, 0, max_rounds);
         // Monotone sizes, bounded by n, at most max_rounds + 1 entries.
         prop_assert!(run.sizes().windows(2).all(|w| w[0] <= w[1]));
@@ -99,8 +99,8 @@ proptest! {
     #[test]
     fn same_seed_same_run(seed in any::<u64>()) {
         let n = 32;
-        let mut a = TwoStateEdgeMeg::stationary(n, 0.05, 0.2, seed).unwrap();
-        let mut b = TwoStateEdgeMeg::stationary(n, 0.05, 0.2, seed).unwrap();
+        let mut a = ShardedSparseEdgeMeg::stationary(n, 0.05, 0.2, seed).unwrap();
+        let mut b = ShardedSparseEdgeMeg::stationary(n, 0.05, 0.2, seed).unwrap();
         prop_assert_eq!(flood(&mut a, 0, 5_000), flood(&mut b, 0, 5_000));
     }
 
@@ -108,7 +108,7 @@ proptest! {
     fn recorded_replay_matches_sources(seed in any::<u64>()) {
         // F(G, s) from the recording never exceeds F(G) = max_s F(G, s).
         let n = 24;
-        let mut g = TwoStateEdgeMeg::stationary(n, 0.15, 0.3, seed).unwrap();
+        let mut g = ShardedSparseEdgeMeg::stationary(n, 0.15, 0.3, seed).unwrap();
         let rec = RecordedEvolution::record(&mut g, 200);
         if let Some(worst) = rec.flooding_time_all_sources() {
             for s in 0..n as u32 {
@@ -154,7 +154,7 @@ proptest! {
         // exactly the recorded snapshot sequence.
         let n = 16;
         let rounds = 40;
-        let mut g = TwoStateEdgeMeg::stationary(n, 0.1, 0.25, seed).unwrap();
+        let mut g = ShardedSparseEdgeMeg::stationary(n, 0.1, 0.25, seed).unwrap();
         let rec = RecordedEvolution::record(&mut g, rounds);
         let mut adj = DynAdjacency::new(n);
         let mut scratch = EdgeDelta::new();
@@ -186,8 +186,8 @@ proptest! {
             fn step(&mut self) -> &Snapshot { self.0.step() }
             fn reset(&mut self, seed: u64) { self.0.reset(seed) }
         }
-        let mut native = TwoStateEdgeMeg::stationary(n, p, q, seed).unwrap();
-        let mut hidden = HideDeltas(TwoStateEdgeMeg::stationary(n, p, q, seed).unwrap());
+        let mut native = ShardedSparseEdgeMeg::stationary(n, p, q, seed).unwrap();
+        let mut hidden = HideDeltas(ShardedSparseEdgeMeg::stationary(n, p, q, seed).unwrap());
         let a = flood(&mut native, 0, max_rounds);
         let b = flood(&mut hidden, 0, max_rounds);
         prop_assert_eq!(a, b);
@@ -205,7 +205,7 @@ proptest! {
         // step_delta + DynAdjacency must walk exactly the snapshot
         // sequence of the rebuild path, for any inner parameterization.
         let make = || {
-            let inner = TwoStateEdgeMeg::stationary(n, p, q, seed).unwrap();
+            let inner = ShardedSparseEdgeMeg::stationary(n, p, q, seed).unwrap();
             dynspread::dynagraph::ThinnedEvolvingGraph::new(inner, gamma, seed).unwrap()
         };
         let mut rebuild = make();
@@ -227,7 +227,7 @@ proptest! {
     ) {
         prop_assume!(victims <= n);
         let make = || {
-            let inner = TwoStateEdgeMeg::stationary(n, p, q, seed).unwrap();
+            let inner = ShardedSparseEdgeMeg::stationary(n, p, q, seed).unwrap();
             dynspread::dynagraph::JammedEvolvingGraph::new(inner, victims, seed).unwrap()
         };
         let mut rebuild = make();
@@ -243,7 +243,7 @@ proptest! {
         // Baseline breaks (warm-up rebases, plain steps desync) must
         // heal with a full emission that replays the rebuild path.
         let make = || {
-            let inner = TwoStateEdgeMeg::stationary(n, 0.2, 0.3, seed).unwrap();
+            let inner = ShardedSparseEdgeMeg::stationary(n, 0.2, 0.3, seed).unwrap();
             dynspread::dynagraph::ThinnedEvolvingGraph::new(inner, 0.5, seed).unwrap()
         };
         let mut rebuild = make();
@@ -262,7 +262,6 @@ proptest! {
         q in 0.05f64..0.5,
         seed in any::<u64>(),
     ) {
-        use dynspread::dg_edge_meg::ShardedSparseEdgeMeg;
         let p = 1.5 / n as f64;
         let mut rebuild = ShardedSparseEdgeMeg::stationary(n, p, q, seed).unwrap();
         let mut delta = ShardedSparseEdgeMeg::stationary(n, p, q, seed).unwrap();
@@ -278,7 +277,7 @@ proptest! {
     ) {
         // The flat-list delta consumer and the adjacency consumer must
         // agree on every round's edge set.
-        let mut g = TwoStateEdgeMeg::stationary(n, p, q, seed).unwrap();
+        let mut g = ShardedSparseEdgeMeg::stationary(n, p, q, seed).unwrap();
         let mut adj = DynAdjacency::new(n);
         let mut flat: Vec<(u32, u32)> = Vec::new();
         let mut d = EdgeDelta::new();
@@ -357,7 +356,7 @@ proptest! {
         let mean = |p: f64| -> f64 {
             let mut total = 0.0;
             for t in 0..4u64 {
-                let mut g = TwoStateEdgeMeg::stationary(n, p, 0.3, seed * 31 + t).unwrap();
+                let mut g = ShardedSparseEdgeMeg::stationary(n, p, 0.3, seed * 31 + t).unwrap();
                 total += flood(&mut g, 0, 100_000).flooding_time().unwrap() as f64;
             }
             total / 4.0

@@ -1,5 +1,5 @@
 //! Test oracles: independent single-run implementations of the engine's
-//! spreading protocols.
+//! spreading protocols, and the two-state edge-MEG by its definition.
 //!
 //! [`flood_oracle`], [`push_spread`] and [`parsimonious_flood`] step one
 //! realization by hand over per-round snapshots, with none of the
@@ -7,9 +7,15 @@
 //! every flooding executor (`flooding::flood*` and the engine's serial
 //! and lane paths), `PushGossip` and `ParsimoniousFlooding` to them
 //! trial for trial, and the §5 reduction suite uses them directly.
+//!
+//! [`DenseEdgeMeg`] flips every pair every round, for the tests that
+//! need a start the library's models do not offer (the empty graph).
+//!
+//! Each test binary compiles this module and uses only part of it.
+#![allow(dead_code)]
 
 use dynspread::dynagraph::flooding::FloodRun;
-use dynspread::dynagraph::{mix_seed, EvolvingGraph};
+use dynspread::dynagraph::{mix_seed, EvolvingGraph, Snapshot};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -240,5 +246,80 @@ pub fn parsimonious_flood<G: EvolvingGraph + ?Sized>(
         informed_at,
         sizes,
         completed_at,
+    }
+}
+
+/// The two-state edge-MEG of Appendix A by its definition: every round
+/// each pair `u < v` flips its own coin (an off pair turns on with
+/// probability `p`, an on pair turns off with probability `q`), and the
+/// round's snapshot is the on-set. Pairs start on with probability `α =
+/// p/(p+q)` ([`DenseEdgeMeg::stationary`]) or all off
+/// ([`DenseEdgeMeg::from_empty`]). `O(n²)` a round; it has no native
+/// deltas, so the delta path diffs its snapshots.
+pub struct DenseEdgeMeg {
+    p: f64,
+    q: f64,
+    start: f64,
+    on: Vec<bool>,
+    rng: SmallRng,
+    snapshot: Snapshot,
+}
+
+impl DenseEdgeMeg {
+    /// Every pair starts on with the stationary probability `p/(p+q)`.
+    pub fn stationary(n: usize, p: f64, q: f64, seed: u64) -> Self {
+        Self::starting_at(n, p, q, p / (p + q), seed)
+    }
+
+    /// Every pair starts off: the empty graph.
+    pub fn from_empty(n: usize, p: f64, q: f64, seed: u64) -> Self {
+        Self::starting_at(n, p, q, 0.0, seed)
+    }
+
+    fn starting_at(n: usize, p: f64, q: f64, start: f64, seed: u64) -> Self {
+        let mut g = DenseEdgeMeg {
+            p,
+            q,
+            start,
+            on: vec![false; n * n.saturating_sub(1) / 2],
+            rng: SmallRng::seed_from_u64(0),
+            snapshot: Snapshot::empty(n),
+        };
+        g.reset(seed);
+        g
+    }
+}
+
+impl EvolvingGraph for DenseEdgeMeg {
+    fn node_count(&self) -> usize {
+        self.snapshot.node_count()
+    }
+
+    fn step(&mut self) -> &Snapshot {
+        let n = self.node_count() as u32;
+        let mut pairs = self.on.iter_mut();
+        let mut edges = Vec::new();
+        for v in 1..n {
+            for u in 0..v {
+                let on = pairs.next().expect("one slot per pair");
+                *on = if *on {
+                    !self.rng.gen_bool(self.q)
+                } else {
+                    self.rng.gen_bool(self.p)
+                };
+                if *on {
+                    edges.push((u, v));
+                }
+            }
+        }
+        self.snapshot.rebuild_from_edges(&edges);
+        &self.snapshot
+    }
+
+    fn reset(&mut self, seed: u64) {
+        self.rng = SmallRng::seed_from_u64(mix_seed(seed, 0xDE45E));
+        for on in &mut self.on {
+            *on = self.rng.gen_bool(self.start);
+        }
     }
 }
