@@ -71,7 +71,7 @@ pub fn run(quick: bool) {
     println!(
         "(adaptive budget: {} of {} possible trials ran; cells stop at a 5% relative CI)",
         report.total_trials(),
-        report.cells().len() * report.budget().max_trials
+        report.cells().len() * report.spec().budget().max_trials
     );
 
     // View 2: phase structure at the headline n.

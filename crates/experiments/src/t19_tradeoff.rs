@@ -92,12 +92,12 @@ pub fn run(quick: bool) {
     println!(
         "(per-metric stopping: cells stop when rounds AND messages are tight; {} of {} possible trials ran)",
         report.total_trials(),
-        report.cells().len() * report.budget().max_trials
+        report.cells().len() * report.spec().budget().max_trials
     );
 
     // The headline shape: at the largest n, sweeping q down trades
     // messages for rounds.
-    let n_head = report.axes()[0].values().last().copied().unwrap();
+    let n_head = report.spec().axes()[0].values().last().copied().unwrap();
     let fast = report
         .cell_at(&[("n", n_head), ("q", qs[0])])
         .unwrap()

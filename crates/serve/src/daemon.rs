@@ -16,7 +16,7 @@
 //! Crash safety falls out of step 3: a killed daemon leaves an
 //! incomplete artifact where its restart's store scan finds it, and
 //! [`Daemon::start`] re-enqueues every incomplete artifact's spec
-//! ([`SweepSpec::of_report`]). Since resumed sweeps are byte-identical
+//! ([`SweepReport::spec`]). Since resumed sweeps are byte-identical
 //! to uninterrupted ones (the `dg-sweep` invariant), a client polling
 //! across the crash cannot tell it happened — same fingerprint, same
 //! final bytes.
@@ -550,7 +550,7 @@ impl Daemon {
             num(Some(nearest.distance)),
             nearest.cell.id,
         );
-        for (i, axis) in report.axes().iter().enumerate() {
+        for (i, axis) in report.spec().axes().iter().enumerate() {
             if i > 0 {
                 body.push_str(", ");
             }

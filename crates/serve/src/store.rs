@@ -97,6 +97,7 @@ impl ArtifactMeta {
             decided_cells: report.cells().iter().filter(|c| c.decided).count(),
             total_trials: report.total_trials(),
             axes: report
+                .spec()
                 .axes()
                 .iter()
                 .map(|a| (a.name().to_string(), a.values().len()))
@@ -326,7 +327,7 @@ impl ArtifactStore {
         let mut specs = Vec::with_capacity(pending.len());
         for fp in pending {
             if let Some(report) = self.get(fp)? {
-                specs.push(SweepSpec::of_report(&report));
+                specs.push(report.spec().clone());
             }
         }
         Ok(specs)
@@ -413,6 +414,71 @@ mod tests {
             .collect();
         assert_eq!(quarantined.len(), 3, "{quarantined:?}");
         assert!(!root.join("store").join(".tmp-1-2-3").exists());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// `SweepSpec::fingerprint` of a metric-less, cap-less config with a
+    /// fixed-style budget (no CI target), hashed by hand so a test can
+    /// name a config that no constructor accepts.
+    fn v1_fingerprint(axis: &str, values: &[f64], seed: u64, min: u64, max: u64) -> u64 {
+        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x1000_0000_01B3);
+            }
+        };
+        eat(b"dg-sweep/1");
+        eat(axis.as_bytes());
+        eat(&[0]);
+        for v in values {
+            eat(&v.to_bits().to_le_bytes());
+        }
+        eat(&[1]);
+        for word in [seed, min, max] {
+            eat(&word.to_le_bytes());
+        }
+        eat(&[0]);
+        h
+    }
+
+    #[test]
+    fn incomplete_artifact_with_an_inverted_budget_is_quarantined_not_resumed() {
+        let root = tmp_root("inverted_budget");
+        // An incomplete artifact, as a killed daemon leaves one...
+        let spec = SweepSpec::new(vec![Axis::ints("n", [4, 8])], 11, TrialBudget::fixed(2));
+        assert_eq!(
+            v1_fingerprint("n", &[4.0, 8.0], 11, 2, 2),
+            spec.fingerprint()
+        );
+        let partial = spec
+            .sweep()
+            .threads(1)
+            .run_budget(1)
+            .run(|cell, _| Some(cell.get("n")))
+            .unwrap();
+        assert!(!partial.is_complete());
+        // ...with min_trials 3 > max_trials 2 and the fingerprint to
+        // match: resuming it would block the worker forever.
+        let fp = v1_fingerprint("n", &[4.0, 8.0], 11, 3, 2);
+        let json = partial
+            .to_json()
+            .replace("\"min_trials\": 2", "\"min_trials\": 3")
+            .replace(
+                &format!("\"fingerprint\": {}", spec.fingerprint()),
+                &format!("\"fingerprint\": {fp}"),
+            );
+        assert!(json.contains("\"min_trials\": 3") && json.contains(&fp.to_string()));
+        let store = ArtifactStore::open(&root).unwrap();
+        std::fs::write(store.path_for(fp), json).unwrap();
+
+        // A restart's store scan quarantines it, so restart-resume
+        // queues nothing.
+        let reopened = ArtifactStore::open(&root).unwrap();
+        assert!(reopened.list().is_empty());
+        assert!(reopened.incomplete_specs().unwrap().is_empty());
+        assert!(!reopened.path_for(fp).exists());
+        assert!(root.join("quarantine").join(format!("{fp}.json")).exists());
         let _ = std::fs::remove_dir_all(&root);
     }
 

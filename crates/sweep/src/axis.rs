@@ -38,16 +38,28 @@ pub struct Metric {
 }
 
 impl Metric {
-    fn validated(name: impl Into<String>, stopping: MetricStopping) -> Self {
+    /// The metric rule, shared by the constructors and the JSON parsers:
+    /// a non-empty name and, for a target, a finite positive value.
+    pub(crate) fn checked(
+        name: impl Into<String>,
+        stopping: MetricStopping,
+    ) -> Result<Self, String> {
         let name = name.into();
-        assert!(!name.is_empty(), "metric name must be non-empty");
-        if let MetricStopping::Target(CiTarget::Absolute(v) | CiTarget::Relative(v)) = stopping {
-            assert!(
-                v.is_finite() && v > 0.0,
-                "metric {name:?} CI target must be strictly positive, got {v}"
-            );
+        if name.is_empty() {
+            return Err("metric name must be non-empty".into());
         }
-        Metric { name, stopping }
+        if let MetricStopping::Target(CiTarget::Absolute(v) | CiTarget::Relative(v)) = stopping {
+            if !(v.is_finite() && v > 0.0) {
+                return Err(format!(
+                    "metric {name:?} CI target must be strictly positive, got {v}"
+                ));
+            }
+        }
+        Ok(Metric { name, stopping })
+    }
+
+    fn validated(name: impl Into<String>, stopping: MetricStopping) -> Self {
+        Metric::checked(name, stopping).unwrap_or_else(|msg| panic!("{msg}"))
     }
 
     /// A metric gating on the sweep budget's own CI target.
@@ -113,15 +125,24 @@ pub struct Axis {
 }
 
 impl Axis {
-    fn validated(name: impl Into<String>, values: Vec<f64>) -> Self {
+    /// The axis rule, shared by the constructors and the JSON parsers: a
+    /// non-empty name and a non-empty list of finite values.
+    pub(crate) fn checked(name: impl Into<String>, values: Vec<f64>) -> Result<Self, String> {
         let name = name.into();
-        assert!(!name.is_empty(), "axis name must be non-empty");
-        assert!(!values.is_empty(), "axis {name:?} has no values");
-        assert!(
-            values.iter().all(|v| v.is_finite()),
-            "axis {name:?} has a non-finite value"
-        );
-        Axis { name, values }
+        if name.is_empty() {
+            return Err("axis name must be non-empty".into());
+        }
+        if values.is_empty() {
+            return Err(format!("axis {name:?} has no values"));
+        }
+        if let Some(v) = values.iter().find(|v| !v.is_finite()) {
+            return Err(format!("axis {name:?} has a non-finite value {v}"));
+        }
+        Ok(Axis { name, values })
+    }
+
+    fn validated(name: impl Into<String>, values: Vec<f64>) -> Self {
+        Axis::checked(name, values).unwrap_or_else(|msg| panic!("{msg}"))
     }
 
     /// `steps` evenly spaced values from `lo` to `hi` inclusive
@@ -210,9 +231,9 @@ impl Axis {
 /// are byte-identical however the sweep is executed.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Grid {
-    axes: Vec<Axis>,
+    pub(crate) axes: Vec<Axis>,
     /// Per-cell round caps by cell id (see [`Grid::max_rounds`]).
-    max_rounds: Option<Vec<u32>>,
+    pub(crate) max_rounds: Option<Vec<u32>>,
     /// Declared per-trial metrics (see [`Grid::metrics`]); `None` for
     /// classic single-scalar sweeps.
     metrics: Option<Vec<Metric>>,
@@ -232,18 +253,27 @@ impl Grid {
     /// Panics if an axis with the same name was already added, or if a
     /// [`Grid::max_rounds`] policy was already attached (the policy is
     /// evaluated per cell, so it must come after every axis).
-    pub fn axis(mut self, axis: Axis) -> Self {
-        assert!(
-            self.axes.iter().all(|a| a.name() != axis.name()),
-            "duplicate axis {:?}",
-            axis.name()
-        );
-        assert!(
-            self.max_rounds.is_none(),
-            "declare every axis before attaching a max_rounds policy"
-        );
+    pub fn axis(self, axis: Axis) -> Self {
+        self.try_axis(axis).unwrap_or_else(|msg| panic!("{msg}"))
+    }
+
+    /// [`Grid::axis`], with the rule broken as an `Err`. Also refuses a
+    /// grid whose cell count would overflow `usize`.
+    pub(crate) fn try_axis(mut self, axis: Axis) -> Result<Self, String> {
+        if self.axes.iter().any(|a| a.name() == axis.name()) {
+            return Err(format!("duplicate axis {:?}", axis.name()));
+        }
+        if self.max_rounds.is_some() {
+            return Err("declare every axis before attaching a max_rounds policy".into());
+        }
+        if self.cell_count().checked_mul(axis.values().len()).is_none() {
+            return Err(format!(
+                "axis {:?} makes the grid's cell count overflow",
+                axis.name()
+            ));
+        }
         self.axes.push(axis);
-        self
+        Ok(self)
     }
 
     /// Attaches a per-cell round-cap policy: `policy(cell)` is evaluated
@@ -261,30 +291,43 @@ impl Grid {
     /// # Panics
     ///
     /// Panics if a policy is already attached (declare all axes first),
-    /// or if the policy yields `u32::MAX` for some cell — the engine
-    /// rejects that value (it is the uninformed sentinel), and failing
-    /// here names the offending cell instead of aborting a worker
-    /// thread mid-sweep.
-    pub fn max_rounds(mut self, policy: impl Fn(&Cell) -> u32) -> Self {
+    /// or if the policy yields a cap outside `1..u32::MAX` for some cell
+    /// (`u32::MAX` is the engine's uninformed sentinel, and a 0 cap
+    /// censors every trial) — failing here names the offending cell
+    /// instead of aborting a worker thread mid-sweep, and keeps every
+    /// artifact the sweep writes parseable.
+    pub fn max_rounds(self, policy: impl Fn(&Cell) -> u32) -> Self {
         assert!(
             self.max_rounds.is_none(),
             "max_rounds policy already attached"
         );
-        let caps: Vec<u32> = self
-            .cells()
+        let caps = self.cells().iter().map(policy).collect();
+        self.try_caps(caps).unwrap_or_else(|msg| panic!("{msg}"))
+    }
+
+    /// Attaches (or replaces) a per-cell round-cap table: one cap per
+    /// cell, each in `1..u32::MAX` — the one cap rule, shared by
+    /// [`Grid::max_rounds`], [`crate::SweepSpec::with_max_rounds`] and
+    /// the JSON parsers.
+    pub(crate) fn try_caps(mut self, caps: Vec<u32>) -> Result<Self, String> {
+        if caps.len() != self.cell_count() {
+            return Err(format!(
+                "max_rounds table has {} entries for {} cells",
+                caps.len(),
+                self.cell_count()
+            ));
+        }
+        if let Some((id, cap)) = caps
             .iter()
-            .map(|cell| {
-                let cap = policy(cell);
-                assert!(
-                    cap < u32::MAX,
-                    "max_rounds policy returned u32::MAX for cell {cell} (id {})",
-                    cell.id()
-                );
-                cap
-            })
-            .collect();
+            .enumerate()
+            .find(|(_, &cap)| cap == 0 || cap == u32::MAX)
+        {
+            return Err(format!(
+                "max_rounds cap {cap} of cell {id} is out of range 1..u32::MAX"
+            ));
+        }
         self.max_rounds = Some(caps);
-        self
+        Ok(self)
     }
 
     /// The per-cell round caps, by cell id, when a [`Grid::max_rounds`]
@@ -307,19 +350,26 @@ impl Grid {
     ///
     /// Panics if `metrics` is empty, contains a duplicate name, or
     /// metrics were already declared.
-    pub fn metrics(mut self, metrics: impl IntoIterator<Item = Metric>) -> Self {
+    pub fn metrics(self, metrics: impl IntoIterator<Item = Metric>) -> Self {
         assert!(self.metrics.is_none(), "metrics already declared");
-        let metrics: Vec<Metric> = metrics.into_iter().collect();
-        assert!(!metrics.is_empty(), "declare at least one metric");
+        self.try_metrics(metrics.into_iter().collect())
+            .unwrap_or_else(|msg| panic!("{msg}"))
+    }
+
+    /// Declares (or replaces) the metric list: non-empty, no duplicate
+    /// names — the one metric-list rule, shared by [`Grid::metrics`],
+    /// [`crate::SweepSpec::with_metrics`] and the JSON parsers.
+    pub(crate) fn try_metrics(mut self, metrics: Vec<Metric>) -> Result<Self, String> {
+        if metrics.is_empty() {
+            return Err("declare at least one metric".into());
+        }
         for (i, m) in metrics.iter().enumerate() {
-            assert!(
-                metrics[..i].iter().all(|o| o.name() != m.name()),
-                "duplicate metric {:?}",
-                m.name()
-            );
+            if metrics[..i].iter().any(|o| o.name() == m.name()) {
+                return Err(format!("duplicate metric {:?}", m.name()));
+            }
         }
         self.metrics = Some(metrics);
-        self
+        Ok(self)
     }
 
     /// The declared metrics, in declaration order, when attached.
@@ -545,6 +595,14 @@ mod tests {
             .axis(Axis::ints("n", [4]))
             .max_rounds(|_| 10)
             .axis(Axis::ints("m", [2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "max_rounds cap 0 of cell 1 is out of range 1..u32::MAX")]
+    fn zero_cap_rejected() {
+        let _ = Grid::new()
+            .axis(Axis::ints("n", [4, 8]))
+            .max_rounds(|cell| if cell.id() == 1 { 0 } else { 10 });
     }
 
     #[test]

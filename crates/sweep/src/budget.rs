@@ -45,12 +45,12 @@ impl TrialBudget {
     ///
     /// Panics if `trials == 0`.
     pub fn fixed(trials: usize) -> Self {
-        assert!(trials > 0, "budget needs at least one trial");
         TrialBudget {
             min_trials: trials,
             max_trials: trials,
             ci_target: None,
         }
+        .validated()
     }
 
     /// An adaptive budget: at least `min_trials`, at most `max_trials`,
@@ -64,19 +64,44 @@ impl TrialBudget {
     /// # Panics
     ///
     /// Panics if `min_trials == 0`, `min_trials > max_trials`, or the
-    /// target value is not strictly positive.
+    /// target value is not finite and strictly positive.
     pub fn adaptive(min_trials: usize, max_trials: usize, target: CiTarget) -> Self {
-        assert!(min_trials > 0, "budget needs at least one trial");
-        assert!(min_trials <= max_trials, "min_trials must be <= max_trials");
-        let v = match target {
-            CiTarget::Absolute(v) | CiTarget::Relative(v) => v,
-        };
-        assert!(v > 0.0, "CI target must be strictly positive");
         TrialBudget {
             min_trials,
             max_trials,
             ci_target: Some(target),
         }
+        .validated()
+    }
+
+    /// The one budget rule, shared by the constructors, [`crate::Sweep::budget`]
+    /// and both JSON parsers: `1 <= min_trials <= max_trials`, and a CI
+    /// target, when set, finite and strictly positive. A budget outside
+    /// it would leave cells that can never be decided.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        if self.min_trials == 0 {
+            return Err("budget needs at least one trial".into());
+        }
+        if self.min_trials > self.max_trials {
+            return Err(format!(
+                "min_trials must be <= max_trials, got {}..{}",
+                self.min_trials, self.max_trials
+            ));
+        }
+        match self.ci_target {
+            Some(CiTarget::Absolute(v) | CiTarget::Relative(v)) if !(v.is_finite() && v > 0.0) => {
+                Err(format!("CI target must be strictly positive, got {v}"))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// `self`, or a panic with the [`TrialBudget::check`] message.
+    pub(crate) fn validated(self) -> Self {
+        if let Err(msg) = self.check() {
+            panic!("{msg}");
+        }
+        self
     }
 
     /// The stopping decision over a *complete* sample prefix: `true` if a

@@ -9,7 +9,8 @@ use std::fmt;
 pub enum SweepError {
     /// Reading or writing an artifact file failed.
     Io(std::io::Error),
-    /// An artifact was not valid `dg-sweep` JSON.
+    /// An artifact or spec was not valid `dg-sweep` JSON, or broke a
+    /// configuration rule.
     Parse(String),
     /// An artifact does not belong to this sweep (different grid, seed,
     /// or budget — resuming from it would silently mix experiments).

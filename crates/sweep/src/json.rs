@@ -87,12 +87,18 @@ impl Json {
     }
 }
 
+/// Deepest nesting a document may have. Artifacts nest five deep
+/// (document, cells, cell, samples, row); the bound keeps a hostile
+/// `[[[[...` from overflowing the stack of the thread that parses it.
+const MAX_DEPTH: usize = 32;
+
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 pub(crate) fn parse(text: &str) -> Result<Json, SweepError> {
     let mut p = Parser {
         text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -110,6 +116,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Objects and arrays open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -156,8 +164,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, SweepError> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => Ok(Json::Str(self.string()?)),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
@@ -168,6 +176,19 @@ impl Parser<'_> {
                 c as char, self.pos
             ))),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, SweepError>) -> Result<Json, SweepError> {
+        if self.depth == MAX_DEPTH {
+            return Err(SweepError::Parse(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = f(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, SweepError> {
@@ -394,6 +415,16 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("[1] extra").is_err());
         assert!(parse("{\"a\" 1}").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(matches!(parse(&over), Err(SweepError::Parse(_))));
+        // Far deeper than any thread's stack could recurse.
+        assert!(parse(&"[{\"a\": ".repeat(1 << 20)).is_err());
     }
 
     #[test]

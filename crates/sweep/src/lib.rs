@@ -17,11 +17,16 @@
 //!   a cell stops only when every gating metric meets its CI target,
 //!   while [`MetricStopping::Observe`] metrics are recorded without
 //!   gating ([`Grid::metrics`], [`Sweep::run_metrics`]);
-//! * [`SweepReport`] — a machine-readable artifact (JSON + CSV) carrying
-//!   per-cell summaries *and* raw samples, so a killed sweep resumes
-//!   from its own output file ([`Sweep::checkpoint`]) and finishes with
-//!   a byte-identical report. Metric-less sweeps keep the frozen
-//!   `dg-sweep/1` bytes; declared metrics opt into `dg-sweep/2`.
+//! * [`SweepSpec`] — a sweep's whole configuration (axes, round caps,
+//!   metrics, base seed, budget): the one place it is validated,
+//!   fingerprinted, written and parsed, so a sweep can be named before
+//!   it runs;
+//! * [`SweepReport`] — a machine-readable artifact (JSON + CSV): a
+//!   [`SweepSpec`] plus its cells, each carrying per-cell summaries
+//!   *and* raw samples, so a killed sweep resumes from its own output
+//!   file ([`Sweep::checkpoint`]) and finishes with a byte-identical
+//!   report. Metric-less sweeps keep the frozen `dg-sweep/1` bytes;
+//!   declared metrics opt into `dg-sweep/2`.
 //!
 //! Determinism is the design invariant: trial `i` of cell `c` is seeded
 //! `mix_seed(mix_seed(base_seed, c), i)` and the stopping decision is a

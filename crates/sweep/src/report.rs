@@ -5,18 +5,10 @@ use std::path::Path;
 
 use dg_stats::{mean_ci95_t, ConfidenceInterval, Quantiles, Summary};
 
-use crate::axis::{Axis, Metric, MetricStopping};
-use crate::budget::{CiTarget, TrialBudget};
+use crate::axis::{Axis, Metric};
 use crate::error::SweepError;
-use crate::json::{self, fmt_f64, push_str_escaped};
-
-/// Format tag of classic single-metric artifacts. Frozen: metric-less
-/// reports must keep producing these exact bytes forever.
-const FORMAT: &str = "dg-sweep/1";
-
-/// Format tag of multi-metric artifacts (declared [`Metric`]s, one
-/// sample row per trial).
-const FORMAT_V2: &str = "dg-sweep/2";
+use crate::json::{self, fmt_f64, Json};
+use crate::spec::{push_caps, push_metric, SweepSpec, FORMAT, FORMAT_V2};
 
 /// Results of one cell: the raw sample rows in trial order plus whether
 /// the stopping rule has fixed this cell's final trial count.
@@ -160,8 +152,8 @@ pub struct NearestCell<'a> {
     pub exact: bool,
 }
 
-/// A sweep's results: configuration echo + per-cell reports, ordered by
-/// cell id.
+/// A sweep's results: its [`SweepSpec`] plus per-cell reports, ordered
+/// by cell id.
 ///
 /// Serializes to JSON ([`SweepReport::to_json`], the resumable artifact)
 /// and CSV ([`SweepReport::to_csv`], one row per cell for plotting). The
@@ -170,62 +162,41 @@ pub struct NearestCell<'a> {
 /// resumed sweep serializes to the same bytes as an uninterrupted one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
-    pub(crate) axes: Vec<Axis>,
-    pub(crate) base_seed: u64,
-    pub(crate) budget: TrialBudget,
-    /// Per-cell round caps when the grid carried a
-    /// [`crate::Grid::max_rounds`] policy; part of the sweep's identity
-    /// (serialized and fingerprinted only when present, so artifacts
-    /// from cap-less sweeps keep their exact bytes).
-    pub(crate) max_rounds: Option<Vec<u32>>,
-    /// Declared metrics for `dg-sweep/2` sweeps; `None` keeps the
-    /// report on the frozen `dg-sweep/1` wire format.
-    pub(crate) metrics: Option<Vec<Metric>>,
+    /// The configuration: axes, round caps, metrics, seed, budget. The
+    /// spec that, run with the same trial function, reproduces the
+    /// report.
+    pub(crate) spec: SweepSpec,
     pub(crate) cells: Vec<CellReport>,
 }
 
 impl SweepReport {
-    /// The grid axes the sweep ran over.
-    pub fn axes(&self) -> &[Axis] {
-        &self.axes
+    /// The sweep's configuration.
+    pub fn spec(&self) -> &SweepSpec {
+        &self.spec
     }
 
-    /// The per-cell round caps, by cell id, when the sweep's grid
-    /// carried a [`crate::Grid::max_rounds`] policy.
+    /// The per-cell round caps, by cell id ([`SweepSpec::max_rounds`]).
     pub fn max_rounds_table(&self) -> Option<&[u32]> {
-        self.max_rounds.as_deref()
+        self.spec.max_rounds()
     }
 
-    /// The declared metrics, in declaration order, for multi-metric
-    /// (`dg-sweep/2`) reports; `None` for classic single-metric ones.
+    /// The declared metrics ([`SweepSpec::metrics`]): `None` for classic
+    /// single-metric (`dg-sweep/1`) reports.
     pub fn metrics(&self) -> Option<&[Metric]> {
-        self.metrics.as_deref()
+        self.spec.metrics()
     }
 
     /// The index of the named metric in this report's sample rows, or
     /// `None` when the report declares no such metric (including every
     /// metric-less `dg-sweep/1` report).
     pub fn metric_index(&self, name: &str) -> Option<usize> {
-        self.metrics
-            .as_deref()?
-            .iter()
-            .position(|m| m.name() == name)
+        self.metrics()?.iter().position(|m| m.name() == name)
     }
 
     /// Width of each cell's sample rows: the declared metric count, or
     /// 1 for single-metric reports.
     pub fn metric_count(&self) -> usize {
-        self.metrics.as_deref().map_or(1, <[Metric]>::len)
-    }
-
-    /// The sweep's base seed.
-    pub fn base_seed(&self) -> u64 {
-        self.base_seed
-    }
-
-    /// The trial budget the sweep ran under.
-    pub fn budget(&self) -> TrialBudget {
-        self.budget
+        self.metrics().map_or(1, <[Metric]>::len)
     }
 
     /// Per-cell reports, ordered by cell id.
@@ -245,7 +216,7 @@ impl SweepReport {
     ///
     /// Panics if no axis has that name.
     pub fn axis_value(&self, cell: &CellReport, name: &str) -> f64 {
-        match self.axes.iter().position(|a| a.name() == name) {
+        match self.spec.axes().iter().position(|a| a.name() == name) {
             Some(i) => cell.values[i],
             None => panic!("no axis named {name:?}"),
         }
@@ -288,18 +259,11 @@ impl SweepReport {
             .fold(None, |acc, hw| Some(acc.map_or(hw, |a: f64| a.max(hw))))
     }
 
-    /// The report's identity fingerprint — the FNV-1a hash over its
-    /// configuration (axes, round caps, metrics, seed, budget) that
-    /// names the artifact in content-addressed stores and gates
-    /// checkpoint resume.
+    /// The report's identity fingerprint: its spec's
+    /// ([`SweepSpec::fingerprint`]), which names the artifact in
+    /// content-addressed stores and gates checkpoint resume.
     pub fn fingerprint(&self) -> u64 {
-        fingerprint(
-            &self.axes,
-            self.max_rounds.as_deref(),
-            self.metrics.as_deref(),
-            self.base_seed,
-            &self.budget,
-        )
+        self.spec.fingerprint()
     }
 
     /// Resolves a cell query (`(axis name, value)` pairs) into per-axis
@@ -309,12 +273,12 @@ impl SweepReport {
     /// daemon-facing lookups below share this validation so a malformed
     /// query is a [`SweepError::Query`], never a panic.
     fn query_targets(&self, query: &[(&str, f64)]) -> Result<Vec<f64>, SweepError> {
-        let mut targets = vec![None; self.axes.len()];
+        let mut targets = vec![None; self.spec.axes().len()];
         for &(name, value) in query {
-            let Some(i) = self.axes.iter().position(|a| a.name() == name) else {
+            let Some(i) = self.spec.axes().iter().position(|a| a.name() == name) else {
                 return Err(SweepError::Query(format!(
                     "no axis named {name:?} (axes: {:?})",
-                    self.axes.iter().map(Axis::name).collect::<Vec<_>>()
+                    self.spec.axes().iter().map(Axis::name).collect::<Vec<_>>()
                 )));
             };
             if targets[i].is_some() {
@@ -332,7 +296,10 @@ impl SweepReport {
             .enumerate()
             .map(|(i, t)| {
                 t.ok_or_else(|| {
-                    SweepError::Query(format!("axis {:?} missing from query", self.axes[i].name()))
+                    SweepError::Query(format!(
+                        "axis {:?} missing from query",
+                        self.spec.axes()[i].name()
+                    ))
                 })
             })
             .collect()
@@ -341,7 +308,8 @@ impl SweepReport {
     /// The cell id for per-axis value indices (row-major, last axis
     /// fastest — the same enumeration as [`crate::Grid::cells`]).
     fn cell_id(&self, indices: &[usize]) -> usize {
-        self.axes
+        self.spec
+            .axes()
             .iter()
             .zip(indices)
             .fold(0, |id, (axis, &i)| id * axis.values().len() + i)
@@ -357,8 +325,8 @@ impl SweepReport {
     /// exactly once with finite values.
     pub fn cell_at(&self, query: &[(&str, f64)]) -> Result<Option<&CellReport>, SweepError> {
         let targets = self.query_targets(query)?;
-        let mut indices = Vec::with_capacity(self.axes.len());
-        for (axis, target) in self.axes.iter().zip(&targets) {
+        let mut indices = Vec::with_capacity(self.spec.axes().len());
+        for (axis, target) in self.spec.axes().iter().zip(&targets) {
             match axis.values().iter().position(|v| v == target) {
                 Some(i) => indices.push(i),
                 None => return Ok(None),
@@ -386,9 +354,9 @@ impl SweepReport {
     /// resolved cell.
     pub fn nearest_cell(&self, query: &[(&str, f64)]) -> Result<NearestCell<'_>, SweepError> {
         let targets = self.query_targets(query)?;
-        let mut indices = Vec::with_capacity(self.axes.len());
+        let mut indices = Vec::with_capacity(self.spec.axes().len());
         let mut dist2 = 0.0f64;
-        for (axis, &target) in self.axes.iter().zip(&targets) {
+        for (axis, &target) in self.spec.axes().iter().zip(&targets) {
             let values = axis.values();
             let (mut best, mut best_gap) = (0usize, f64::INFINITY);
             for (i, &v) in values.iter().enumerate() {
@@ -431,70 +399,29 @@ impl SweepReport {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"format\": \"{}\",\n",
-            if self.metrics.is_some() {
-                FORMAT_V2
-            } else {
-                FORMAT
-            }
-        ));
+        let spec = &self.spec;
+        out.push_str(&format!("  \"format\": \"{}\",\n", spec.format()));
         out.push_str(&format!("  \"complete\": {},\n", self.is_complete()));
-        out.push_str(&format!("  \"base_seed\": {},\n", self.base_seed));
+        out.push_str(&format!("  \"base_seed\": {},\n", spec.base_seed));
         out.push_str(&format!("  \"fingerprint\": {},\n", self.fingerprint()));
-        if let Some(metrics) = &self.metrics {
+        if let Some(metrics) = spec.metrics() {
             out.push_str("  \"metrics\": [");
             for (i, m) in metrics.iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                out.push_str("{\"name\": ");
-                push_str_escaped(&mut out, m.name());
-                out.push_str(", \"stopping\": ");
-                out.push_str(&stopping_json(m.stopping()));
-                out.push('}');
+                push_metric(&mut out, m);
             }
             out.push_str("],\n");
         }
-        if let Some(caps) = &self.max_rounds {
-            out.push_str("  \"max_rounds\": [");
-            for (i, cap) in caps.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&cap.to_string());
-            }
-            out.push_str("],\n");
+        if let Some(caps) = spec.max_rounds() {
+            push_caps(&mut out, caps);
+            out.push_str(",\n");
         }
-        out.push_str(&format!(
-            "  \"budget\": {{\"min_trials\": {}, \"max_trials\": {}, \"ci_target\": {}}},\n",
-            self.budget.min_trials,
-            self.budget.max_trials,
-            match self.budget.ci_target {
-                None => "null".to_string(),
-                Some(CiTarget::Absolute(v)) => format!("{{\"absolute\": {}}}", fmt_f64(v)),
-                Some(CiTarget::Relative(v)) => format!("{{\"relative\": {}}}", fmt_f64(v)),
-            }
-        ));
-        out.push_str("  \"axes\": [\n");
-        for (i, axis) in self.axes.iter().enumerate() {
-            out.push_str("    {\"name\": ");
-            push_str_escaped(&mut out, axis.name());
-            out.push_str(", \"values\": [");
-            for (j, v) in axis.values().iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&fmt_f64(*v));
-            }
-            out.push_str(if i + 1 < self.axes.len() {
-                "]},\n"
-            } else {
-                "]}\n"
-            });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"cells\": [\n");
+        spec.push_budget(&mut out);
+        out.push_str(",\n");
+        spec.push_axes(&mut out);
+        out.push_str(",\n  \"cells\": [\n");
         let width = self.metric_count();
         for (i, cell) in self.cells.iter().enumerate() {
             // One pass over the samples per statistic family (to_json
@@ -506,7 +433,7 @@ impl SweepReport {
                 .map(|v| fmt_f64(*v))
                 .collect::<Vec<_>>()
                 .join(", ");
-            if self.metrics.is_none() {
+            if self.metrics().is_none() {
                 let quantiles = Quantiles::try_new(cell.completed());
                 let ci = cell.ci();
                 out.push_str(&format!(
@@ -577,11 +504,11 @@ impl SweepReport {
     /// metric.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
-        for axis in &self.axes {
+        for axis in self.spec.axes() {
             out.push_str(axis.name());
             out.push(',');
         }
-        match self.metrics.as_deref() {
+        match self.metrics() {
             None => out.push_str("trials,incomplete,mean,p95,max,ci_lo,ci_hi,ci_half_width\n"),
             Some(metrics) => {
                 out.push_str("trials");
@@ -600,7 +527,7 @@ impl SweepReport {
                 out.push(',');
             }
             out.push_str(&cell.trials().to_string());
-            if self.metrics.is_none() {
+            if self.metrics().is_none() {
                 out.push(',');
             }
             for m in 0..self.metric_count() {
@@ -616,7 +543,7 @@ impl SweepReport {
                     opt_csv(ci.map(|c| c.hi)),
                     opt_csv(ci.map(|c| c.half_width())),
                 );
-                if self.metrics.is_some() {
+                if self.metrics().is_some() {
                     out.push(',');
                 }
                 out.push_str(&row);
@@ -643,13 +570,17 @@ impl SweepReport {
     /// re-serializes to its exact bytes), and `dg-sweep/2` adds the
     /// metric declarations and per-trial sample rows.
     ///
-    /// Statistics are recomputed from the samples; the embedded
-    /// fingerprint is verified against the reloaded *configuration*
-    /// (axes, metrics, seed, budget), so a truncated artifact or one
-    /// from a different sweep is rejected instead of quietly resuming
-    /// the wrong experiment. Sample values themselves are data, not
-    /// configuration — they are validated structurally (finite numbers
-    /// or `null`, rows exactly one slot per declared metric) but
+    /// The configuration half goes through the spec parser
+    /// ([`SweepSpec::from_json`]'s rules, defaults and forgiving forms
+    /// included), so a report in hand always holds a spec that builds
+    /// and runs. The format tag must agree with whether metrics are
+    /// declared, and the embedded fingerprint must match the spec's, so
+    /// a truncated artifact or one from a different sweep is rejected
+    /// instead of quietly resuming the wrong experiment. Cells must be
+    /// the grid's, in id order with its exact values. Statistics are
+    /// recomputed from the samples; sample values themselves are data,
+    /// not configuration — they are validated structurally (finite
+    /// numbers or `null`, rows exactly one slot per declared metric) but
     /// otherwise trusted as written.
     pub fn from_json(text: &str) -> Result<Self, SweepError> {
         let doc = json::parse(text)?;
@@ -659,113 +590,68 @@ impl SweepReport {
                 "artifact format {format:?}, expected {FORMAT:?} or {FORMAT_V2:?}"
             )));
         }
-        let metrics = if format == FORMAT_V2 {
-            let mut metrics: Vec<Metric> = Vec::new();
-            for m in doc.get("metrics")?.as_arr()? {
-                let metric = parse_metric(m)?;
-                if metrics.iter().any(|o| o.name() == metric.name()) {
-                    return Err(SweepError::Parse(format!(
-                        "duplicate metric {:?}",
-                        metric.name()
-                    )));
-                }
-                metrics.push(metric);
-            }
-            if metrics.is_empty() {
-                return Err(SweepError::Parse(
-                    "dg-sweep/2 artifact declares no metrics".into(),
-                ));
-            }
-            Some(metrics)
-        } else {
-            None
-        };
-        let base_seed = doc.get("base_seed")?.as_u64()?;
-        let budget_doc = doc.get("budget")?;
-        let target_doc = budget_doc.get("ci_target")?;
-        let ci_target = if target_doc.is_null() {
-            None
-        } else if let Ok(v) = target_doc.get("absolute") {
-            Some(CiTarget::Absolute(v.as_f64()?))
-        } else {
-            Some(CiTarget::Relative(target_doc.get("relative")?.as_f64()?))
-        };
-        let budget = TrialBudget {
-            min_trials: budget_doc.get("min_trials")?.as_usize()?,
-            max_trials: budget_doc.get("max_trials")?.as_usize()?,
-            ci_target,
-        };
-        // Reject malformed values with an Err here — the Axis/serializer
-        // constructors downstream assert on them (a library panic is the
-        // wrong response to a corrupted file).
-        let finite = |v: f64, what: &str| {
-            if v.is_finite() {
-                Ok(v)
-            } else {
-                Err(SweepError::Parse(format!("non-finite {what}: {v}")))
-            }
-        };
-        let mut axes = Vec::new();
-        for axis in doc.get("axes")?.as_arr()? {
-            let name = axis.get("name")?.as_str()?.to_string();
-            if name.is_empty() {
-                return Err(SweepError::Parse("empty axis name".into()));
-            }
-            let mut values = Vec::new();
-            for v in axis.get("values")?.as_arr()? {
-                values.push(finite(v.as_f64()?, "axis value")?);
-            }
-            if values.is_empty() {
-                return Err(SweepError::Parse(format!("axis {name:?} has no values")));
-            }
-            axes.push(Axis::explicit(name, values));
+        let spec = SweepSpec::from_doc(&doc)?;
+        if format != spec.format() {
+            return Err(SweepError::Parse(format!(
+                "a {format} artifact {} declare metrics",
+                if format == FORMAT { "must not" } else { "must" }
+            )));
         }
-        // Optional: sweeps without a max_rounds policy omit the key.
-        let max_rounds = match doc.get("max_rounds") {
-            Ok(arr) => {
-                let mut caps = Vec::new();
-                for v in arr.as_arr()? {
-                    let cap = v.as_u64()?;
-                    caps.push(u32::try_from(cap).map_err(|_| {
-                        SweepError::Parse(format!("max_rounds cap {cap} exceeds u32"))
-                    })?);
-                }
-                Some(caps)
+        let expected = doc.get("fingerprint")?.as_u64()?;
+        let actual = spec.fingerprint();
+        if expected != actual {
+            return Err(SweepError::Mismatch(format!(
+                "artifact fingerprint {expected} != recomputed {actual}"
+            )));
+        }
+        let cells_doc = doc.get("cells")?.as_arr()?;
+        if cells_doc.len() != spec.cell_count() {
+            return Err(SweepError::Parse(format!(
+                "artifact has {} cells for a {}-cell grid",
+                cells_doc.len(),
+                spec.cell_count()
+            )));
+        }
+        let width = spec.metrics().map(<[Metric]>::len);
+        let slot = |s: &Json| -> Result<Option<f64>, SweepError> {
+            if s.is_null() {
+                return Ok(None);
             }
-            Err(_) => None,
+            let v = s.as_f64()?;
+            if !v.is_finite() {
+                return Err(SweepError::Parse(format!("non-finite sample: {v}")));
+            }
+            Ok(Some(v))
         };
-        let mut cells = Vec::new();
-        for (i, cell) in doc.get("cells")?.as_arr()?.iter().enumerate() {
+        let mut cells = Vec::with_capacity(cells_doc.len());
+        for (i, (cell, grid_cell)) in cells_doc.iter().zip(spec.grid.cells()).enumerate() {
             let id = cell.get("id")?.as_usize()?;
             if id != i {
                 return Err(SweepError::Parse(format!(
                     "cell {i} has out-of-order id {id}"
                 )));
             }
-            let mut values = Vec::new();
-            for v in cell.get("values")?.as_arr()? {
-                values.push(finite(v.as_f64()?, "cell value")?);
+            let values = cell.get("values")?.as_arr()?;
+            let values: Vec<f64> = values.iter().map(Json::as_f64).collect::<Result<_, _>>()?;
+            let bits = |vs: &[f64]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            if bits(&values) != bits(grid_cell.values()) {
+                return Err(SweepError::Parse(format!(
+                    "cell {i} has values {values:?}, the grid's are {:?}",
+                    grid_cell.values()
+                )));
             }
             let mut samples = Vec::new();
             for s in cell.get("samples")?.as_arr()? {
-                let slot = |s: &json::Json| -> Result<Option<f64>, SweepError> {
-                    Ok(if s.is_null() {
-                        None
-                    } else {
-                        Some(finite(s.as_f64()?, "sample")?)
-                    })
-                };
-                match &metrics {
+                match width {
                     // v1: a flat scalar per trial — a width-1 row.
                     None => samples.push(vec![slot(s)?]),
                     // v2: one row per trial, one slot per declared metric.
-                    Some(metrics) => {
+                    Some(width) => {
                         let row = s.as_arr()?;
-                        if row.len() != metrics.len() {
+                        if row.len() != width {
                             return Err(SweepError::Parse(format!(
-                                "sample row has {} slots for {} metrics",
-                                row.len(),
-                                metrics.len()
+                                "sample row has {} slots for {width} metrics",
+                                row.len()
                             )));
                         }
                         samples.push(row.iter().map(slot).collect::<Result<_, _>>()?);
@@ -779,83 +665,8 @@ impl SweepReport {
                 decided: cell.get("decided")?.as_bool()?,
             });
         }
-        let report = SweepReport {
-            axes,
-            base_seed,
-            budget,
-            max_rounds,
-            metrics,
-            cells,
-        };
-        let expected = doc.get("fingerprint")?.as_u64()?;
-        let actual = report.fingerprint();
-        if expected != actual {
-            return Err(SweepError::Mismatch(format!(
-                "artifact fingerprint {expected} != recomputed {actual}"
-            )));
-        }
-        Ok(report)
+        Ok(SweepReport { spec, cells })
     }
-}
-
-/// Serializes a [`MetricStopping`] (shared by artifact and spec
-/// writers, so the two stay in canonical agreement).
-pub(crate) fn stopping_json(stopping: MetricStopping) -> String {
-    match stopping {
-        MetricStopping::Default => "\"default\"".to_string(),
-        MetricStopping::Target(CiTarget::Absolute(v)) => {
-            format!("{{\"absolute\": {}}}", fmt_f64(v))
-        }
-        MetricStopping::Target(CiTarget::Relative(v)) => {
-            format!("{{\"relative\": {}}}", fmt_f64(v))
-        }
-        MetricStopping::Observe => "\"observe\"".to_string(),
-    }
-}
-
-/// Parses one metric declaration: the canonical object form
-/// `{"name": ..., "stopping": ...}` (stopping `"default"`, `"observe"`,
-/// `{"absolute": v}` or `{"relative": v}`), or — for forgiving wire
-/// specs — a bare name string meaning default stopping.
-pub(crate) fn parse_metric(m: &json::Json) -> Result<Metric, SweepError> {
-    if let Ok(name) = m.as_str() {
-        if name.is_empty() {
-            return Err(SweepError::Parse("empty metric name".into()));
-        }
-        return Ok(Metric::new(name));
-    }
-    let name = m.get("name")?.as_str()?;
-    if name.is_empty() {
-        return Err(SweepError::Parse("empty metric name".into()));
-    }
-    let stopping = m.get("stopping")?;
-    if let Ok(tag) = stopping.as_str() {
-        return match tag {
-            "default" => Ok(Metric::new(name)),
-            "observe" => Ok(Metric::observe(name)),
-            other => Err(SweepError::Parse(format!(
-                "metric {name:?} has unknown stopping {other:?}"
-            ))),
-        };
-    }
-    let (tag, v) = if let Ok(v) = stopping.get("absolute") {
-        ("absolute", v.as_f64()?)
-    } else {
-        ("relative", stopping.get("relative")?.as_f64()?)
-    };
-    if !(v.is_finite() && v > 0.0) {
-        return Err(SweepError::Parse(format!(
-            "metric {name:?} {tag} target must be strictly positive, got {v}"
-        )));
-    }
-    Ok(Metric::target(
-        name,
-        if tag == "absolute" {
-            CiTarget::Absolute(v)
-        } else {
-            CiTarget::Relative(v)
-        },
-    ))
 }
 
 /// Serializes a *sample*: `null` for censored, strict otherwise — a
@@ -898,83 +709,10 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SweepError> {
     Ok(())
 }
 
-/// FNV-1a fingerprint over a sweep's identity: format, axes (names and
-/// exact value bits), the per-cell round caps (when a policy is
-/// attached — cap-less sweeps hash exactly as before, so their old
-/// artifacts stay resumable), the declared metrics (when present — the
-/// format tag changes with them, so no metric-less fingerprint can
-/// collide with a multi-metric one), base seed, and budget. Two sweeps
-/// share a fingerprint exactly when their per-`(cell, trial)` seed
-/// streams, round caps, sampled metrics and stopping rules coincide —
-/// the precondition for resuming from an artifact.
-pub(crate) fn fingerprint(
-    axes: &[Axis],
-    max_rounds: Option<&[u32]>,
-    metrics: Option<&[Metric]>,
-    base_seed: u64,
-    budget: &TrialBudget,
-) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01B3);
-        }
-    };
-    eat(if metrics.is_some() { FORMAT_V2 } else { FORMAT }.as_bytes());
-    for axis in axes {
-        eat(axis.name().as_bytes());
-        eat(&[0]);
-        for v in axis.values() {
-            eat(&v.to_bits().to_le_bytes());
-        }
-        eat(&[1]);
-    }
-    if let Some(caps) = max_rounds {
-        eat(&[2]);
-        for cap in caps {
-            eat(&cap.to_le_bytes());
-        }
-    }
-    if let Some(metrics) = metrics {
-        eat(&[3]);
-        for m in metrics {
-            eat(m.name().as_bytes());
-            eat(&[0]);
-            match m.stopping() {
-                MetricStopping::Default => eat(&[0]),
-                MetricStopping::Target(CiTarget::Absolute(v)) => {
-                    eat(&[1]);
-                    eat(&v.to_bits().to_le_bytes());
-                }
-                MetricStopping::Target(CiTarget::Relative(v)) => {
-                    eat(&[2]);
-                    eat(&v.to_bits().to_le_bytes());
-                }
-                MetricStopping::Observe => eat(&[3]),
-            }
-        }
-    }
-    eat(&base_seed.to_le_bytes());
-    eat(&(budget.min_trials as u64).to_le_bytes());
-    eat(&(budget.max_trials as u64).to_le_bytes());
-    match budget.ci_target {
-        None => eat(&[0]),
-        Some(CiTarget::Absolute(v)) => {
-            eat(&[1]);
-            eat(&v.to_bits().to_le_bytes());
-        }
-        Some(CiTarget::Relative(v)) => {
-            eat(&[2]);
-            eat(&v.to_bits().to_le_bytes());
-        }
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CiTarget, TrialBudget};
 
     /// Width-1 rows from a flat list — the single-metric sample shape.
     fn rows1(samples: Vec<Option<f64>>) -> Vec<Vec<Option<f64>>> {
@@ -983,11 +721,11 @@ mod tests {
 
     fn sample_report() -> SweepReport {
         SweepReport {
-            axes: vec![Axis::ints("n", [16, 32]), Axis::explicit("q", [0.1, 0.25])],
-            base_seed: u64::MAX - 17,
-            budget: TrialBudget::adaptive(3, 9, CiTarget::Relative(0.05)),
-            max_rounds: None,
-            metrics: None,
+            spec: SweepSpec::new(
+                vec![Axis::ints("n", [16, 32]), Axis::explicit("q", [0.1, 0.25])],
+                u64::MAX - 17,
+                TrialBudget::adaptive(3, 9, CiTarget::Relative(0.05)),
+            ),
             cells: vec![
                 CellReport {
                     id: 0,
@@ -1022,11 +760,12 @@ mod tests {
     /// undecided cell, an empty cell.
     fn metric_report() -> SweepReport {
         SweepReport {
-            axes: vec![Axis::ints("n", [16]), Axis::explicit("q", [0.1, 0.25])],
-            base_seed: 99,
-            budget: TrialBudget::adaptive(2, 6, CiTarget::Relative(0.1)),
-            max_rounds: None,
-            metrics: Some(vec![
+            spec: SweepSpec::new(
+                vec![Axis::ints("n", [16]), Axis::explicit("q", [0.1, 0.25])],
+                99,
+                TrialBudget::adaptive(2, 6, CiTarget::Relative(0.1)),
+            )
+            .with_metrics(vec![
                 Metric::new("rounds"),
                 Metric::target("messages", CiTarget::Relative(0.2)),
                 Metric::observe("coverage"),
@@ -1132,40 +871,106 @@ mod tests {
         ));
     }
 
+    /// Six artifacts whose configuration breaks a spec rule while their
+    /// embedded fingerprint matches it. Resuming any of them panicked
+    /// (short cap table, `u32::MAX` cap, duplicate axis) or blocked
+    /// `Sweep::run` forever (`min > max`, `0..0`); the loader must
+    /// reject each with `Parse`, as the spec parser does.
+    #[test]
+    fn invalid_configs_with_matching_fingerprints_are_parse_errors() {
+        fn budget(min_trials: usize, max_trials: usize, target: Option<f64>) -> TrialBudget {
+            TrialBudget {
+                min_trials,
+                max_trials,
+                ci_target: target.map(CiTarget::Relative),
+            }
+        }
+        let broken = |breakage: fn(&mut SweepSpec)| {
+            let mut report = sample_report();
+            breakage(&mut report.spec);
+            report
+        };
+        for (label, report) in [
+            (
+                "short cap table",
+                broken(|s| s.grid.max_rounds = Some(vec![10, 20])),
+            ),
+            (
+                "u32::MAX cap",
+                broken(|s| s.grid.max_rounds = Some(vec![10, 20, 30, u32::MAX])),
+            ),
+            (
+                "duplicate axis",
+                broken(|s| s.grid.axes[1] = Axis::explicit("n", [0.1, 0.25])),
+            ),
+            ("min > max", broken(|s| s.budget = budget(3, 2, None))),
+            ("0..0", broken(|s| s.budget = budget(0, 0, None))),
+            (
+                "ci_target <= 0",
+                broken(|s| s.budget = budget(3, 9, Some(0.0))),
+            ),
+        ] {
+            let json = report.to_json();
+            assert!(json.contains(&format!("\"fingerprint\": {},", report.fingerprint())));
+            match SweepReport::from_json(&json) {
+                Err(SweepError::Parse(msg)) => assert!(!msg.is_empty(), "{label}"),
+                other => panic!("{label}: expected a Parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn format_and_cells_must_agree_with_the_spec() {
+        let json = sample_report().to_json();
+        let parse_err =
+            |text: &str| matches!(SweepReport::from_json(text), Err(SweepError::Parse(_)));
+        // A dg-sweep/1 tag over declared metrics, and the reverse.
+        let v1_with_metrics = json.replace(
+            "  \"budget\"",
+            "  \"metrics\": [{\"name\": \"rounds\", \"stopping\": \"default\"}],\n  \"budget\"",
+        );
+        assert!(parse_err(&v1_with_metrics));
+        let v2 = metric_report().to_json();
+        let v2_without_metrics = v2.replace("  \"metrics\"", "  \"unused\"");
+        assert!(parse_err(&v2_without_metrics));
+        // A missing cell, and a cell off the grid.
+        let (head, tail) = json.split_once("    {\"id\": 3").unwrap();
+        let three_cells = format!("{}\n  ]\n}}\n", head.trim_end().trim_end_matches(','));
+        assert!(tail.contains("\"samples\""));
+        assert!(parse_err(&three_cells));
+        let off_grid = json.replace("\"values\": [32, 0.25]", "\"values\": [32, 0.5]");
+        assert_ne!(off_grid, json);
+        assert!(parse_err(&off_grid));
+    }
+
     #[test]
     fn fingerprint_sensitive_to_config() {
         let r = sample_report();
-        let base = fingerprint(&r.axes, None, None, r.base_seed, &r.budget);
-        assert_ne!(
-            base,
-            fingerprint(&r.axes, None, None, r.base_seed ^ 1, &r.budget)
-        );
-        assert_ne!(
-            base,
-            fingerprint(&r.axes[..1], None, None, r.base_seed, &r.budget)
-        );
-        let mut other = r.budget;
+        let spec = |axes: &[Axis], seed: u64, budget: TrialBudget| {
+            SweepSpec::new(axes.to_vec(), seed, budget)
+        };
+        let (axes, seed, budget) = (r.spec.axes(), r.spec.base_seed, r.spec.budget);
+        let base = r.fingerprint();
+        assert_eq!(base, spec(axes, seed, budget).fingerprint());
+        assert_ne!(base, spec(axes, seed ^ 1, budget).fingerprint());
+        assert_ne!(base, spec(&axes[..1], seed, budget).fingerprint());
+        let mut other = budget;
         other.max_trials += 1;
-        assert_ne!(base, fingerprint(&r.axes, None, None, r.base_seed, &other));
+        assert_ne!(base, spec(axes, seed, other).fingerprint());
         // A max_rounds policy changes the trials' outcomes, so it must
         // change the fingerprint — per cap value, not just presence.
-        let caps = [10u32, 20, 30, 40];
-        let with_caps = fingerprint(&r.axes, Some(&caps), None, r.base_seed, &r.budget);
-        assert_ne!(base, with_caps);
-        let other_caps = [10u32, 20, 30, 41];
-        assert_ne!(
-            with_caps,
-            fingerprint(&r.axes, Some(&other_caps), None, r.base_seed, &r.budget)
-        );
+        let with_caps = r.spec.clone().with_max_rounds(vec![10, 20, 30, 40]);
+        assert_ne!(base, with_caps.fingerprint());
+        let other_caps = r.spec.clone().with_max_rounds(vec![10, 20, 30, 41]);
+        assert_ne!(with_caps.fingerprint(), other_caps.fingerprint());
     }
 
     #[test]
     fn fingerprint_sensitive_to_metrics() {
         let r = sample_report();
-        let base = fingerprint(&r.axes, None, None, r.base_seed, &r.budget);
-        let one = vec![Metric::new("rounds")];
-        let with_metrics = fingerprint(&r.axes, None, Some(&one), r.base_seed, &r.budget);
-        assert_ne!(base, with_metrics);
+        let with = |metrics: Vec<Metric>| r.spec.clone().with_metrics(metrics).fingerprint();
+        let with_metrics = with(vec![Metric::new("rounds")]);
+        assert_ne!(r.fingerprint(), with_metrics);
         // Name, order, and stopping mode all enter the hash.
         for other in [
             vec![Metric::new("messages")],
@@ -1174,17 +979,11 @@ mod tests {
             vec![Metric::target("rounds", CiTarget::Relative(0.1))],
             vec![Metric::target("rounds", CiTarget::Absolute(0.1))],
         ] {
-            assert_ne!(
-                with_metrics,
-                fingerprint(&r.axes, None, Some(&other), r.base_seed, &r.budget),
-                "{other:?}"
-            );
+            assert_ne!(with_metrics, with(other.clone()), "{other:?}");
         }
-        let two = vec![Metric::new("rounds"), Metric::new("messages")];
-        let swapped = vec![Metric::new("messages"), Metric::new("rounds")];
         assert_ne!(
-            fingerprint(&r.axes, None, Some(&two), r.base_seed, &r.budget),
-            fingerprint(&r.axes, None, Some(&swapped), r.base_seed, &r.budget)
+            with(vec![Metric::new("rounds"), Metric::new("messages")]),
+            with(vec![Metric::new("messages"), Metric::new("rounds")])
         );
     }
 
@@ -1196,7 +995,7 @@ mod tests {
         assert!(!bare.to_json().contains("max_rounds"));
         // ...and capped ones round-trip caps and fingerprint.
         let mut capped = sample_report();
-        capped.max_rounds = Some(vec![100, 200, 300, 400]);
+        capped.spec = capped.spec.with_max_rounds(vec![100, 200, 300, 400]);
         let json = capped.to_json();
         assert!(json.contains("\"max_rounds\": [100, 200, 300, 400]"));
         let reloaded = SweepReport::from_json(&json).unwrap();
@@ -1285,11 +1084,7 @@ mod tests {
     fn lookups_on_single_value_and_empty_grids() {
         // A single-value axis has zero span: distance stays raw.
         let one = SweepReport {
-            axes: vec![Axis::explicit("p", [0.5])],
-            base_seed: 1,
-            budget: TrialBudget::fixed(1),
-            max_rounds: None,
-            metrics: None,
+            spec: SweepSpec::new(vec![Axis::explicit("p", [0.5])], 1, TrialBudget::fixed(1)),
             cells: vec![CellReport {
                 id: 0,
                 values: vec![0.5],
@@ -1304,11 +1099,7 @@ mod tests {
         assert!(one.cell_at(&[("p", 0.5)]).unwrap().is_some());
         // The empty grid's single cell answers the empty query.
         let empty = SweepReport {
-            axes: vec![],
-            base_seed: 1,
-            budget: TrialBudget::fixed(1),
-            max_rounds: None,
-            metrics: None,
+            spec: SweepSpec::new(vec![], 1, TrialBudget::fixed(1)),
             cells: vec![CellReport {
                 id: 0,
                 values: vec![],

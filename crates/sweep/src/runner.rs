@@ -15,12 +15,13 @@ use std::time::{Duration, Instant};
 
 use dg_stats::{mean_ci95_t, Summary};
 
-use crate::axis::{Axis, Cell, Grid, Metric};
+use crate::axis::{Cell, Grid, Metric};
 use crate::budget::{CiTarget, TrialBudget};
 use crate::error::SweepError;
 use crate::instrument::sweep_obs;
 use crate::mix_seed;
-use crate::report::{fingerprint, CellReport, SweepReport};
+use crate::report::{CellReport, SweepReport};
+use crate::spec::SweepSpec;
 
 /// Minimum spacing between progress heartbeats (`DG_LOG=info`).
 const HEARTBEAT_EVERY: Duration = Duration::from_secs(2);
@@ -85,9 +86,8 @@ pub struct Trial {
 /// adaptively. Construct with [`Sweep::over`].
 #[derive(Debug, Clone)]
 pub struct Sweep {
-    grid: Grid,
-    budget: TrialBudget,
-    base_seed: u64,
+    /// Grid, budget and base seed: the sweep's identity.
+    spec: SweepSpec,
     threads: Option<usize>,
     lookahead: usize,
     run_budget: Option<usize>,
@@ -102,10 +102,13 @@ impl Sweep {
     /// speculation lookahead 2, no run budget, no checkpoint, panics
     /// propagate ([`TrialPanic::Propagate`]).
     pub fn over(grid: Grid) -> Sweep {
+        Sweep::of_spec(SweepSpec::of_grid(grid))
+    }
+
+    /// A sweep of `spec` with the default execution settings.
+    pub(crate) fn of_spec(spec: SweepSpec) -> Sweep {
         Sweep {
-            grid,
-            budget: TrialBudget::adaptive(8, 64, crate::CiTarget::Relative(0.05)),
-            base_seed: 0xD15E_A5E1,
+            spec,
             threads: None,
             lookahead: 2,
             run_budget: None,
@@ -115,15 +118,22 @@ impl Sweep {
     }
 
     /// Sets the per-cell trial budget (see [`TrialBudget`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the budget breaks the rule its constructors enforce
+    /// (`1 <= min_trials <= max_trials`, a finite, strictly positive CI
+    /// target): a hand-built budget outside it would leave cells that
+    /// can never be decided.
     pub fn budget(mut self, budget: TrialBudget) -> Self {
-        self.budget = budget;
+        self.spec.budget = budget.validated();
         self
     }
 
     /// Base seed; cell `c` uses `mix_seed(base_seed, c)` and its trial
     /// `i` uses `mix_seed(mix_seed(base_seed, c), i)`.
     pub fn base_seed(mut self, base_seed: u64) -> Self {
-        self.base_seed = base_seed;
+        self.spec.base_seed = base_seed;
         self
     }
 
@@ -255,7 +265,7 @@ impl Sweep {
         F: Fn(&Cell, Trial, &mut S) -> Vec<Option<f64>> + Sync,
     {
         assert!(
-            self.grid.metrics_table().is_some(),
+            self.spec.metrics().is_some(),
             "run_metrics on a grid without declared metrics: attach Grid::metrics, or use Sweep::run"
         );
         self.run_rows(worker_state, trial_fn)
@@ -296,7 +306,7 @@ impl Sweep {
         F: Fn(&Cell, Trial, &mut S) -> Option<f64> + Sync,
     {
         assert!(
-            self.grid.metrics_table().is_none(),
+            self.spec.metrics().is_none(),
             "this grid declares metrics; sample them with Sweep::run_metrics"
         );
         self.run_rows(worker_state, |cell, trial, state| {
@@ -314,19 +324,20 @@ impl Sweep {
         I: Fn() -> S + Sync,
         F: Fn(&Cell, Trial, &mut S) -> Vec<Option<f64>> + Sync,
     {
-        let cells = self.grid.cells();
+        let spec = &self.spec;
+        let cells = spec.grid.cells();
         let cell_seeds: Vec<u64> = cells
             .iter()
-            .map(|c| mix_seed(self.base_seed, c.id() as u64))
+            .map(|c| mix_seed(spec.base_seed, c.id() as u64))
             .collect();
 
-        let metrics = self.grid.metrics_table();
+        let metrics = spec.metrics();
         // The metrics the stopping rule reads: a metric-less sweep stops
         // on its one sample slot as one default metric.
         let sample = [Metric::new("sample")];
         let stopping = metrics.unwrap_or(&sample);
         let mut states: Vec<CellState> =
-            cells.iter().map(|_| CellState::new(&self.budget)).collect();
+            cells.iter().map(|_| CellState::new(&spec.budget)).collect();
         if let Some(path) = &self.checkpoint {
             if path.exists() {
                 let text = dg_fault::retry(IO_ATTEMPTS, transient, || {
@@ -334,13 +345,7 @@ impl Sweep {
                     Ok(std::fs::read_to_string(path)?)
                 })?;
                 let prior = SweepReport::from_json(&text)?;
-                let ours = fingerprint(
-                    self.grid.axes(),
-                    self.grid.max_rounds_table(),
-                    metrics,
-                    self.base_seed,
-                    &self.budget,
-                );
+                let ours = spec.fingerprint();
                 let theirs = prior.fingerprint();
                 if ours != theirs {
                     return Err(SweepError::Mismatch(format!(
@@ -349,7 +354,7 @@ impl Sweep {
                     )));
                 }
                 for (state, cell) in states.iter_mut().zip(prior.cells) {
-                    state.preload(cell.samples, &self.budget, stopping);
+                    state.preload(cell.samples, &spec.budget, stopping);
                 }
             }
         }
@@ -373,16 +378,12 @@ impl Sweep {
             heartbeat: Mutex::new(Instant::now()),
             cells: &cells,
             cell_seeds: &cell_seeds,
-            budget: self.budget,
+            spec,
             lookahead: self.lookahead,
             run_budget: self.run_budget,
             checkpoint: self.checkpoint.as_deref(),
             on_trial_panic: self.on_trial_panic,
-            axes: self.grid.axes(),
-            max_rounds: self.grid.max_rounds_table(),
-            metrics,
             stopping,
-            base_seed: self.base_seed,
         };
 
         let workers = self.worker_count(cells.len());
@@ -400,15 +401,7 @@ impl Sweep {
         if let Some(e) = state.io_error {
             return Err(e);
         }
-        let report = build_report(
-            self.grid.axes(),
-            self.grid.max_rounds_table(),
-            metrics,
-            self.base_seed,
-            &self.budget,
-            &cells,
-            &state.cells,
-        );
+        let report = build_report(spec, &cells, &state.cells);
         if let Some(path) = &self.checkpoint {
             dg_fault::retry(IO_ATTEMPTS, transient, || report.write_json(path))?;
         }
@@ -419,7 +412,7 @@ impl Sweep {
         let available = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
-        let upper = cells.saturating_mul(self.budget.max_trials).max(1);
+        let upper = cells.saturating_mul(self.spec.budget.max_trials).max(1);
         self.threads.unwrap_or(available).min(upper).max(1)
     }
 }
@@ -536,18 +529,14 @@ struct Shared<'a> {
     heartbeat: Mutex<Instant>,
     cells: &'a [Cell],
     cell_seeds: &'a [u64],
-    budget: TrialBudget,
+    spec: &'a SweepSpec,
     lookahead: usize,
     run_budget: Option<usize>,
     checkpoint: Option<&'a Path>,
     on_trial_panic: TrialPanic,
-    axes: &'a [Axis],
-    max_rounds: Option<&'a [u32]>,
-    metrics: Option<&'a [Metric]>,
-    /// What the stopping rule reads: `metrics`, or one default metric
-    /// over a metric-less sweep's one sample slot.
+    /// What the stopping rule reads: the declared metrics, or one
+    /// default metric over a metric-less sweep's one sample slot.
     stopping: &'a [Metric],
-    base_seed: u64,
 }
 
 /// The transient-I/O class worth a bounded retry: exactly what
@@ -600,7 +589,7 @@ where
                 let mut found = None;
                 for off in 0..n {
                     let ci = (start + off) % n;
-                    if st.cells[ci].claimable(&shared.budget, shared.lookahead) {
+                    if st.cells[ci].claimable(&shared.spec.budget, shared.lookahead) {
                         found = Some(ci);
                         break;
                     }
@@ -638,7 +627,7 @@ where
             shared,
             armed: true,
         };
-        let width = shared.metrics.map_or(1, <[Metric]>::len);
+        let width = shared.stopping.len();
         // Run the trial under the panic policy. `AssertUnwindSafe` is
         // justified by the per-worker state contract: observable
         // behavior must be seed-determined, so a rerun (same `trial`,
@@ -706,7 +695,7 @@ where
                 }
                 _ => {
                     cell.slots[ti] = Slot::Done(sample);
-                    cell.advance(&shared.budget, shared.stopping)
+                    cell.advance(&shared.spec.budget, shared.stopping)
                 }
             };
             if newly_decided {
@@ -777,7 +766,7 @@ fn ci_gaps<'a>(shared: &Shared<'a>, st: &State) -> Vec<(&'a str, f64)> {
         .enumerate()
         .filter_map(|(m, metric)| {
             metric
-                .effective_target(shared.budget.ci_target)
+                .effective_target(shared.spec.budget.ci_target)
                 .map(|t| (m, metric.name(), t))
         });
     let mut gaps = Vec::new();
@@ -811,15 +800,7 @@ fn write_checkpoint(shared: &Shared<'_>) {
         .unwrap_or_else(|poisoned| poisoned.into_inner());
     let report = {
         let st = lock(shared);
-        build_report(
-            shared.axes,
-            shared.max_rounds,
-            shared.metrics,
-            shared.base_seed,
-            &shared.budget,
-            shared.cells,
-            &st.cells,
-        )
+        build_report(shared.spec, shared.cells, &st.cells)
     };
     let path = shared.checkpoint.expect("caller checked");
     let result = dg_fault::retry(IO_ATTEMPTS, transient, || report.write_json(path));
@@ -835,15 +816,7 @@ fn write_checkpoint(shared: &Shared<'_>) {
     }
 }
 
-fn build_report(
-    axes: &[Axis],
-    max_rounds: Option<&[u32]>,
-    metrics: Option<&[Metric]>,
-    base_seed: u64,
-    budget: &TrialBudget,
-    cells: &[Cell],
-    states: &[CellState],
-) -> SweepReport {
+fn build_report(spec: &SweepSpec, cells: &[Cell], states: &[CellState]) -> SweepReport {
     let cells = cells
         .iter()
         .zip(states)
@@ -855,11 +828,7 @@ fn build_report(
         })
         .collect();
     SweepReport {
-        axes: axes.to_vec(),
-        base_seed,
-        budget: *budget,
-        max_rounds: max_rounds.map(|caps| caps.to_vec()),
-        metrics: metrics.map(|m| m.to_vec()),
+        spec: spec.clone(),
         cells,
     }
 }
@@ -867,7 +836,7 @@ fn build_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CiTarget, Grid};
+    use crate::Axis;
 
     /// A deterministic noisy "measurement": variance grows with `noise`,
     /// so adaptive budgets stop low-noise cells earlier.
@@ -892,6 +861,19 @@ mod tests {
         for cell in report.cells() {
             assert_eq!(cell.trials(), 7);
         }
+    }
+
+    /// A hand-built budget outside the rule would leave every cell
+    /// undecidable and `run` waiting forever; `budget()` refuses it.
+    /// (No sweep runs here, so a missing check fails instead of hanging.)
+    #[test]
+    #[should_panic(expected = "min_trials must be <= max_trials, got 3..2")]
+    fn inverted_hand_built_budget_panics_in_budget() {
+        let _ = Sweep::over(grid()).budget(TrialBudget {
+            min_trials: 3,
+            max_trials: 2,
+            ci_target: None,
+        });
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Sweep *specifications*: the configuration half of an artifact,
-//! parseable on its own.
+//! Sweep *specifications*: a sweep's whole configuration, the one
+//! place it is held, validated, fingerprinted, written and parsed.
 //!
-//! A [`SweepSpec`] is exactly the identity a [`crate::SweepReport`]
-//! fingerprints — axes, per-cell round caps, base seed, trial budget —
-//! without any samples. It exists so a sweep can be *named before it is
-//! run*: a client posts a spec, the server fingerprints it, and either
-//! finds the artifact in a content-addressed store or schedules the
-//! sweep — with [`SweepSpec::fingerprint`] guaranteed equal to the
-//! fingerprint the finished report will carry.
+//! A [`SweepSpec`] is a sweep's identity — axes, per-cell round caps,
+//! declared metrics, base seed, trial budget — without any samples. A
+//! [`Sweep`] runs one, and a [`crate::SweepReport`] is one plus its
+//! cells, so the artifact's configuration half is parsed by the same
+//! code as a spec posted on the wire. It also lets a sweep be *named
+//! before it is run*: a client posts a spec, the server fingerprints it,
+//! and either finds the artifact in a content-addressed store or
+//! schedules the sweep — with [`SweepSpec::fingerprint`] equal to the
+//! fingerprint the finished report carries.
 //!
 //! ```
 //! use dg_sweep::{SweepSpec, TrialBudget};
@@ -22,54 +24,61 @@
 //!     Some(cell.get("n") + (trial.seed % 3) as f64)
 //! }).unwrap();
 //! assert_eq!(report.fingerprint(), spec.fingerprint());
-//! assert_eq!(SweepSpec::of_report(&report), spec);
+//! assert_eq!(report.spec(), &spec);
 //! ```
 
-use crate::axis::{Axis, Grid, Metric};
+use crate::axis::{Axis, Grid, Metric, MetricStopping};
 use crate::budget::{CiTarget, TrialBudget};
 use crate::error::SweepError;
-use crate::json::{self, fmt_f64, push_str_escaped};
-use crate::report::{fingerprint, parse_metric, stopping_json, SweepReport};
+use crate::json::{self, fmt_f64, push_str_escaped, Json};
 use crate::runner::Sweep;
+
+/// Format tag of classic single-metric artifacts. Frozen: metric-less
+/// reports must keep producing these exact bytes forever.
+pub(crate) const FORMAT: &str = "dg-sweep/1";
+
+/// Format tag of multi-metric artifacts (declared [`Metric`]s, one
+/// sample row per trial).
+pub(crate) const FORMAT_V2: &str = "dg-sweep/2";
 
 /// The configuration of one sweep: everything that enters its resume
 /// fingerprint, and nothing else.
 ///
 /// Construct programmatically ([`SweepSpec::new`]), from a finished
-/// report ([`SweepSpec::of_report`]), or from the wire
-/// ([`SweepSpec::from_json`]).
+/// report ([`crate::SweepReport::spec`]), or from the wire
+/// ([`SweepSpec::from_json`]). Every constructor enforces the same
+/// rules, so a spec in hand always builds its grid and runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
-    axes: Vec<Axis>,
-    base_seed: u64,
-    budget: TrialBudget,
-    /// Per-cell round caps by cell id, when the sweep runs capped.
-    max_rounds: Option<Vec<u32>>,
-    /// Declared metrics, when the sweep records multi-metric rows
-    /// (`dg-sweep/2`); `None` is the metric-less `dg-sweep/1` shape.
-    metrics: Option<Vec<Metric>>,
+    /// Axes, round caps and metrics.
+    pub(crate) grid: Grid,
+    pub(crate) base_seed: u64,
+    pub(crate) budget: TrialBudget,
 }
 
 impl SweepSpec {
+    /// The spec [`Sweep::over`] starts from: seed `0xD15E_A5E1` and an
+    /// adaptive 8–64-trial budget at 5% relative CI.
+    pub(crate) fn of_grid(grid: Grid) -> Self {
+        SweepSpec {
+            grid,
+            base_seed: 0xD15E_A5E1,
+            budget: TrialBudget::adaptive(8, 64, CiTarget::Relative(0.05)),
+        }
+    }
+
     /// A spec over `axes` with the given seed and budget, uncapped.
     ///
     /// # Panics
     ///
-    /// Panics on duplicate axis names (same rule as [`Grid::axis`]).
+    /// Panics on duplicate axis names (same rule as [`Grid::axis`]) or a
+    /// budget outside `1 <= min_trials <= max_trials` with a finite,
+    /// strictly positive CI target.
     pub fn new(axes: Vec<Axis>, base_seed: u64, budget: TrialBudget) -> Self {
-        for (i, axis) in axes.iter().enumerate() {
-            assert!(
-                axes[..i].iter().all(|a| a.name() != axis.name()),
-                "duplicate axis {:?}",
-                axis.name()
-            );
-        }
         SweepSpec {
-            axes,
+            grid: axes.into_iter().fold(Grid::new(), Grid::axis),
             base_seed,
-            budget,
-            max_rounds: None,
-            metrics: None,
+            budget: budget.validated(),
         }
     }
 
@@ -80,12 +89,10 @@ impl SweepSpec {
     /// Panics if the table length is not the cell count, or any cap is
     /// `0` or `u32::MAX` (the engine's uninformed sentinel).
     pub fn with_max_rounds(mut self, caps: Vec<u32>) -> Self {
-        assert_eq!(caps.len(), self.cell_count(), "one cap per cell");
-        assert!(
-            caps.iter().all(|&c| c > 0 && c < u32::MAX),
-            "caps must be in 1..u32::MAX"
-        );
-        self.max_rounds = Some(caps);
+        self.grid = self
+            .grid
+            .try_caps(caps)
+            .unwrap_or_else(|msg| panic!("{msg}"));
         self
     }
 
@@ -97,33 +104,16 @@ impl SweepSpec {
     ///
     /// Panics on an empty metric list or duplicate metric names.
     pub fn with_metrics(mut self, metrics: Vec<Metric>) -> Self {
-        assert!(!metrics.is_empty(), "declare at least one metric");
-        for (i, m) in metrics.iter().enumerate() {
-            assert!(
-                metrics[..i].iter().all(|o| o.name() != m.name()),
-                "duplicate metric {:?}",
-                m.name()
-            );
-        }
-        self.metrics = Some(metrics);
+        self.grid = self
+            .grid
+            .try_metrics(metrics)
+            .unwrap_or_else(|msg| panic!("{msg}"));
         self
-    }
-
-    /// The configuration of an existing report — the spec that, run with
-    /// the same trial function, reproduces it.
-    pub fn of_report(report: &SweepReport) -> Self {
-        SweepSpec {
-            axes: report.axes().to_vec(),
-            base_seed: report.base_seed(),
-            budget: report.budget(),
-            max_rounds: report.max_rounds_table().map(<[u32]>::to_vec),
-            metrics: report.metrics().map(<[Metric]>::to_vec),
-        }
     }
 
     /// The spec's axes, in declaration order.
     pub fn axes(&self) -> &[Axis] {
-        &self.axes
+        self.grid.axes()
     }
 
     /// The spec's base seed.
@@ -138,111 +128,155 @@ impl SweepSpec {
 
     /// The per-cell round caps, when attached.
     pub fn max_rounds(&self) -> Option<&[u32]> {
-        self.max_rounds.as_deref()
+        self.grid.max_rounds_table()
     }
 
     /// The declared metrics, when the spec is multi-metric.
     pub fn metrics(&self) -> Option<&[Metric]> {
-        self.metrics.as_deref()
+        self.grid.metrics_table()
     }
 
     /// Number of grid cells (product of axis lengths; 1 when empty).
     pub fn cell_count(&self) -> usize {
-        self.axes.iter().map(|a| a.values().len()).product()
+        self.grid.cell_count()
     }
 
-    /// Rebuilds the [`Grid`] this spec describes (caps reattached).
+    /// The [`Grid`] this spec describes (caps and metrics attached).
     pub fn grid(&self) -> Grid {
-        let mut grid = Grid::new();
-        for axis in &self.axes {
-            grid = grid.axis(axis.clone());
-        }
-        if let Some(caps) = &self.max_rounds {
-            grid = grid.max_rounds(|cell| caps[cell.id()]);
-        }
-        if let Some(metrics) = &self.metrics {
-            grid = grid.metrics(metrics.iter().cloned());
-        }
-        grid
+        self.grid.clone()
     }
 
     /// A [`Sweep`] configured from this spec (grid, budget, seed) —
     /// attach a checkpoint and run.
     pub fn sweep(&self) -> Sweep {
-        Sweep::over(self.grid())
-            .budget(self.budget)
-            .base_seed(self.base_seed)
+        Sweep::of_spec(self.clone())
     }
 
-    /// The identity fingerprint — bit-identical to the fingerprint of
-    /// the report this spec's sweep will produce
-    /// ([`SweepReport::fingerprint`]).
+    /// The artifact format tag: `dg-sweep/2` exactly when metrics are
+    /// declared.
+    pub(crate) fn format(&self) -> &'static str {
+        if self.metrics().is_some() {
+            FORMAT_V2
+        } else {
+            FORMAT
+        }
+    }
+
+    /// The identity fingerprint: FNV-1a over the format tag, the axes
+    /// (names and exact value bits), the per-cell round caps (when
+    /// attached — cap-less sweeps hash exactly as before, so their old
+    /// artifacts stay resumable), the declared metrics (when present —
+    /// the format tag changes with them, so no metric-less fingerprint
+    /// can collide with a multi-metric one), base seed, and budget. Two
+    /// sweeps share a fingerprint exactly when their per-`(cell, trial)`
+    /// seed streams, round caps, sampled metrics and stopping rules
+    /// coincide — the precondition for resuming from an artifact, and
+    /// the name of the artifact in content-addressed stores.
     pub fn fingerprint(&self) -> u64 {
-        fingerprint(
-            &self.axes,
-            self.max_rounds.as_deref(),
-            self.metrics.as_deref(),
-            self.base_seed,
-            &self.budget,
-        )
+        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x1000_0000_01B3);
+            }
+        };
+        let target = |t: CiTarget| match t {
+            CiTarget::Absolute(v) => (1u8, v.to_bits()),
+            CiTarget::Relative(v) => (2u8, v.to_bits()),
+        };
+        eat(self.format().as_bytes());
+        for axis in self.axes() {
+            eat(axis.name().as_bytes());
+            eat(&[0]);
+            for v in axis.values() {
+                eat(&v.to_bits().to_le_bytes());
+            }
+            eat(&[1]);
+        }
+        if let Some(caps) = self.max_rounds() {
+            eat(&[2]);
+            for cap in caps {
+                eat(&cap.to_le_bytes());
+            }
+        }
+        if let Some(metrics) = self.metrics() {
+            eat(&[3]);
+            for m in metrics {
+                eat(m.name().as_bytes());
+                eat(&[0]);
+                match m.stopping() {
+                    MetricStopping::Default => eat(&[0]),
+                    MetricStopping::Target(t) => {
+                        let (tag, bits) = target(t);
+                        eat(&[tag]);
+                        eat(&bits.to_le_bytes());
+                    }
+                    MetricStopping::Observe => eat(&[3]),
+                }
+            }
+        }
+        eat(&self.base_seed.to_le_bytes());
+        eat(&(self.budget.min_trials as u64).to_le_bytes());
+        eat(&(self.budget.max_trials as u64).to_le_bytes());
+        match self.budget.ci_target.map(target) {
+            None => eat(&[0]),
+            Some((tag, bits)) => {
+                eat(&[tag]);
+                eat(&bits.to_le_bytes());
+            }
+        }
+        h
     }
 
     /// Serializes the spec (canonical form: every field explicit, caps
     /// only when attached).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
-        out.push_str("{\n  \"axes\": [\n");
-        for (i, axis) in self.axes.iter().enumerate() {
-            out.push_str("    {\"name\": ");
-            push_str_escaped(&mut out, axis.name());
-            out.push_str(", \"values\": [");
-            for (j, v) in axis.values().iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&fmt_f64(*v));
-            }
-            out.push_str(if i + 1 < self.axes.len() {
-                "]},\n"
-            } else {
-                "]}\n"
-            });
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"base_seed\": {},\n", self.base_seed));
-        out.push_str(&format!(
-            "  \"budget\": {{\"min_trials\": {}, \"max_trials\": {}, \"ci_target\": {}}}",
-            self.budget.min_trials,
-            self.budget.max_trials,
-            match self.budget.ci_target {
-                None => "null".to_string(),
-                Some(CiTarget::Absolute(v)) => format!("{{\"absolute\": {}}}", fmt_f64(v)),
-                Some(CiTarget::Relative(v)) => format!("{{\"relative\": {}}}", fmt_f64(v)),
-            }
-        ));
-        if let Some(metrics) = &self.metrics {
+        out.push_str("{\n");
+        self.push_axes(&mut out);
+        out.push_str(&format!(",\n  \"base_seed\": {},\n", self.base_seed));
+        self.push_budget(&mut out);
+        if let Some(metrics) = self.metrics() {
             out.push_str(",\n  \"metrics\": [\n");
             for (i, m) in metrics.iter().enumerate() {
-                out.push_str("    {\"name\": ");
-                push_str_escaped(&mut out, m.name());
-                out.push_str(", \"stopping\": ");
-                out.push_str(&stopping_json(m.stopping()));
-                out.push_str(if i + 1 < metrics.len() { "},\n" } else { "}\n" });
+                out.push_str("    ");
+                push_metric(&mut out, m);
+                out.push_str(if i + 1 < metrics.len() { ",\n" } else { "\n" });
             }
             out.push_str("  ]");
         }
-        if let Some(caps) = &self.max_rounds {
-            out.push_str(",\n  \"max_rounds\": [");
-            for (i, cap) in caps.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&cap.to_string());
-            }
-            out.push(']');
+        if let Some(caps) = self.max_rounds() {
+            out.push_str(",\n");
+            push_caps(&mut out, caps);
         }
         out.push_str("\n}\n");
         out
+    }
+
+    /// Writes `  "axes": [...]`, one axis a line — the piece both JSON
+    /// writers share.
+    pub(crate) fn push_axes(&self, out: &mut String) {
+        out.push_str("  \"axes\": [\n");
+        let axes = self.axes();
+        for (i, axis) in axes.iter().enumerate() {
+            out.push_str("    {\"name\": ");
+            push_str_escaped(out, axis.name());
+            out.push_str(", \"values\": [");
+            push_joined(out, axis.values().iter().map(|v| fmt_f64(*v)));
+            out.push_str(if i + 1 < axes.len() { "]},\n" } else { "]}\n" });
+        }
+        out.push_str("  ]");
+    }
+
+    /// Writes `  "budget": {...}` — the piece both JSON writers share.
+    pub(crate) fn push_budget(&self, out: &mut String) {
+        let b = self.budget;
+        out.push_str(&format!(
+            "  \"budget\": {{\"min_trials\": {}, \"max_trials\": {}, \"ci_target\": {}}}",
+            b.min_trials,
+            b.max_trials,
+            b.ci_target.map_or("null".to_string(), target_json)
+        ));
     }
 
     /// Parses a spec.
@@ -257,135 +291,135 @@ impl SweepSpec {
     /// (default stopping). Everything is validated here — a malformed
     /// spec is an `Err`, never a panic in a worker thread later.
     pub fn from_json(text: &str) -> Result<Self, SweepError> {
-        let doc = json::parse(text)?;
-        let mut axes: Vec<Axis> = Vec::new();
+        SweepSpec::from_doc(&json::parse(text)?)
+    }
+
+    /// The one configuration parser: a spec document, or the
+    /// configuration half of an artifact. Unknown keys (an artifact's
+    /// `format`, `fingerprint` and `cells`) are ignored; every rule the
+    /// constructors assert is a [`SweepError::Parse`] here.
+    pub(crate) fn from_doc(doc: &Json) -> Result<Self, SweepError> {
+        let mut grid = Grid::new();
         for axis in doc.get("axes")?.as_arr()? {
-            let name = axis.get("name")?.as_str()?.to_string();
-            if name.is_empty() {
-                return Err(SweepError::Parse("empty axis name".into()));
-            }
-            if axes.iter().any(|a| a.name() == name) {
-                return Err(SweepError::Parse(format!("duplicate axis {name:?}")));
-            }
-            let mut values = Vec::new();
-            for v in axis.get("values")?.as_arr()? {
-                let v = v.as_f64()?;
-                if !v.is_finite() {
-                    return Err(SweepError::Parse(format!(
-                        "non-finite value {v} on axis {name:?}"
-                    )));
-                }
-                values.push(v);
-            }
-            if values.is_empty() {
-                return Err(SweepError::Parse(format!("axis {name:?} has no values")));
-            }
-            axes.push(Axis::explicit(name, values));
+            let name = axis.get("name")?.as_str()?;
+            let values = axis.get("values")?.as_arr()?;
+            let values = values.iter().map(Json::as_f64).collect::<Result<_, _>>()?;
+            grid = grid
+                .try_axis(Axis::checked(name, values).map_err(SweepError::Parse)?)
+                .map_err(SweepError::Parse)?;
         }
-        let base_seed = match doc.get("base_seed") {
-            Ok(v) => v.as_u64()?,
-            Err(_) => 0xD15E_A5E1,
-        };
-        let budget = match doc.get("budget") {
-            Ok(budget_doc) => {
-                let min_trials = budget_doc.get("min_trials")?.as_usize()?;
-                let max_trials = budget_doc.get("max_trials")?.as_usize()?;
-                if min_trials == 0 || min_trials > max_trials {
-                    return Err(SweepError::Parse(format!(
-                        "budget must satisfy 1 <= min_trials <= max_trials, got {min_trials}..{max_trials}"
-                    )));
-                }
-                let target_doc = budget_doc.get("ci_target")?;
-                let ci_target = if target_doc.is_null() {
+        if let Ok(metrics) = doc.get("metrics") {
+            let metrics = metrics.as_arr()?.iter().map(parse_metric);
+            grid = grid
+                .try_metrics(metrics.collect::<Result<_, _>>()?)
+                .map_err(SweepError::Parse)?;
+        }
+        if let Ok(caps) = doc.get("max_rounds") {
+            let caps = match caps.as_arr() {
+                Ok(table) => table.iter().map(parse_cap).collect::<Result<_, _>>()?,
+                // A bare number is a uniform cap for every cell.
+                Err(_) => vec![parse_cap(caps)?; grid.cell_count()],
+            };
+            grid = grid.try_caps(caps).map_err(SweepError::Parse)?;
+        }
+        let mut spec = SweepSpec::of_grid(grid);
+        if let Ok(seed) = doc.get("base_seed") {
+            spec.base_seed = seed.as_u64()?;
+        }
+        if let Ok(budget) = doc.get("budget") {
+            let target = budget.get("ci_target")?;
+            spec.budget = TrialBudget {
+                min_trials: budget.get("min_trials")?.as_usize()?,
+                max_trials: budget.get("max_trials")?.as_usize()?,
+                ci_target: if target.is_null() {
                     None
                 } else {
-                    let (tag, v) = if let Ok(v) = target_doc.get("absolute") {
-                        ("absolute", v.as_f64()?)
-                    } else {
-                        ("relative", target_doc.get("relative")?.as_f64()?)
-                    };
-                    if !(v.is_finite() && v > 0.0) {
-                        return Err(SweepError::Parse(format!(
-                            "ci_target {tag} must be strictly positive, got {v}"
-                        )));
-                    }
-                    Some(if tag == "absolute" {
-                        CiTarget::Absolute(v)
-                    } else {
-                        CiTarget::Relative(v)
-                    })
-                };
-                TrialBudget {
-                    min_trials,
-                    max_trials,
-                    ci_target,
-                }
-            }
-            Err(_) => TrialBudget::adaptive(8, 64, CiTarget::Relative(0.05)),
-        };
-        let metrics = match doc.get("metrics") {
-            Ok(v) => {
-                let mut metrics: Vec<Metric> = Vec::new();
-                for m in v.as_arr()? {
-                    let m = parse_metric(m)?;
-                    if metrics.iter().any(|o| o.name() == m.name()) {
-                        return Err(SweepError::Parse(format!(
-                            "duplicate metric {:?}",
-                            m.name()
-                        )));
-                    }
-                    metrics.push(m);
-                }
-                if metrics.is_empty() {
-                    return Err(SweepError::Parse("empty metrics list".into()));
-                }
-                Some(metrics)
-            }
-            Err(_) => None,
-        };
-        let spec = SweepSpec {
-            axes,
-            base_seed,
-            budget,
-            max_rounds: None,
-            metrics,
-        };
-        let max_rounds = match doc.get("max_rounds") {
-            Ok(v) => {
-                let caps = match v.as_arr() {
-                    Ok(arr) => {
-                        let mut caps = Vec::with_capacity(arr.len());
-                        for c in arr {
-                            caps.push(parse_cap(c)?);
-                        }
-                        if caps.len() != spec.cell_count() {
-                            return Err(SweepError::Parse(format!(
-                                "max_rounds table has {} entries for {} cells",
-                                caps.len(),
-                                spec.cell_count()
-                            )));
-                        }
-                        caps
-                    }
-                    // A bare number is a uniform cap for every cell.
-                    Err(_) => vec![parse_cap(v)?; spec.cell_count()],
-                };
-                Some(caps)
-            }
-            Err(_) => None,
-        };
-        Ok(SweepSpec { max_rounds, ..spec })
+                    Some(parse_target(target)?)
+                },
+            };
+            spec.budget.check().map_err(SweepError::Parse)?;
+        }
+        Ok(spec)
     }
 }
 
-fn parse_cap(v: &json::Json) -> Result<u32, SweepError> {
-    let cap = v.as_u64()?;
-    match u32::try_from(cap) {
-        Ok(cap) if cap > 0 && cap < u32::MAX => Ok(cap),
-        _ => Err(SweepError::Parse(format!(
-            "max_rounds cap {cap} out of range 1..u32::MAX"
-        ))),
+/// Writes `{"name": ..., "stopping": ...}`, as both JSON writers do.
+pub(crate) fn push_metric(out: &mut String, m: &Metric) {
+    out.push_str("{\"name\": ");
+    push_str_escaped(out, m.name());
+    out.push_str(", \"stopping\": ");
+    out.push_str(&match m.stopping() {
+        MetricStopping::Default => "\"default\"".to_string(),
+        MetricStopping::Target(t) => target_json(t),
+        MetricStopping::Observe => "\"observe\"".to_string(),
+    });
+    out.push('}');
+}
+
+/// Writes `  "max_rounds": [...]`, as both JSON writers do.
+pub(crate) fn push_caps(out: &mut String, caps: &[u32]) {
+    out.push_str("  \"max_rounds\": [");
+    push_joined(out, caps.iter().map(u32::to_string));
+    out.push(']');
+}
+
+/// Writes `items` separated by `", "`.
+fn push_joined(out: &mut String, items: impl Iterator<Item = String>) {
+    for (i, item) in items.enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(&item);
     }
+}
+
+fn target_json(t: CiTarget) -> String {
+    match t {
+        CiTarget::Absolute(v) => format!("{{\"absolute\": {}}}", fmt_f64(v)),
+        CiTarget::Relative(v) => format!("{{\"relative\": {}}}", fmt_f64(v)),
+    }
+}
+
+/// `{"absolute": v}` or `{"relative": v}`; the value's range is the
+/// budget's or the metric's rule to check.
+fn parse_target(t: &Json) -> Result<CiTarget, SweepError> {
+    Ok(match t.get("absolute") {
+        Ok(v) => CiTarget::Absolute(v.as_f64()?),
+        Err(_) => CiTarget::Relative(t.get("relative")?.as_f64()?),
+    })
+}
+
+/// One metric declaration: the canonical object form
+/// `{"name": ..., "stopping": ...}` (stopping `"default"`, `"observe"`,
+/// `{"absolute": v}` or `{"relative": v}`), or — for forgiving wire
+/// specs — a bare name string meaning default stopping.
+fn parse_metric(m: &Json) -> Result<Metric, SweepError> {
+    let (name, stopping) = match m.as_str() {
+        Ok(name) => (name, MetricStopping::Default),
+        Err(_) => {
+            let name = m.get("name")?.as_str()?;
+            let stopping = m.get("stopping")?;
+            let stopping = match stopping.as_str() {
+                Ok("default") => MetricStopping::Default,
+                Ok("observe") => MetricStopping::Observe,
+                Ok(other) => {
+                    return Err(SweepError::Parse(format!(
+                        "metric {name:?} has unknown stopping {other:?}"
+                    )))
+                }
+                Err(_) => MetricStopping::Target(parse_target(stopping)?),
+            };
+            (name, stopping)
+        }
+    };
+    Metric::checked(name, stopping).map_err(SweepError::Parse)
+}
+
+/// One round cap; its range is [`Grid`]'s cap rule to check.
+fn parse_cap(v: &Json) -> Result<u32, SweepError> {
+    let cap = v.as_u64()?;
+    u32::try_from(cap)
+        .map_err(|_| SweepError::Parse(format!("max_rounds cap {cap} is out of range 1..u32::MAX")))
 }
 
 #[cfg(test)]
@@ -410,7 +444,7 @@ mod tests {
         for s in [spec(), spec().with_max_rounds(vec![10, 20, 30, 40])] {
             let report = s.sweep().run(synthetic).unwrap();
             assert_eq!(report.fingerprint(), s.fingerprint());
-            assert_eq!(SweepSpec::of_report(&report), s);
+            assert_eq!(report.spec(), &s);
             assert_eq!(report.max_rounds_table(), s.max_rounds());
         }
     }
@@ -469,8 +503,21 @@ mod tests {
             r#"{"axes": [{"name": "n", "values": [1]}], "max_rounds": 0}"#,
             r#"{"axes": [{"name": "n", "values": [1]}], "max_rounds": 4294967295}"#,
         ];
-        for text in bad {
-            assert!(SweepSpec::from_json(text).is_err(), "accepted: {text}");
+        // Eight 256-value axes: 2^64 cells, past any usize cell count.
+        let values = (0..256)
+            .map(|v| v.to_string())
+            .collect::<Vec<_>>()
+            .join(", ");
+        let axes = (0..8)
+            .map(|i| format!(r#"{{"name": "a{i}", "values": [{values}]}}"#))
+            .collect::<Vec<_>>()
+            .join(", ");
+        let overflow = format!(r#"{{"axes": [{axes}]}}"#);
+        for text in bad.into_iter().chain([overflow.as_str()]) {
+            assert!(
+                matches!(SweepSpec::from_json(text), Err(SweepError::Parse(_))),
+                "accepted: {text}"
+            );
         }
     }
 
@@ -498,7 +545,7 @@ mod tests {
             .unwrap();
         assert_eq!(report.fingerprint(), s.fingerprint());
         assert_ne!(s.fingerprint(), spec().fingerprint());
-        assert_eq!(SweepSpec::of_report(&report), s);
+        assert_eq!(report.spec(), &s);
         assert_eq!(report.metrics(), s.metrics());
     }
 

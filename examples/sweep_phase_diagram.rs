@@ -80,7 +80,7 @@ fn main() {
         "\nadaptive budget spent {} trials across {} cells (cap {})",
         report.total_trials(),
         report.cells().len(),
-        report.cells().len() * report.budget().max_trials
+        report.cells().len() * report.spec().budget().max_trials
     );
 
     report
