@@ -883,6 +883,15 @@ mod tests {
             post(&d, "{\"axes\": [{\"name\": \"x\", \"values\": []}]}").status,
             400
         );
+        // 2^48 cells from 80 KB of axes: refused before a worker would
+        // build them.
+        let values = vec!["1"; 4096].join(", ");
+        let axes = (0..4)
+            .map(|i| format!(r#"{{"name": "a{i}", "values": [{values}]}}"#))
+            .collect::<Vec<_>>()
+            .join(", ");
+        assert_eq!(post(&d, &format!(r#"{{"axes": [{axes}]}}"#)).status, 400);
+        assert!(d.pending().is_empty());
         let wrong_method = d.handle(&Request {
             method: "DELETE".to_string(),
             path: "/sweeps".to_string(),

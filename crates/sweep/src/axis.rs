@@ -223,6 +223,12 @@ impl Axis {
     }
 }
 
+/// The cap rule: a round cap lies in `1..u32::MAX` (`u32::MAX` is the
+/// engine's uninformed sentinel, and a 0 cap censors every trial).
+pub(crate) fn cap_in_range(cap: u32) -> bool {
+    cap != 0 && cap != u32::MAX
+}
+
 /// A declared parameter space: the Cartesian product of its axes.
 ///
 /// Cells are enumerated row-major with the **last** axis varying
@@ -231,9 +237,9 @@ impl Axis {
 /// are byte-identical however the sweep is executed.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Grid {
-    pub(crate) axes: Vec<Axis>,
+    axes: Vec<Axis>,
     /// Per-cell round caps by cell id (see [`Grid::max_rounds`]).
-    pub(crate) max_rounds: Option<Vec<u32>>,
+    max_rounds: Option<Vec<u32>>,
     /// Declared per-trial metrics (see [`Grid::metrics`]); `None` for
     /// classic single-scalar sweeps.
     metrics: Option<Vec<Metric>>,
@@ -317,11 +323,7 @@ impl Grid {
                 self.cell_count()
             ));
         }
-        if let Some((id, cap)) = caps
-            .iter()
-            .enumerate()
-            .find(|(_, &cap)| cap == 0 || cap == u32::MAX)
-        {
+        if let Some((id, cap)) = caps.iter().enumerate().find(|(_, &cap)| !cap_in_range(cap)) {
             return Err(format!(
                 "max_rounds cap {cap} of cell {id} is out of range 1..u32::MAX"
             ));
@@ -414,6 +416,19 @@ impl Grid {
             values,
             max_rounds: self.max_rounds.as_ref().map(|caps| caps[id]),
         }
+    }
+
+    /// Whether `values` are, bit for bit, the values of cell `id` —
+    /// checked without building the cell.
+    pub(crate) fn has_values(&self, id: usize, values: &[f64]) -> bool {
+        let mut rest = id;
+        values.len() == self.axes.len()
+            && self.axes.iter().zip(values).rev().all(|(axis, v)| {
+                let len = axis.values().len();
+                let expected = axis.values()[rest % len];
+                rest /= len;
+                expected.to_bits() == v.to_bits()
+            })
     }
 
     /// All cells, ordered by id.
@@ -511,6 +526,18 @@ impl fmt::Display for Cell {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Grid {
+        /// A grid that skips every rule, to sign malformed artifacts in
+        /// tests.
+        pub(crate) fn unchecked(axes: Vec<Axis>, max_rounds: Option<Vec<u32>>) -> Self {
+            Grid {
+                axes,
+                max_rounds,
+                metrics: None,
+            }
+        }
+    }
 
     #[test]
     fn linear_hits_endpoints() {

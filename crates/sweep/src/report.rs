@@ -590,7 +590,9 @@ impl SweepReport {
                 "artifact format {format:?}, expected {FORMAT:?} or {FORMAT_V2:?}"
             )));
         }
-        let spec = SweepSpec::from_doc(&doc)?;
+        let cells_doc = doc.get("cells")?.as_arr()?;
+        // The grid is bounded by the cells the artifact holds.
+        let spec = SweepSpec::from_doc(&doc, cells_doc.len())?;
         if format != spec.format() {
             return Err(SweepError::Parse(format!(
                 "a {format} artifact {} declare metrics",
@@ -604,7 +606,6 @@ impl SweepReport {
                 "artifact fingerprint {expected} != recomputed {actual}"
             )));
         }
-        let cells_doc = doc.get("cells")?.as_arr()?;
         if cells_doc.len() != spec.cell_count() {
             return Err(SweepError::Parse(format!(
                 "artifact has {} cells for a {}-cell grid",
@@ -624,7 +625,7 @@ impl SweepReport {
             Ok(Some(v))
         };
         let mut cells = Vec::with_capacity(cells_doc.len());
-        for (i, (cell, grid_cell)) in cells_doc.iter().zip(spec.grid.cells()).enumerate() {
+        for (i, cell) in cells_doc.iter().enumerate() {
             let id = cell.get("id")?.as_usize()?;
             if id != i {
                 return Err(SweepError::Parse(format!(
@@ -633,11 +634,10 @@ impl SweepReport {
             }
             let values = cell.get("values")?.as_arr()?;
             let values: Vec<f64> = values.iter().map(Json::as_f64).collect::<Result<_, _>>()?;
-            let bits = |vs: &[f64]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            if bits(&values) != bits(grid_cell.values()) {
+            if !spec.grid.has_values(i, &values) {
                 return Err(SweepError::Parse(format!(
                     "cell {i} has values {values:?}, the grid's are {:?}",
-                    grid_cell.values()
+                    spec.grid.cell(i).values()
                 )));
             }
             let mut samples = Vec::new();
@@ -712,7 +712,7 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SweepError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CiTarget, TrialBudget};
+    use crate::{CiTarget, Grid, TrialBudget};
 
     /// Width-1 rows from a flat list — the single-metric sample shape.
     fn rows1(samples: Vec<Option<f64>>) -> Vec<Vec<Option<f64>>> {
@@ -871,6 +871,36 @@ mod tests {
         ));
     }
 
+    /// An artifact's grid may have no more cells than the artifact
+    /// holds: a 2^48-cell grid with no cells is an error before its
+    /// uniform cap is expanded, and a uniform cap over exactly the
+    /// artifact's cells loads.
+    #[test]
+    fn an_artifacts_grid_is_bounded_by_its_cells() {
+        let values = vec!["1"; 4096].join(", ");
+        let axes = (0..4)
+            .map(|i| format!(r#"{{"name": "a{i}", "values": [{values}]}}"#))
+            .collect::<Vec<_>>()
+            .join(", ");
+        let huge = format!(
+            r#"{{"format": "dg-sweep/1", "fingerprint": 1, "axes": [{axes}], "max_rounds": 5, "cells": []}}"#
+        );
+        assert!(matches!(
+            SweepReport::from_json(&huge),
+            Err(SweepError::Parse(_))
+        ));
+        let report = sample_report();
+        let capped = report.spec.clone().with_max_rounds(vec![7; 4]);
+        let json = report.to_json().replace(
+            &format!("\"fingerprint\": {},\n", report.fingerprint()),
+            &format!(
+                "\"fingerprint\": {},\n  \"max_rounds\": 7,\n",
+                capped.fingerprint()
+            ),
+        );
+        assert_eq!(SweepReport::from_json(&json).unwrap().spec(), &capped);
+    }
+
     /// Six artifacts whose configuration breaks a spec rule while their
     /// embedded fingerprint matches it. Resuming any of them panicked
     /// (short cap table, `u32::MAX` cap, duplicate axis) or blocked
@@ -878,38 +908,36 @@ mod tests {
     /// reject each with `Parse`, as the spec parser does.
     #[test]
     fn invalid_configs_with_matching_fingerprints_are_parse_errors() {
-        fn budget(min_trials: usize, max_trials: usize, target: Option<f64>) -> TrialBudget {
-            TrialBudget {
+        let good = sample_report();
+        let axes = good.spec.axes().to_vec();
+        let grid = |axes: Vec<Axis>, caps: Option<Vec<u32>>| SweepSpec {
+            grid: Grid::unchecked(axes, caps),
+            ..good.spec.clone()
+        };
+        let budget = |min_trials, max_trials, target: Option<f64>| SweepSpec {
+            budget: TrialBudget {
                 min_trials,
                 max_trials,
                 ci_target: target.map(CiTarget::Relative),
-            }
-        }
-        let broken = |breakage: fn(&mut SweepSpec)| {
-            let mut report = sample_report();
-            breakage(&mut report.spec);
-            report
+            },
+            ..good.spec.clone()
         };
-        for (label, report) in [
-            (
-                "short cap table",
-                broken(|s| s.grid.max_rounds = Some(vec![10, 20])),
-            ),
+        let duplicate = vec![axes[0].clone(), Axis::explicit("n", [0.1, 0.25])];
+        for (label, spec) in [
+            ("short cap table", grid(axes.clone(), Some(vec![10, 20]))),
             (
                 "u32::MAX cap",
-                broken(|s| s.grid.max_rounds = Some(vec![10, 20, 30, u32::MAX])),
+                grid(axes.clone(), Some(vec![10, 20, 30, u32::MAX])),
             ),
-            (
-                "duplicate axis",
-                broken(|s| s.grid.axes[1] = Axis::explicit("n", [0.1, 0.25])),
-            ),
-            ("min > max", broken(|s| s.budget = budget(3, 2, None))),
-            ("0..0", broken(|s| s.budget = budget(0, 0, None))),
-            (
-                "ci_target <= 0",
-                broken(|s| s.budget = budget(3, 9, Some(0.0))),
-            ),
+            ("duplicate axis", grid(duplicate, None)),
+            ("min > max", budget(3, 2, None)),
+            ("0..0", budget(0, 0, None)),
+            ("ci_target <= 0", budget(3, 9, Some(0.0))),
         ] {
+            let report = SweepReport {
+                spec,
+                cells: good.cells.clone(),
+            };
             let json = report.to_json();
             assert!(json.contains(&format!("\"fingerprint\": {},", report.fingerprint())));
             match SweepReport::from_json(&json) {

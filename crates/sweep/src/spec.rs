@@ -27,7 +27,7 @@
 //! assert_eq!(report.spec(), &spec);
 //! ```
 
-use crate::axis::{Axis, Grid, Metric, MetricStopping};
+use crate::axis::{cap_in_range, Axis, Grid, Metric, MetricStopping};
 use crate::budget::{CiTarget, TrialBudget};
 use crate::error::SweepError;
 use crate::json::{self, fmt_f64, push_str_escaped, Json};
@@ -40,6 +40,11 @@ pub(crate) const FORMAT: &str = "dg-sweep/1";
 /// Format tag of multi-metric artifacts (declared [`Metric`]s, one
 /// sample row per trial).
 pub(crate) const FORMAT_V2: &str = "dg-sweep/2";
+
+/// The most cells a spec document may declare. A sweep builds every
+/// cell, seed and cap up front, so without a bound a few kilobytes of
+/// axes could ask for petabytes.
+const MAX_SPEC_CELLS: usize = 1 << 20;
 
 /// The configuration of one sweep: everything that enters its resume
 /// fingerprint, and nothing else.
@@ -289,16 +294,19 @@ impl SweepSpec {
     /// `metrics` entry accepts either the canonical
     /// `{"name": ..., "stopping": ...}` object or a bare name string
     /// (default stopping). Everything is validated here — a malformed
-    /// spec is an `Err`, never a panic in a worker thread later.
+    /// spec is an `Err`, never a panic in a worker thread later. A spec
+    /// document declares at most 2^20 cells.
     pub fn from_json(text: &str) -> Result<Self, SweepError> {
-        SweepSpec::from_doc(&json::parse(text)?)
+        SweepSpec::from_doc(&json::parse(text)?, MAX_SPEC_CELLS)
     }
 
     /// The one configuration parser: a spec document, or the
     /// configuration half of an artifact. Unknown keys (an artifact's
     /// `format`, `fingerprint` and `cells`) are ignored; every rule the
-    /// constructors assert is a [`SweepError::Parse`] here.
-    pub(crate) fn from_doc(doc: &Json) -> Result<Self, SweepError> {
+    /// constructors assert is a [`SweepError::Parse`] here, and so is a
+    /// grid of more than `max_cells` cells, checked before anything is
+    /// built per cell.
+    pub(crate) fn from_doc(doc: &Json, max_cells: usize) -> Result<Self, SweepError> {
         let mut grid = Grid::new();
         for axis in doc.get("axes")?.as_arr()? {
             let name = axis.get("name")?.as_str()?;
@@ -307,6 +315,12 @@ impl SweepSpec {
             grid = grid
                 .try_axis(Axis::checked(name, values).map_err(SweepError::Parse)?)
                 .map_err(SweepError::Parse)?;
+        }
+        if grid.cell_count() > max_cells {
+            return Err(SweepError::Parse(format!(
+                "a grid of {} cells, more than {max_cells}",
+                grid.cell_count()
+            )));
         }
         if let Ok(metrics) = doc.get("metrics") {
             let metrics = metrics.as_arr()?.iter().map(parse_metric);
@@ -415,11 +429,15 @@ fn parse_metric(m: &Json) -> Result<Metric, SweepError> {
     Metric::checked(name, stopping).map_err(SweepError::Parse)
 }
 
-/// One round cap; its range is [`Grid`]'s cap rule to check.
+/// One round cap, in [`Grid`]'s cap range `1..u32::MAX`.
 fn parse_cap(v: &Json) -> Result<u32, SweepError> {
     let cap = v.as_u64()?;
     u32::try_from(cap)
-        .map_err(|_| SweepError::Parse(format!("max_rounds cap {cap} is out of range 1..u32::MAX")))
+        .ok()
+        .filter(|&cap| cap_in_range(cap))
+        .ok_or_else(|| {
+            SweepError::Parse(format!("max_rounds cap {cap} is out of range 1..u32::MAX"))
+        })
 }
 
 #[cfg(test)]
@@ -513,11 +531,42 @@ mod tests {
             .collect::<Vec<_>>()
             .join(", ");
         let overflow = format!(r#"{{"axes": [{axes}]}}"#);
-        for text in bad.into_iter().chain([overflow.as_str()]) {
+        // Four 4096-value axes: 2^48 cells from 80 KB of text. Expanding
+        // the uniform cap, or running the sweep, would allocate petabytes.
+        let values = vec!["1"; 4096].join(", ");
+        let wide = (0..4)
+            .map(|i| format!(r#"{{"name": "a{i}", "values": [{values}]}}"#))
+            .collect::<Vec<_>>()
+            .join(", ");
+        let huge = format!(r#"{{"axes": [{wide}]}}"#);
+        let uniform = format!(r#"{{"axes": [{wide}], "max_rounds": 5}}"#);
+        for text in bad
+            .into_iter()
+            .chain([&overflow, &huge, &uniform].map(String::as_str))
+        {
             assert!(
                 matches!(SweepSpec::from_json(text), Err(SweepError::Parse(_))),
                 "accepted: {text}"
             );
+        }
+    }
+
+    #[test]
+    fn spec_documents_declare_at_most_the_cell_limit() {
+        let grid = |cells: usize, caps: &str| {
+            SweepSpec::from_json(&format!(
+                r#"{{"axes": [{{"name": "a", "values": [{}]}}, {{"name": "b", "values": [{}]}}]{caps}}}"#,
+                vec!["1"; cells / 1024].join(", "),
+                vec!["1"; 1024].join(", ")
+            ))
+        };
+        let spec = grid(MAX_SPEC_CELLS, r#", "max_rounds": 5"#).unwrap();
+        assert_eq!(spec.max_rounds().unwrap(), &vec![5; MAX_SPEC_CELLS][..]);
+        for caps in ["", r#", "max_rounds": 5"#] {
+            assert!(matches!(
+                grid(MAX_SPEC_CELLS + 1024, caps),
+                Err(SweepError::Parse(_))
+            ));
         }
     }
 
