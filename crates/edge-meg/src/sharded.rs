@@ -32,6 +32,18 @@
 //! cell and every denser one), a range-hashed table below. Membership
 //! reads the same either way and the set is never iterated, so the form
 //! never moves a byte of a realization; the lane code does not know it.
+//!
+//! Every skip — the reset's `Geometric(α)`, the death sweep's
+//! `Geometric(q)`, the birth sweep's `Geometric(p)` — is one
+//! [`Geometric`] draw: one uniform from the lane's stream, then either
+//! a table lookup (a guide read and a short walk over precomputed
+//! thresholds) or, for rates with a mean gap above ~148 and for the
+//! ~10⁻⁷ of draws that land near a threshold, one `ln` and one
+//! division. Both paths return the same value for the same uniform.
+//! The model builds its three samplers once, at construction; the
+//! lanes share their tables. At the served cell (`n = 4096`, `p =
+//! 1.5/n`, `q = 0.01`) the reset and the death sweep take the table and
+//! the births (mean gap ~2730) take the logarithm.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -43,7 +55,7 @@ use dynagraph::{mix_seed, EdgeDelta, EvolvingGraph, Snapshot};
 
 use crate::pairs::edge_pair;
 use crate::pairset::PairSet;
-use crate::sparse::{check_rates, geometric};
+use crate::sparse::{check_rates, Geometric};
 
 /// Number of logical lanes — fixed, so realizations are independent of
 /// how many threads step them. 64 comfortably exceeds any core count
@@ -112,10 +124,9 @@ struct Lane {
     /// The pair at index `start`, where the ascending sweeps begin
     /// decoding (see [`step_pair`]).
     first: Edge,
-    birth: f64,
-    death: f64,
-    log1m_birth: f64,
-    log1m_death: f64,
+    /// Birth and death skip samplers; every lane shares their tables.
+    birth: Geometric,
+    death: Geometric,
     /// Currently-on pairs in this lane, as `(u, v)` with `u < v`: stored
     /// unpacked so scans, full emissions and snapshots read them without
     /// inverting a pair index. Between a round's death sweep and its
@@ -155,10 +166,10 @@ impl Lane {
         //    set aside for the retirement.
         debug_assert!(self.retire_buf.is_empty() && self.retire_pos.is_empty());
         let live = self.alive.len() as u64;
-        let mut pos = geometric(&mut self.rng, self.death, self.log1m_death) - 1;
+        let mut pos = self.death.draw(&mut self.rng) - 1;
         while pos < live {
             self.retire_pos.push(pos as u32);
-            pos += geometric(&mut self.rng, self.death, self.log1m_death);
+            pos += self.death.draw(&mut self.rng);
         }
         for (m, &pos) in self.retire_pos.iter().enumerate() {
             let slot = &mut self.alive[pos as usize];
@@ -173,12 +184,12 @@ impl Lane {
         //    this round.
         //    Newborn pairs are decoded by stepping from the last one.
         let (mut at, mut pair) = (self.start, self.first);
-        let mut idx = self.start + geometric(&mut self.rng, self.birth, self.log1m_birth) - 1;
+        let mut idx = self.start + self.birth.draw(&mut self.rng) - 1;
         while idx < self.end {
             self.birth_buf.clear();
             while idx < self.end && self.birth_buf.len() < BIRTH_BATCH {
                 self.birth_buf.push(idx);
-                idx += geometric(&mut self.rng, self.birth, self.log1m_birth);
+                idx += self.birth.draw(&mut self.rng);
             }
             for &cand in &self.birth_buf {
                 if self.occ.insert(cand) {
@@ -271,6 +282,8 @@ impl ShardLane for Lane {
 pub struct ShardedSparseEdgeMeg {
     n: usize,
     chain: TwoStateChain,
+    /// The reset's skip sampler over the stationary density `α`.
+    alpha: Geometric,
     lanes: Vec<Lane>,
     snapshot: Snapshot,
     edge_buf: Vec<(u32, u32)>,
@@ -296,8 +309,8 @@ impl ShardedSparseEdgeMeg {
             });
         }
         let node_span = n.div_ceil(LANES) as u64;
-        let log1m_birth = (1.0 - chain.birth()).ln();
-        let log1m_death = (1.0 - chain.death()).ln();
+        let birth = Geometric::new(chain.birth());
+        let death = Geometric::new(chain.death());
         let lanes = (0..LANES as u64)
             .map(|l| {
                 let lo = (l * node_span).min(n as u64);
@@ -307,10 +320,8 @@ impl ShardedSparseEdgeMeg {
                     start,
                     end,
                     first: (0, lo.max(1) as u32),
-                    birth: chain.birth(),
-                    death: chain.death(),
-                    log1m_birth,
-                    log1m_death,
+                    birth: birth.clone(),
+                    death: death.clone(),
                     alive: Vec::new(),
                     // Sized and written by the first `reset`, lane by
                     // lane, right after its skip-sample.
@@ -324,6 +335,7 @@ impl ShardedSparseEdgeMeg {
             .collect();
         let mut meg = ShardedSparseEdgeMeg {
             n,
+            alpha: Geometric::new(chain.stationary_on()),
             chain,
             lanes,
             snapshot: Snapshot::empty(n),
@@ -387,7 +399,6 @@ impl EvolvingGraph for ShardedSparseEdgeMeg {
     fn reset(&mut self, seed: u64) {
         self.synced = false;
         let alpha = self.chain.stationary_on();
-        let log1m_alpha = (1.0 - alpha).ln();
         let death = self.chain.death();
         for (l, lane) in self.lanes.iter_mut().enumerate() {
             lane.alive.clear();
@@ -408,12 +419,12 @@ impl EvolvingGraph for ShardedSparseEdgeMeg {
             // index, so only the ≈ alpha·(end - start) live pairs are
             // visited, one draw and one pair step each.
             let (mut at, mut pair) = (lane.start, lane.first);
-            let mut idx = lane.start + geometric(&mut lane.rng, alpha, log1m_alpha) - 1;
+            let mut idx = lane.start + self.alpha.draw(&mut lane.rng) - 1;
             while idx < lane.end {
                 pair = step_pair(pair, idx - at, idx);
                 at = idx;
                 lane.alive.push(pair);
-                idx += geometric(&mut lane.rng, alpha, log1m_alpha);
+                idx += self.alpha.draw(&mut lane.rng);
             }
             assert!(
                 lane.alive.len() <= DYING as usize,
@@ -794,9 +805,10 @@ mod tests {
         }
         // And along a lane's ascending walk past u32 pair indices.
         let mut rng = SmallRng::seed_from_u64(5);
+        let skip = Geometric::new(1e-4);
         let (mut at, mut pair) = (1u64 << 33, edge_pair(1 << 33));
         for _ in 0..100_000 {
-            let gap = geometric(&mut rng, 1e-4, (1.0 - 1e-4f64).ln());
+            let gap = skip.draw(&mut rng);
             pair = step_pair(pair, gap, at + gap);
             at += gap;
             assert_eq!(pair, edge_pair(at), "index {at}");

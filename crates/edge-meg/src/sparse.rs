@@ -36,6 +36,8 @@
 //! [`crate::ShardedSparseEdgeMeg`]: its lazy dynamics keep setup,
 //! per-round cost and memory proportional to the current on-set.
 
+use std::sync::Arc;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -213,6 +215,141 @@ fn geometric_at(u: f64, log1m: f64) -> u64 {
 
 /// `2^63`, the first `f64` that `as i64` cannot hold.
 const I64_LIMIT: f64 = (1u64 << 63) as f64;
+
+/// `ln` of the table floor `2⁻⁴⁰`: a [`Geometric`] table holds the
+/// thresholds down to the first one at or below it, so a tabled draw
+/// falls back to the logarithm below the floor about once in 10¹².
+const TABLE_FLOOR_LN: f64 = -40.0 * std::f64::consts::LN_2;
+
+/// Most thresholds a [`Geometric`] table holds: rates whose floor lies
+/// farther out (mean gap `1/r` above ~148) draw through the logarithm.
+const MAX_THRESHOLDS: usize = 4096;
+
+/// Relative half-width of the guard band around each tabled threshold.
+const BAND: f64 = 1e-9;
+
+/// A `Geometric(prob)` sampler that returns exactly what [`geometric`]
+/// returns for the same uniform, but finds most draws in a table instead
+/// of taking a logarithm and a division.
+///
+/// The draw `⌈ln u / L⌉` (`L = ln(1 − prob)`) is `k` exactly when `T_k ≤ u
+/// < T_{k−1}`, with thresholds `T_k = exp(k·L)` and `T_0 = 1`. For a rate
+/// whose thresholds reach the floor `2⁻⁴⁰` within [`MAX_THRESHOLDS`] of
+/// them (every rate from ~1/148 to just below 1), the sampler keeps
+/// each value's interval shrunk by a guard band of relative width `δ =
+/// 1e-9` on both ends, plus a guide array indexed by `⌊u·M⌋` (`M` a power
+/// of two) that names the first interval to try. A draw takes the same
+/// uniform as [`geometric`], walks from the guide to the interval below
+/// `u`, and returns its value when `u` lies inside it; otherwise (`u` in a
+/// band, below the floor, or a rate without a table) it calls
+/// [`geometric_at`]. The table path is taken by all but about `2δ/prob +
+/// 2⁻⁴⁰` of the draws, and rates at or above 1 still return 1 without drawing.
+///
+/// # Error budget
+///
+/// Let `j` be either threshold that brackets an accepted `u`. The
+/// computed `T_j = fl(exp(fl(j·L)))` is within `10⁻¹³` relative of
+/// `exp(j·L)` for every `|j·L| ≤ 708.4`, so outside the bands `|ln u −
+/// j·L| > δ − 2·10⁻¹³`, and the exact quotient `ln u / L` lies more than
+/// `(δ − 2·10⁻¹³)/|L|` from both `k − 1` and `k`. The computed quotient
+/// `fl(fl(ln u)/L)` is within `4·10⁻¹⁶` relative of the exact one
+/// (glibc's `ln` is within one ulp, the division rounds once), and since
+/// `|ln u| ≤ 708.4` for `u ≥ f64::MIN_POSITIVE`, its absolute error is
+/// below `3·10⁻¹³/|L|`. Both errors sit more than three orders of
+/// magnitude inside `δ`, so the quotient [`geometric`] computes has the
+/// ceiling `k` the table names. `tests::table_draws_match_geometric_at`
+/// checks every threshold, band edge and floor to the ulp.
+///
+/// The tables sit behind [`Arc`]s, so clones (one per lane) share them:
+/// at most 32 KiB of thresholds and 8 KiB of guide per rate.
+#[derive(Debug, Clone)]
+pub(crate) struct Geometric {
+    prob: f64,
+    log1m: f64,
+    /// The lowest tabled uniform, `T_K(1 + δ)`; `+∞` without a table.
+    floor: f64,
+    /// `M`, the guide's length, as a float.
+    scale: f64,
+    /// `guide[j]` is the first `k` with `lower[k] ≤ (j + 1)/M`, where
+    /// every uniform in `[j/M, (j + 1)/M)` above the floor starts its
+    /// walk. Empty without a table.
+    guide: Arc<[u16]>,
+    /// `lower[k] = T_k(1 + δ)` for `k = 0..=K`: the draw is `k` for `u`
+    /// in `[lower[k], lower[k − 1]·SHRINK)`, whose upper end is `T_{k−1}(1
+    /// − δ)`. Empty without a table.
+    lower: Arc<[f64]>,
+}
+
+/// `(1 − δ)/(1 + δ)`: takes a band's upper edge to the one below it.
+const SHRINK: f64 = (1.0 - BAND) / (1.0 + BAND);
+
+impl Geometric {
+    /// The sampler for `Geometric(prob)`, with a table when the rate's
+    /// thresholds reach the floor within [`MAX_THRESHOLDS`].
+    pub(crate) fn new(prob: f64) -> Self {
+        let log1m = (1.0 - prob).ln();
+        let count = (TABLE_FLOOR_LN / log1m).ceil();
+        if !(prob < 1.0 && count <= MAX_THRESHOLDS as f64) {
+            return Geometric {
+                prob,
+                log1m,
+                floor: f64::INFINITY,
+                scale: 0.0,
+                guide: Arc::new([]),
+                lower: Arc::new([]),
+            };
+        }
+        let count = count as usize;
+        let lower: Arc<[f64]> = (0..=count)
+            .map(|k| (k as f64 * log1m).exp() * (1.0 + BAND))
+            .collect();
+        let len = count.next_power_of_two();
+        let mut guide = vec![0u16; len];
+        let mut k = 1;
+        for (j, start) in guide.iter_mut().enumerate().rev() {
+            let top = (j + 1) as f64 / len as f64;
+            while k < count && lower[k] > top {
+                k += 1;
+            }
+            *start = k as u16;
+        }
+        Geometric {
+            prob,
+            log1m,
+            floor: lower[count],
+            scale: len as f64,
+            guide: guide.into(),
+            lower,
+        }
+    }
+
+    /// One draw, the same value and the same uniform as [`geometric`].
+    #[inline]
+    pub(crate) fn draw(&self, rng: &mut SmallRng) -> u64 {
+        if self.prob >= 1.0 {
+            return 1;
+        }
+        let u = rng.gen_range(f64::MIN_POSITIVE..1.0);
+        self.tabled(u)
+            .unwrap_or_else(|| geometric_at(u, self.log1m))
+    }
+
+    /// The table's value for the uniform `u`, or `None` when `u` falls in
+    /// a band or below the floor, or the rate has no table.
+    #[inline]
+    fn tabled(&self, u: f64) -> Option<u64> {
+        if u < self.floor {
+            return None;
+        }
+        // The guide never starts past `u`'s interval, and `lower[K]` is
+        // the floor, so the walk ends at `k ≤ K`.
+        let mut k = self.guide[(u * self.scale) as usize] as usize;
+        while u < self.lower[k] {
+            k += 1;
+        }
+        (u < self.lower[k - 1] * SHRINK).then_some(k as u64)
+    }
+}
 
 /// [`geometric`] split at a window: the same draw, but the logarithm is
 /// taken only when the draw can fall below the window. `Ok(k)` carries
@@ -698,6 +835,106 @@ pub(crate) mod tests {
         // u = 0 (a window cut that underflowed) saturates on both.
         assert_eq!(geometric_at(0.0, log1m), u64::MAX);
         assert_eq!(geometric_at_float_ceil(0.0, log1m), u64::MAX);
+    }
+
+    /// The `f64` `steps` ulps above (below, if negative) the positive `x`.
+    fn ulps_from(x: f64, steps: i64) -> f64 {
+        f64::from_bits((x.to_bits() as i64 + steps) as u64)
+    }
+
+    #[test]
+    fn table_draws_match_geometric_at() {
+        // The rates the lane model tables: the served cell's α and q, the
+        // direct sweep's eight q cells, t14's setup αs (p = 1/n, q =
+        // 0.005, n = 2^11..2^14), the smallest and largest tabled rates,
+        // and rates near 1.
+        let alpha = |p: f64, q: f64| p / (p + q);
+        let step = 64f64.powf(1.0 / 7.0);
+        let grid_q = std::iter::successors(Some(0.01_f64), |q| Some(q * step)).take(8);
+        let t14 = (11..=14).map(|e| alpha(1.0 / (1u64 << e) as f64, 0.005));
+        // Tables only shrink as the rate grows, so bisect on the bits.
+        let tabled = |rate: f64| !Geometric::new(rate).lower.is_empty();
+        let (mut lo, mut hi) = (1e-3_f64, 1e-2_f64);
+        assert!(!tabled(lo) && tabled(hi));
+        while hi.to_bits() - lo.to_bits() > 1 {
+            let mid = f64::from_bits((lo.to_bits() + hi.to_bits()) / 2);
+            *if tabled(mid) { &mut hi } else { &mut lo } = mid;
+        }
+        let (smallest, largest) = (hi, 1.0 - f64::EPSILON / 2.0);
+        assert!((147.0..149.0).contains(&(1.0 / smallest)), "{smallest}");
+        let near_one = [0.5, 0.9, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12];
+        let rates: Vec<f64> = [alpha(1.5 / 4096.0, 0.01), 0.01]
+            .into_iter()
+            .chain(grid_q)
+            .chain(t14)
+            .chain([smallest, largest])
+            .chain(near_one)
+            .collect();
+        // ~10^8 seeded uniforms in release (10^6 in debug builds, as in
+        // `integer_ceiling_matches_float_ceiling`): half drawn as the
+        // samplers draw them, half log-uniform down past the floor.
+        let per_rate = if cfg!(debug_assertions) {
+            1_000_000
+        } else {
+            100_000_000
+        } / rates.len() as u64;
+        let mut rng = SmallRng::seed_from_u64(0x7AB1E);
+        for &rate in &rates {
+            let s = Geometric::new(rate);
+            let count = s.lower.len() - 1;
+            assert!((1..=MAX_THRESHOLDS).contains(&count), "rate {rate}");
+            assert!(s.guide.len() <= MAX_THRESHOLDS);
+            let check = |u: f64| {
+                let k = s.tabled(u);
+                if let Some(k) = k {
+                    assert_eq!(k, geometric_at(u, s.log1m), "rate {rate}, u {u:e}");
+                }
+                k.is_some()
+            };
+            let mut hits = 0;
+            for _ in 0..per_rate / 2 {
+                hits += check(rng.gen_range(f64::MIN_POSITIVE..1.0)) as u64;
+                let scale = 2f64.powi(-rng.gen_range(0..44));
+                check(rng.gen_range(f64::MIN_POSITIVE..1.0) * scale);
+            }
+            // The table cannot pass on the fallback alone.
+            assert!(
+                hits as f64 >= 0.9999 * (per_rate / 2) as f64,
+                "rate {rate}: {hits} of {} draws tabled",
+                per_rate / 2
+            );
+            // Every threshold T_k ± 4 ulps, where the ceiling steps.
+            for k in 1..=count {
+                let t = (k as f64 * s.log1m).exp();
+                for ulps in -4..=4 {
+                    check(ulps_from(t, ulps));
+                }
+            }
+            // Every band edge ± 1 ulp; `lower[K]` is the floor.
+            for k in 1..=count {
+                for edge in [s.lower[k], s.lower[k - 1] * SHRINK] {
+                    for ulps in -1..=1 {
+                        check(ulps_from(edge, ulps));
+                    }
+                }
+            }
+            assert!(
+                check(s.floor) && !check(ulps_from(s.floor, -1)),
+                "rate {rate}"
+            );
+            assert!(!check(f64::MIN_POSITIVE));
+            // A draw is the same value from the same uniform as `geometric`.
+            let mut twin = rng.clone();
+            for _ in 0..10_000 {
+                assert_eq!(s.draw(&mut rng), geometric(&mut twin, rate, s.log1m));
+            }
+        }
+        // Below the smallest tabled rate every draw takes the logarithm,
+        // and a rate of 1 returns 1 without drawing.
+        assert!(!tabled(ulps_from(smallest, -1)) && !tabled(1.5 / 4096.0));
+        let mut twin = rng.clone();
+        assert_eq!(Geometric::new(1.0).draw(&mut rng), 1);
+        assert_eq!(rng.gen::<u64>(), twin.gen::<u64>());
     }
 
     #[test]
