@@ -36,7 +36,7 @@
 //! Every skip — the reset's `Geometric(α)`, the death sweep's
 //! `Geometric(q)`, the birth sweep's `Geometric(p)` — is one
 //! [`Geometric`] draw: one uniform from the lane's stream, then either
-//! a table lookup (a guide read and a short walk over precomputed
+//! a table lookup (a guide read and one compare against precomputed
 //! thresholds) or, for rates with a mean gap above ~148 and for the
 //! ~10⁻⁷ of draws that land near a threshold, one `ln` and one
 //! division. Both paths return the same value for the same uniform.

@@ -237,13 +237,18 @@ const BAND: f64 = 1e-9;
 /// whose thresholds reach the floor `2⁻⁴⁰` within [`MAX_THRESHOLDS`] of
 /// them (every rate from ~1/148 to just below 1), the sampler keeps
 /// each value's interval shrunk by a guard band of relative width `δ =
-/// 1e-9` on both ends, plus a guide array indexed by `⌊u·M⌋` (`M` a power
-/// of two) that names the first interval to try. A draw takes the same
-/// uniform as [`geometric`], walks from the guide to the interval below
-/// `u`, and returns its value when `u` lies inside it; otherwise (`u` in a
-/// band, below the floor, or a rate without a table) it calls
-/// [`geometric_at`]. The table path is taken by all but about `2δ/prob +
-/// 2⁻⁴⁰` of the draws, and rates at or above 1 still return 1 without drawing.
+/// 1e-9` on both ends, plus a guide array indexed by the uniform's
+/// binade and the top `b` bits of its mantissa, `2^b ≥ 1/|L|`. Successive
+/// thresholds differ by the factor `e^{|L|} > 1 + 2^{−b}`, more than a
+/// bucket's relative width, so a bucket holds at most one threshold and
+/// a draw's interval is its guide entry's or the next. A draw takes the
+/// same uniform as [`geometric`] and returns its interval's value when
+/// `u` lies inside it; otherwise (`u` in a band, below the floor, or a
+/// rate without a table) it calls [`geometric_at`]. The table path is
+/// taken by all but about `2δ/prob + 2⁻⁴⁰` of the draws, and rates at or
+/// above 1 still return 1 without drawing. A wrong guide entry cannot
+/// make a wrong draw, only send draws to the logarithm, which the
+/// exactness test counts.
 ///
 /// # Error budget
 ///
@@ -261,18 +266,22 @@ const BAND: f64 = 1e-9;
 /// checks every threshold, band edge and floor to the ulp.
 ///
 /// The tables sit behind [`Arc`]s, so clones (one per lane) share them:
-/// at most 32 KiB of thresholds and 8 KiB of guide per rate.
+/// at most 32 KiB of thresholds and 21 KiB of guide per rate.
 #[derive(Debug, Clone)]
 pub(crate) struct Geometric {
     prob: f64,
     log1m: f64,
     /// The lowest tabled uniform, `T_K(1 + δ)`; `+∞` without a table.
     floor: f64,
-    /// `M`, the guide's length, as a float.
-    scale: f64,
-    /// `guide[j]` is the first `k` with `lower[k] ≤ (j + 1)/M`, where
-    /// every uniform in `[j/M, (j + 1)/M)` above the floor starts its
-    /// walk. Empty without a table.
+    /// A uniform's guide bucket is `(u.to_bits() >> shift) − base`: its
+    /// binade and top `52 − shift` mantissa bits, counted from the
+    /// floor's.
+    shift: u32,
+    base: u64,
+    /// `guide[j]` is the first `k` with `lower[k]` below bucket `j + 1`,
+    /// the one-step search's start for every uniform of bucket `j` above
+    /// the floor.
+    /// Empty without a table.
     guide: Arc<[u16]>,
     /// `lower[k] = T_k(1 + δ)` for `k = 0..=K`: the draw is `k` for `u`
     /// in `[lower[k], lower[k − 1]·SHRINK)`, whose upper end is `T_{k−1}(1
@@ -294,7 +303,8 @@ impl Geometric {
                 prob,
                 log1m,
                 floor: f64::INFINITY,
-                scale: 0.0,
+                shift: 0,
+                base: 0,
                 guide: Arc::new([]),
                 lower: Arc::new([]),
             };
@@ -303,12 +313,16 @@ impl Geometric {
         let lower: Arc<[f64]> = (0..=count)
             .map(|k| (k as f64 * log1m).exp() * (1.0 + BAND))
             .collect();
-        let len = count.next_power_of_two();
+        let floor = lower[count];
+        let b = ((-1.0 / log1m).log2().ceil().max(0.0) as u32).min(52);
+        let shift = 52 - b;
+        let base = floor.to_bits() >> shift;
+        let len = (((1.0f64.to_bits() - 1) >> shift) - base + 1) as usize;
         let mut guide = vec![0u16; len];
         let mut k = 1;
         for (j, start) in guide.iter_mut().enumerate().rev() {
-            let top = (j + 1) as f64 / len as f64;
-            while k < count && lower[k] > top {
+            let next_bucket = f64::from_bits((base + j as u64 + 1) << shift);
+            while k < count && lower[k] >= next_bucket {
                 k += 1;
             }
             *start = k as u16;
@@ -316,8 +330,9 @@ impl Geometric {
         Geometric {
             prob,
             log1m,
-            floor: lower[count],
-            scale: len as f64,
+            floor,
+            shift,
+            base,
             guide: guide.into(),
             lower,
         }
@@ -341,13 +356,13 @@ impl Geometric {
         if u < self.floor {
             return None;
         }
-        // The guide never starts past `u`'s interval, and `lower[K]` is
-        // the floor, so the walk ends at `k ≤ K`.
-        let mut k = self.guide[(u * self.scale) as usize] as usize;
-        while u < self.lower[k] {
-            k += 1;
-        }
-        (u < self.lower[k - 1] * SHRINK).then_some(k as u64)
+        // `u`'s bucket holds at most one threshold, so its interval is the
+        // guide's or the next; above the floor, `k ≤ K`. The interval is
+        // still checked on both ends, so a guide entry that started
+        // anywhere else would send its draws to the logarithm.
+        let mut k = self.guide[((u.to_bits() >> self.shift) - self.base) as usize] as usize;
+        k += (u < self.lower[k]) as usize;
+        (self.lower[k] <= u && u < self.lower[k - 1] * SHRINK).then_some(k as u64)
     }
 }
 
@@ -883,7 +898,10 @@ pub(crate) mod tests {
             let s = Geometric::new(rate);
             let count = s.lower.len() - 1;
             assert!((1..=MAX_THRESHOLDS).contains(&count), "rate {rate}");
-            assert!(s.guide.len() <= MAX_THRESHOLDS);
+            assert!(s.guide.len() <= 42 << 8, "{} guide entries", s.guide.len());
+            // No guide bucket holds two thresholds.
+            let bucket = |x: f64| x.to_bits() >> s.shift;
+            assert!(s.lower[1..].windows(2).all(|w| bucket(w[0]) > bucket(w[1])));
             let check = |u: f64| {
                 let k = s.tabled(u);
                 if let Some(k) = k {
