@@ -278,10 +278,9 @@ pub(crate) struct Geometric {
     /// floor's.
     shift: u32,
     base: u64,
-    /// `guide[j]` is the first `k` with `lower[k]` below bucket `j + 1`,
-    /// the one-step search's start for every uniform of bucket `j` above
-    /// the floor.
-    /// Empty without a table.
+    /// `guide[j]` is the first `k` with `lower[k]` below bucket `j + 1`:
+    /// where the one-step search starts for every uniform of bucket `j`
+    /// above the floor. Empty without a table.
     guide: Arc<[u16]>,
     /// `lower[k] = T_k(1 + δ)` for `k = 0..=K`: the draw is `k` for `u`
     /// in `[lower[k], lower[k − 1]·SHRINK)`, whose upper end is `T_{k−1}(1
