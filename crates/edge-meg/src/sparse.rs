@@ -288,7 +288,8 @@ pub(crate) struct Geometric {
     lower: Arc<[f64]>,
 }
 
-/// `(1 − δ)/(1 + δ)`: takes a band's upper edge to the one below it.
+/// `(1 − δ)/(1 + δ)`: `lower[k]·SHRINK = T_k(1 − δ)`, the upper end of
+/// value `k + 1`'s interval.
 const SHRINK: f64 = (1.0 - BAND) / (1.0 + BAND);
 
 impl Geometric {
